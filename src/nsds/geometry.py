@@ -1,13 +1,15 @@
 """Small-scale exact convex geometry on vertex-represented polytopes.
 
 Everything here works on the convex hull of an explicit, finite vertex list.
-Least-norm points are computed with Wolfe's nearest-point algorithm, and the
-linear programs behind maximin values and polytope slicing are solved by a
-dense two-phase simplex with Bland's rule.  No external solver is used.
+Least-norm points are computed with Wolfe's nearest-point algorithm (in
+closed form for segments), and the linear programs behind maximin values and
+polytope slicing are solved by a dense two-phase simplex with Bland's rule.
+No external solver is used.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -228,6 +230,11 @@ def least_norm(P: Polytope, *, tol: float = 1e-12, max_iter: int = 1000) -> Leas
 
     The returned coefficients certify hull membership: they are nonnegative
     and sum to one up to 1e-9.
+
+    Two vertices a, b are solved in closed form: the origin is projected onto
+    the segment, ``t = clip(-a.(b-a) / |b-a|^2, 0, 1)`` with coefficients
+    ``(1-t, t)``, and a zero-length segment takes ``t = 0``.  Three or more
+    vertices go through Wolfe's algorithm.
     """
     if P.is_empty:
         raise EmptySetError("least_norm of the empty polytope")
@@ -235,6 +242,12 @@ def least_norm(P: Polytope, *, tol: float = 1e-12, max_iter: int = 1000) -> Leas
     n = V.shape[0]
     if n == 1:
         return LeastNormResult(point=V[0].copy(), coefficients=np.ones(1))
+    if n == 2:
+        d = V[1] - V[0]
+        dd = float(d @ d)
+        t = 0.0 if dd == 0.0 else min(max(-float(V[0] @ d) / dd, 0.0), 1.0)
+        coeffs = np.array([1.0 - t, t])
+        return LeastNormResult(point=coeffs @ V, coefficients=coeffs)
     scale = max(1.0, float(np.max(np.abs(V))))
     eps = tol * scale * scale
 
@@ -451,6 +464,22 @@ class ConvexPolygon:
         t = b - a
         s = float(np.clip((p - a) @ t / (t @ t), 0.0, 1.0))
         return float(np.linalg.norm(p - (a + s * t)))
+
+    @functools.cached_property
+    def edge_vectors(self) -> np.ndarray:
+        """Edge i as the vector from vertex i to vertex i + 1, shape (n_edges, 2)."""
+        t = np.roll(self.vertices, -1, axis=0) - self.vertices
+        t.flags.writeable = False
+        return t
+
+    def edge_offsets(self, points) -> np.ndarray:
+        """Offsets p - q from the nearest point q of every edge segment to
+        every point p, shape (n_points, n_edges, 2)."""
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        a = self.vertices
+        t = self.edge_vectors
+        s = np.clip(((pts[:, None, :] - a) * t).sum(axis=2) / (t * t).sum(axis=1), 0.0, 1.0)
+        return pts[:, None, :] - (a + s[:, :, None] * t)
 
     def contains_point(self, p, tol: float = 0.0) -> bool:
         p = np.asarray(p, dtype=float)

@@ -209,22 +209,36 @@ class _Builder:
         dt = self.times[-1] - self.times[-1 - window]
         if dt <= 0:
             return False
-        moved = max(
-            float(np.linalg.norm(self.states[-1] - self.states[-1 - k]))
-            for k in range(1, window + 1)
-        )
-        return moved <= conv_tol * dt
+        # True iff every displacement over the window is within the bound;
+        # the first one beyond it (or NaN) settles the answer.
+        bound = conv_tol * dt
+        last = self.states[-1]
+        for k in range(1, window + 1):
+            if not float(np.linalg.norm(last - self.states[-1 - k])) <= bound:
+                return False
+        return True
 
     def finish(self) -> Trajectory:
         return Trajectory(self.times, self.states, self.modes, self.events)
 
 
-def rk4_step(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(x)
+def rk4_step(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float,
+             k1: np.ndarray | None = None) -> np.ndarray:
+    """One classical RK4 step; ``k1`` is f(x) when the caller already has it."""
+    if k1 is None:
+        k1 = f(x)
     k2 = f(x + 0.5 * h * k1)
     k3 = f(x + 0.5 * h * k2)
     k4 = f(x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _check_start(x: np.ndarray, t_end: float):
+    """Reject a run that could only produce NaN states or no step at all."""
+    if not np.all(np.isfinite(x)):
+        raise ModelError("initial state must be finite")
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ModelError(f"t_end must be finite and positive, got {t_end}")
 
 
 def _fill_stopped(b: _Builder, t_end: float, dt: float):
@@ -565,13 +579,19 @@ def _integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: fl
                          stall_radius: float | None = None) -> Trajectory:
     """Fixed-step integration of a pointwise-selected flow with oscillation
     detection: once the recent window of samples stays inside a ball of the
-    stall radius, the state is declared converged and frozen."""
+    stall radius, the state is declared converged and frozen.
+
+    The field value at the end of each step serves both the convergence test
+    and the first stage of the next step, so v_fn runs once per stage.
+    """
     x = np.asarray(x0, dtype=float)
+    _check_start(x, t_end)
     b = _Builder(0.0, x, "R:")
     radius = stall_radius if stall_radius is not None else 5.0 * cfg.dt_max
     window = cfg.stall_window
     steps = 0
     stopped = False
+    v = v_fn(x)
     while b.t < t_end - 1e-12:
         steps += 1
         if steps > cfg.max_steps:
@@ -580,14 +600,15 @@ def _integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: fl
         h = min(cfg.dt_max, t_end - b.t)
         x = b.x
         if method == "rk4":
-            x_new = rk4_step(v_fn, x, h)
+            x_new = rk4_step(v_fn, x, h, k1=v)
         else:
-            x_new = x.copy()
             n_sub = 10
-            for _ in range(n_sub):
+            x_new = x + (h / n_sub) * v
+            for _ in range(n_sub - 1):
                 x_new = x_new + (h / n_sub) * v_fn(x_new)
         b.append(b.t + h, x_new, "R:")
-        if float(np.linalg.norm(v_fn(x_new))) <= max(cfg.conv_tol, 1e-12):
+        v = v_fn(x_new)
+        if float(np.linalg.norm(v)) <= max(cfg.conv_tol, 1e-12):
             b.event(CONVERGED, "flow direction vanished")
             stopped = True
             break
@@ -742,8 +763,9 @@ class PartitionSchedule:
 
     def __init__(self, breakpoints):
         pts = np.asarray(breakpoints, dtype=float)
-        if pts.ndim != 1 or pts.shape[0] < 2 or np.any(np.diff(pts) <= 0):
-            raise ValueError("breakpoints must be strictly increasing, length >= 2")
+        if (pts.ndim != 1 or pts.shape[0] < 2 or not np.all(np.isfinite(pts))
+                or np.any(np.diff(pts) <= 0)):
+            raise ValueError("breakpoints must be finite, strictly increasing, length >= 2")
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "breakpoints", pts)
@@ -769,6 +791,8 @@ def sample_and_hold(C: ControlField, feedback: Callable[[float, np.ndarray], np.
     resulting smooth dynamics with RK4 substeps."""
     cfg = cfg or IntegratorConfig()
     x = np.asarray(x0, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ModelError("initial state must be finite")
     b = _Builder(float(schedule.breakpoints[0]), x, "R:")
     for s_prev, s_next in zip(schedule.breakpoints[:-1], schedule.breakpoints[1:]):
         u = np.asarray(feedback(float(s_prev), b.x), dtype=float)

@@ -684,14 +684,10 @@ def hsp(Q: ConvexPolygon, points) -> float:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 1:
         raise ValueError("hsp needs at least one point")
-    terms = []
-    n = pts.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            terms.append(0.5 * float(np.linalg.norm(pts[i] - pts[j])))
-        for e in range(Q.n_edges):
-            terms.append(Q.edge_distance(pts[i], e))
-    return min(terms)
+    i, j = np.triu_indices(pts.shape[0], 1)
+    half = 0.5 * np.linalg.norm(pts[i] - pts[j], axis=1)
+    edge = np.linalg.norm(Q.edge_offsets(pts), axis=2)
+    return float(min(half.min(initial=np.inf), edge.min()))
 
 
 class _HalfPairDistance(NsFunction):

@@ -145,7 +145,9 @@ class MoveAwayLaw:
     count at half separation, polygon edges at full distance.  Entities tied
     within the band contribute jointly through the least-norm selection of
     the hull of their away directions, which keeps each tied distance term
-    nondecreasing.
+    nondecreasing.  The sphere-packing runner widens ``tie_band`` to
+    ``max(4 * dt_max, 1e-6)``, a few steps' travel, so that fixed steps slide
+    along a tie instead of chattering across it.
     """
 
     polygon: ConvexPolygon
@@ -153,37 +155,32 @@ class MoveAwayLaw:
     tie_band: float = 1e-6
 
     def direction(self, p_flat: np.ndarray) -> np.ndarray:
-        pts = p_flat.reshape(self.n, 2)
-        out = np.zeros_like(pts)
-        for i in range(self.n):
-            dists, dirs = [], []
-            for j in range(self.n):
-                if j == i:
-                    continue
-                diff = pts[i] - pts[j]
-                r = float(np.linalg.norm(diff))
-                if r <= 1e-12:
-                    raise ModelError("coincident agents: the law is undefined")
-                dists.append(0.5 * r)
-                dirs.append(diff / r)
-            for e in range(self.polygon.n_edges):
-                a = self.polygon.vertices[e]
-                bb = self.polygon.vertices[(e + 1) % self.polygon.n_edges]
-                t = bb - a
-                s = float(np.clip((pts[i] - a) @ t / (t @ t), 0.0, 1.0))
-                q = a + s * t
-                diff = pts[i] - q
-                r = float(np.linalg.norm(diff))
-                if r <= 1e-12:
-                    raise ModelError("agent sits on the boundary")
-                dists.append(r)
-                dirs.append(diff / r)
-            dmin = min(dists)
-            gens = [u for d, u in zip(dists, dirs) if d <= dmin + self.tie_band]
-            if len(gens) == 1:
-                out[i] = gens[0]
-            else:
-                out[i] = least_norm(Polytope(np.array(gens))).point
+        pts = np.asarray(p_flat, dtype=float).reshape(self.n, 2)
+        if not np.all(np.isfinite(pts)):
+            raise ModelError("agent positions must be finite")
+        # Away directions and distances per (agent, entity): the other agents
+        # first (at half separation), then the edges.  An agent's own column
+        # is at infinite distance, so it never ties.
+        pair = pts[:, None, :] - pts[None, :, :]
+        r = np.linalg.norm(pair, axis=2)
+        np.fill_diagonal(r, np.inf)
+        if np.any(r <= 1e-12):
+            raise ModelError("coincident agents: the law is undefined")
+        edge = self.polygon.edge_offsets(pts)
+        re = np.linalg.norm(edge, axis=2)
+        if np.any(re <= 1e-12):
+            raise ModelError("agent sits on the boundary")
+        # The nearest point of an edge lies on its line, so the offset has a
+        # negative inward component (ccw: t x offset < 0) exactly outside.
+        t = self.polygon.edge_vectors
+        if np.any(t[:, 0] * edge[:, :, 1] < t[:, 1] * edge[:, :, 0]):
+            raise ModelError("agent outside the polygon")
+        dists = np.concatenate([0.5 * r, re], axis=1)
+        dirs = np.concatenate([pair / r[:, :, None], edge / re[:, :, None]], axis=1)
+        tied = dists <= dists.min(axis=1, keepdims=True) + self.tie_band
+        out = dirs[np.arange(self.n), np.argmin(dists, axis=1)]
+        for i in np.flatnonzero(tied.sum(axis=1) > 1):
+            out[i] = least_norm(Polytope(dirs[i, tied[i]])).point
         return out.ravel()
 
     def packing_radius(self, p_flat: np.ndarray) -> float:

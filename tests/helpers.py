@@ -13,7 +13,8 @@ import itertools
 import numpy as np
 import scipy.optimize
 
-from nsds.geometry import Polytope
+from nsds.errors import ModelError
+from nsds.geometry import ConvexPolygon, Polytope, least_norm
 
 
 def grid_projection_oracle(vertices: np.ndarray, resolution: float = 1e-4) -> np.ndarray:
@@ -47,6 +48,24 @@ def grid_projection_oracle(vertices: np.ndarray, resolution: float = 1e-4) -> np
         w = sweep(w, radius, 9)
         radius /= 4
     return w @ V
+
+
+def least_norm_scipy_oracle(vertices: np.ndarray) -> np.ndarray:
+    """Min-norm point of the hull by SLSQP over convex-combination weights."""
+    V = np.asarray(vertices, dtype=float)
+    n = V.shape[0]
+    res = scipy.optimize.minimize(
+        lambda w: float((w @ V) @ (w @ V)),
+        np.full(n, 1.0 / n),
+        jac=lambda w: 2.0 * V @ (w @ V),
+        bounds=[(0.0, 1.0)] * n,
+        constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0,
+                      "jac": lambda w: np.ones(n)}],
+        method="SLSQP",
+        options={"ftol": 1e-16, "maxiter": 500},
+    )
+    assert res.success, res.message
+    return res.x @ V
 
 
 def maximin_lp_oracle(A: Polytope, B: Polytope) -> float:
@@ -137,3 +156,60 @@ def forward_directional_derivative(f, x, v, h: float = 1e-6) -> float:
 def random_polytope(rng, dim: int, max_vertices: int, scale: float = 1.0) -> Polytope:
     n = rng.integers(1, max_vertices + 1)
     return Polytope(scale * (2.0 * rng.random((n, dim)) - 1.0))
+
+
+# ---------------------------------------------------------------------------
+# Per-pair loop references for the vectorized packing code.
+# ---------------------------------------------------------------------------
+
+
+def hsp_loop(Q: ConvexPolygon, points) -> float:
+    """Packing radius term by term: half of every pairwise distance and every
+    point-to-edge distance, then the smallest."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    terms = []
+    n = pts.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            terms.append(0.5 * float(np.linalg.norm(pts[i] - pts[j])))
+        for e in range(Q.n_edges):
+            terms.append(Q.edge_distance(pts[i], e))
+    return min(terms)
+
+
+def move_away_direction_loop(polygon: ConvexPolygon, n: int, tie_band: float, p_flat,
+                             tie_sizes: list | None = None) -> np.ndarray:
+    """Move-away law agent by agent and entity by entity.  Ties go through
+    the package's least_norm, so this pins the distances, the tie rule and
+    the generator order (agents first, then edges).  With ``tie_sizes``,
+    the number of tied generators of every agent is appended to it."""
+    pts = np.asarray(p_flat, dtype=float).reshape(n, 2)
+    out = np.zeros_like(pts)
+    for i in range(n):
+        dists, dirs = [], []
+        for j in range(n):
+            if j == i:
+                continue
+            diff = pts[i] - pts[j]
+            r = float(np.linalg.norm(diff))
+            if r <= 1e-12:
+                raise ModelError("coincident agents")
+            dists.append(0.5 * r)
+            dirs.append(diff / r)
+        for e in range(polygon.n_edges):
+            a = polygon.vertices[e]
+            t = polygon.vertices[(e + 1) % polygon.n_edges] - a
+            s = float(np.clip((pts[i] - a) @ t / (t @ t), 0.0, 1.0))
+            diff = pts[i] - (a + s * t)
+            r = float(np.linalg.norm(diff))
+            if r <= 1e-12:
+                raise ModelError("agent sits on the boundary")
+            dists.append(r)
+            dirs.append(diff / r)
+        dmin = min(dists)
+        gens = [u for d, u in zip(dists, dirs) if d <= dmin + tie_band]
+        if tie_sizes is not None:
+            tie_sizes.append(len(gens))
+        out[i] = gens[0] if len(gens) == 1 else least_norm(Polytope(np.array(gens))).point
+    return out.ravel()
+

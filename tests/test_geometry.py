@@ -20,7 +20,12 @@ from nsds.geometry import (
     support,
 )
 
-from helpers import grid_projection_oracle, maximin_grid_search, maximin_lp_oracle
+from helpers import (
+    grid_projection_oracle,
+    least_norm_scipy_oracle,
+    maximin_grid_search,
+    maximin_lp_oracle,
+)
 
 
 class TestLeastNorm:
@@ -68,6 +73,38 @@ class TestLeastNorm:
     def test_empty_raises(self):
         with pytest.raises(EmptySetError):
             least_norm(Polytope.empty(2))
+
+    @pytest.mark.parametrize("a, b, t_expected", [
+        ([1.0, -1.0], [1.0, 1.0], 0.5),  # interior optimum
+        ([0.5, 0.2], [2.0, 1.0], 0.0),  # optimum at the first vertex
+        ([2.0, 1.0], [0.5, 0.2], 1.0),  # optimum at the second vertex
+        ([0.3, -0.4], [0.3, -0.4], 0.0),  # equal vertices
+        ([-1.0, -2.0], [2.0, 4.0], 1.0 / 3.0),  # segment through the origin
+        ([-0.7, 0.1, 0.3], [0.9, -0.2, 0.5], None),
+    ])
+    def test_two_vertex_closed_form(self, a, b, t_expected):
+        V = np.array([a, b])
+        res = least_norm(Polytope(V))
+        c = res.coefficients
+        assert np.all(c >= 0.0) and abs(c.sum() - 1.0) <= 1e-15
+        assert np.allclose(c @ V, res.point, atol=1e-15)
+        if t_expected is not None:
+            assert c[1] == pytest.approx(t_expected, abs=1e-15)
+        # Wolfe's algorithm on the same hull, with the second vertex repeated.
+        wolfe = least_norm(Polytope(np.array([a, b, b])))
+        assert np.linalg.norm(res.point - wolfe.point) <= 1e-12
+        assert np.linalg.norm(res.point - least_norm_scipy_oracle(V)) <= 1e-7
+
+    def test_two_vertex_random_segments_match_wolfe(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            d = rng.integers(1, 5)
+            V = 2 * rng.random((2, d)) - 1
+            res = least_norm(Polytope(V))
+            wolfe = least_norm(Polytope(V[[0, 1, 1]]))
+            assert np.all(res.coefficients >= 0.0)
+            assert abs(res.coefficients.sum() - 1.0) <= 1e-15
+            assert np.linalg.norm(res.point - wolfe.point) <= 1e-12
 
 
 class TestContains:

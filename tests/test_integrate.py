@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from nsds.errors import ModelError
 from nsds.fields import PiecewiseField, SwitchingSurface, filippov_set
-from nsds.geometry import ConvexPolygon, Polytope, contains
+from nsds.geometry import ConvexPolygon, Polytope, contains, least_norm
 from nsds.integrate import (
     Event,
     IntegratorConfig,
     PartitionSchedule,
     Trajectory,
+    _Builder,
+    _integrate_pointwise,
     consensus_flow,
     gradient_flow,
     integrate_caratheodory,
@@ -27,6 +30,8 @@ from nsds.scenarios import (
     move_away_square_field,
 )
 from nsds.fields import ControlField
+
+from helpers import move_away_direction_loop
 
 
 def neg_sign_field():
@@ -340,6 +345,44 @@ class TestMoveAwayAgents:
         m0 = law.min_pairwise(x0)
         assert min(law.min_pairwise(x) for x in tr.states) >= m0 - 1e-6
 
+    @pytest.mark.parametrize("polygon", [
+        ConvexPolygon.square(1.0),
+        ConvexPolygon([[-1.0, -0.8], [1.2, -1.0], [1.4, 0.5], [0.1, 1.3], [-1.1, 0.6]]),
+    ], ids=["square", "pentagon"])
+    def test_direction_matches_loop_reference(self, polygon):
+        rng = np.random.default_rng(8)
+        V = polygon.vertices
+        sizes: list[int] = []
+        for n in range(2, 9):
+            for tie_band in (1e-6, 4e-3, 0.05, 0.3):
+                for _ in range(6):
+                    # Agent 0 starts on the bisector at a polygon corner,
+                    # off the exact tie by less than the band.
+                    k = int(rng.integers(V.shape[0]))
+                    e0, e1 = V[k - 1] - V[k], V[(k + 1) % V.shape[0]] - V[k]
+                    u = e0 / np.linalg.norm(e0) + e1 / np.linalg.norm(e1)
+                    p0 = V[k] + rng.uniform(0.15, 0.3) * u / np.linalg.norm(u)
+                    p0 = p0 + 0.25 * tie_band * (2 * rng.random(2) - 1)
+                    law = MoveAwayLaw(polygon, n, tie_band=tie_band)
+                    seed = int(rng.integers(1 << 30))
+                    pts = law.random_interior_points(seed, margin=0.02).reshape(n, 2)
+                    pts[0] = p0
+                    if min(np.linalg.norm(pts[1:] - p0, axis=1)) < 0.04:
+                        continue
+                    ref = move_away_direction_loop(polygon, n, tie_band, pts.ravel(), sizes)
+                    assert np.max(np.abs(law.direction(pts.ravel()) - ref)) <= 1e-12
+        assert 2 in sizes and max(sizes) >= 3
+
+    def test_direction_rejects_bad_positions(self):
+        law = MoveAwayLaw(ConvexPolygon.square(1.0), 2)
+        for p in ([2.0, 0.0, 0.0, 0.5],  # first agent outside the square
+                  [0.0, 1.5, 0.0, 0.5],
+                  [math.nan, 0.0, 0.0, 0.5],
+                  [0.2, 0.1, 0.2, 0.1],  # coincident agents
+                  [1.0, 0.3, 0.0, 0.5]):  # agent on an edge
+            with pytest.raises(ModelError):
+                law.direction(np.array(p))
+
     def test_rk4_exact_on_polynomials(self):
         # Classical fourth-order scheme integrates cubic-in-time states
         # exactly; this pins the tableau.
@@ -356,3 +399,101 @@ def test_events_are_recorded_with_times():
     assert "Converged" in kinds
     assert all(isinstance(e, Event) for e in tr.events)
     assert all(0.0 <= e.time <= 2.0 for e in tr.events)
+
+
+class TestFixedStepLoops:
+    @staticmethod
+    def counting(v):
+        calls = []
+
+        def v_fn(x):
+            calls.append(1)
+            return np.array(v, dtype=float)
+
+        return v_fn, calls
+
+    @pytest.mark.parametrize("method, per_step", [("euler", 10), ("rk4", 4)])
+    def test_one_field_evaluation_per_stage(self, method, per_step):
+        v_fn, calls = self.counting([1.0, -0.5])
+        cfg = IntegratorConfig(dt_max=0.125)
+        tr = _integrate_pointwise(v_fn, [0.0, 0.0], 1.25, cfg, method=method)
+        assert len(tr.times) == 11 and not tr.events
+        assert len(calls) == 10 * per_step + 1
+        assert np.allclose(tr.final_state, [1.25, -0.625])
+
+    @pytest.mark.parametrize("x0, t_end", [
+        ([0.0, math.nan], 1.0),
+        ([math.inf, 0.0], 1.0),
+        ([0.0, 0.0], 0.0),
+        ([0.0, 0.0], -1.0),
+        ([0.0, 0.0], math.nan),
+        ([0.0, 0.0], math.inf),
+    ])
+    def test_pointwise_rejects_bad_start(self, x0, t_end):
+        v_fn, calls = self.counting([1.0, 0.0])
+        with pytest.raises(ModelError):
+            _integrate_pointwise(v_fn, x0, t_end, IntegratorConfig())
+        assert not calls
+
+    def test_sample_and_hold_rejects_non_finite_start(self):
+        calls = []
+        C = ControlField(1, 1, lambda x, u: calls.append(1) or u.copy(),
+                         Polytope.interval(-10, 10))
+        feedback = lambda t, x: calls.append(1) or x.copy()
+        with pytest.raises(ModelError):
+            sample_and_hold(C, feedback, PartitionSchedule.uniform(0.0, 1.0, 4), [math.nan])
+        assert not calls
+        with pytest.raises(ValueError):
+            PartitionSchedule([0.0, math.nan, 1.0])
+
+    def test_sphere_packing_rejects_negative_horizon(self, monkeypatch):
+        calls = []
+        direction = MoveAwayLaw.direction
+        monkeypatch.setattr(MoveAwayLaw, "direction",
+                            lambda self, p: calls.append(1) or direction(self, p))
+        x0 = [-0.5, -0.5, 0.5, -0.5, 0.0, 0.5]
+        with pytest.raises(ModelError):
+            get_scenario("sphere_packing").simulate(x0, -1.0, overrides={"n": 3})
+        assert not calls
+
+    def test_norm_consensus_rejects_nan_state(self, monkeypatch):
+        import nsds.integrate as integrate
+
+        calls = []
+        monkeypatch.setattr(integrate, "least_norm",
+                            lambda P: calls.append(1) or least_norm(P))
+        with pytest.raises(ModelError):
+            consensus_flow(Graph.path(3), "norm", [0.0, math.nan, 1.0], 0.01)
+        assert not calls
+
+    def test_stall_check_matches_max_of_displacements(self):
+        def reference(b, window, conv_tol):
+            dt = b.times[-1] - b.times[-1 - window]
+            moved = max(float(np.linalg.norm(b.states[-1] - b.states[-1 - k]))
+                        for k in range(1, window + 1))
+            return moved <= conv_tol * dt
+
+        rng = np.random.default_rng(4)
+        window = 20
+        seen = set()
+        for trial in range(400):
+            d = int(rng.integers(1, 5))
+            scale = 10.0 ** rng.uniform(-9, -6)
+            states = [np.zeros(d)]
+            for _ in range(window + int(rng.integers(0, 5))):
+                states.append(states[-1] + scale * rng.standard_normal(d))
+            b = _Builder(0.0, states[0], "R:")
+            for k, x in enumerate(states[1:], start=1):
+                b.append(k / window, x, "R:")
+            conv_tol = 10.0 ** rng.uniform(-9, -6)
+            if trial % 4 == 0:
+                # Exactly at the bound: the window spans dt = 1.
+                b.times[-1 - window] = b.times[-1] - 1.0
+                conv_tol = max(float(np.linalg.norm(b.states[-1] - b.states[-1 - k]))
+                               for k in range(1, window + 1))
+                assert b.stalled(window, conv_tol)
+                assert not b.stalled(window, float(np.nextafter(conv_tol, 0.0)))
+            verdict = b.stalled(window, conv_tol)
+            assert verdict == reference(b, window, conv_tol)
+            seen.add(verdict)
+        assert seen == {True, False}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from nsds.nonsmooth import (
     smq_gradient,
 )
 
-from helpers import central_difference_gradient, forward_directional_derivative
+from helpers import central_difference_gradient, forward_directional_derivative, hsp_loop
 
 
 SQUARE = ConvexPolygon.square(1.0)
@@ -303,6 +305,18 @@ class TestGraphsAndPacking:
         assert hsp(SQUARE, [[0.2, 0.1], [0.2, 0.1]]) == pytest.approx(0.0)
         with pytest.raises(ValueError):
             hsp(SQUARE, np.zeros((0, 2)))
+
+    def test_hsp_matches_per_pair_loop(self):
+        hexagon = ConvexPolygon([[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)]
+                                 for k in range(6)])
+        rng = np.random.default_rng(21)
+        for Q in (SQUARE, hexagon):
+            for n in range(1, 9):
+                for _ in range(10):
+                    # Inside and outside points alike: both sides use the
+                    # clipped segment distance.
+                    pts = 1.2 * (2 * rng.random((n, 2)) - 1)
+                    assert abs(hsp(Q, pts) - hsp_loop(Q, pts)) <= 1e-12
 
     def test_hsp_function_matches_inside(self):
         f = hsp_function(SQUARE, 2)
