@@ -12,6 +12,7 @@ Set NSDS_LOG=DEBUG|INFO|WARNING for logging verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -162,10 +163,13 @@ def _cmd_simulate(args) -> int:
     cfg_kw = dict(file_cfg.get("cfg", {}))
     if args.dt_max is not None:
         cfg_kw["dt_max"] = args.dt_max
+    unknown = set(cfg_kw) - {f.name for f in dataclasses.fields(IntegratorConfig)}
+    if unknown:
+        raise ValueError(f"unknown integrator settings in the run config: {sorted(unknown)}")
     cfg = IntegratorConfig(**cfg_kw)
     x0 = _parse_point(args.x0) if args.x0 else np.asarray(file_cfg["x0"], dtype=float)
     t_end = args.t_end if args.t_end is not None else float(file_cfg["t_end"])
-    tr = scenario.simulate(x0, t_end, cfg, overrides=consts, seed=args.seed)
+    tr = scenario.simulate(x0, t_end, cfg, overrides=consts)
     _write_trajectory(tr, args.out, args.format)
     print(json.dumps({
         "schema": 1,
@@ -275,8 +279,7 @@ def _cmd_pack(args) -> int:
     law = MoveAwayLaw(polygon, args.n, tie_band=max(4.0 * cfg.dt_max, 1e-6))
     x0 = law.random_interior_points(args.seed)
     scenario = get_scenario("sphere_packing")
-    tr = scenario.simulate(x0, args.t_end, cfg,
-                           overrides={"n": args.n}, seed=args.seed)
+    tr = scenario.simulate(x0, args.t_end, cfg, overrides={"n": args.n})
     if args.out:
         _write_trajectory(tr, args.out, "csv")
     print(json.dumps({
@@ -345,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dt-max", type=float)
     sim.add_argument("--out", required=True)
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    sim.add_argument("--seed", type=int, default=0)
     sim.set_defaults(handler=_cmd_simulate)
 
     fset = sub.add_parser("filippov-set", help="direction set of a scenario at a point")

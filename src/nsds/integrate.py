@@ -1,9 +1,15 @@
 """Trajectory generation for discontinuous dynamics.
 
-The Filippov integrator runs fixed-step RK4 inside cells, localizes surface
-hits by bisection on the step fraction, classifies the hit, and then either
-crosses, slides along the surface with per-step projection, or follows the
-least-norm selection of the convexified field. Sliding ends when the tangency
+The Filippov, Caratheodory and pointwise integrators share one stepping loop,
+``_drive``, which owns the end-time test, the ``max_steps`` budget (one
+``StepLimit`` event), the no-progress watchdog (a ``NoProgress`` event after
+``NO_PROGRESS_STEPS`` steps that append no sample) and the fill that carries
+a stopped state to ``t_end``.  Each integrator supplies one step function.
+
+The Filippov step runs fixed-step RK4 inside cells, localizes surface hits by
+bisection on the step fraction, classifies the hit, and then either crosses,
+slides along the surface with per-step projection, or follows the least-norm
+selection of the convexified field. Sliding ends when the tangency
 coefficient leaves the unit interval; a vanishing least-norm selection stops
 the trajectory (an inclusion equilibrium).
 
@@ -42,6 +48,11 @@ SLIDE_ENTER = "SlideEnter"
 SLIDE_EXIT = "SlideExit"
 CONVERGED = "Converged"
 STEP_LIMIT = "StepLimit"
+NO_PROGRESS = "NoProgress"
+
+# Consecutive steps without a new sample after which a run is abandoned: the
+# state is not converging, only cycling between phases at one time.
+NO_PROGRESS_STEPS = 100
 
 MODE_STOP = "STOP"
 
@@ -56,23 +67,18 @@ class Event:
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt_max: float = 1e-3
-    surface_tol: float = 1e-8
     event_refine_tol: float = 1e-10
     sliding_exit_margin: float = 1e-6
     max_steps: int = 2_000_000
-    rk_order: int = 4
     # Stall detection: Converged is declared once the average speed over
     # stall_window consecutive steps drops below conv_tol.
     conv_tol: float = 1e-8
     stall_window: int = 20
 
     def __post_init__(self):
-        for name in ("dt_max", "surface_tol", "event_refine_tol",
-                     "sliding_exit_margin", "conv_tol"):
+        for name in ("dt_max", "event_refine_tol", "sliding_exit_margin", "conv_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.rk_order != 4:
-            raise ValueError("only the classical fourth-order scheme is implemented")
         if self.max_steps <= 0 or self.stall_window <= 1:
             raise ValueError("bad step limits")
 
@@ -249,14 +255,41 @@ def _fill_stopped(b: _Builder, t_end: float, dt: float):
         b.append(t, x, MODE_STOP)
 
 
-def _first_crossing(flow, g_fns, x, h, start_vals, refine_tol, skip=()):
+def _drive(b: _Builder, t_end: float, cfg: IntegratorConfig,
+           step: Callable[[float], bool]) -> Trajectory:
+    """The one stepping loop: call ``step(h)`` with h = min(dt_max, time
+    left) until t_end, the step budget, a stop, or a stretch of
+    NO_PROGRESS_STEPS steps that append no sample.
+
+    ``step`` advances ``b`` by at most h and returns True once the state has
+    stopped; the rest of the horizon is then filled with that state.
+    """
+    steps = idle = 0
+    while b.t < t_end - 1e-12:
+        steps += 1
+        if steps > cfg.max_steps:
+            b.event(STEP_LIMIT, "max_steps exceeded")
+            break
+        n = len(b.times)
+        if step(min(cfg.dt_max, t_end - b.t)):
+            _fill_stopped(b, t_end, cfg.dt_max)
+            break
+        idle = 0 if len(b.times) > n else idle + 1
+        if idle >= NO_PROGRESS_STEPS:
+            b.event(NO_PROGRESS, f"{idle} steps without a new sample")
+            break
+    return b.finish()
+
+
+def _first_crossing(flow, g_fns, start_vals, refine_tol, skip=()):
     """Earliest surface crossing within one step, located by bisection.
 
     flow(s) must return the state after advancing a fraction s of the step.
-    Returns (s, index, state) for the first crossing, or None.
+    Returns (s, index, state) for the first crossing, or (1.0, None, flow(1.0))
+    when no surface outside ``skip`` changes sign.
     """
     x_end = flow(1.0)
-    best = None
+    best = (1.0, None, x_end)
     for i, g in enumerate(g_fns):
         if i in skip:
             continue
@@ -280,21 +313,39 @@ def _first_crossing(flow, g_fns, x, h, start_vals, refine_tol, skip=()):
                 x_hi = x_mid
             if hi - lo < 1e-15:
                 break
-        s_star = hi
-        if best is None or s_star < best[0]:
-            best = (s_star, i, x_hi)
+        if best[1] is None or hi < best[0]:
+            best = (hi, i, x_hi)
     return best
 
 
+def _cell_step(F: PiecewiseField, sigma, x: np.ndarray, h: float, refine_tol: float,
+               skip=()):
+    """One RK4 step of cell sigma's field from x, cut at the first crossing.
+
+    Surfaces in ``skip``, and those within ``refine_tol`` of x (a surface the
+    step starts on cannot be crossed meaningfully), are not watched.  Returns the crossing as (s, index, state), index None when the
+    whole step is taken, and the set of surfaces that were not watched.
+    """
+    g_fns = [s.value for s in F.switches]
+    start_vals = [g(x) for g in g_fns]
+    skip = set(skip) | {i for i, v in enumerate(start_vals) if abs(v) <= refine_tol}
+    fcell = lambda y: F.cell_value(sigma, y)
+    flow = lambda s: rk4_step(fcell, x, s * h)
+    return _first_crossing(flow, g_fns, start_vals, refine_tol, skip), skip
+
+
 class _FilippovRun:
-    def __init__(self, F: PiecewiseField, x0, t_end: float, cfg: IntegratorConfig):
+    """The step function of a Filippov run: one regular, crossing, sliding
+    or least-norm step per call, with ``sliding`` the index of the surface
+    being slid along (None off surfaces)."""
+
+    def __init__(self, F: PiecewiseField, x0: np.ndarray, t_end: float,
+                 cfg: IntegratorConfig):
         self.F = F
         self.cfg = cfg
-        self.t_end = float(t_end)
-        x0 = np.asarray(x0, dtype=float)
+        self.t_end = t_end
         self.b = _Builder(0.0, x0, self._label(x0))
-        self.steps = 0
-        self.stopped = False
+        self.sliding: int | None = None
 
     # -- helpers ----------------------------------------------------------
 
@@ -307,76 +358,61 @@ class _FilippovRun:
             return sliding_mode(active)
         return regular_mode(self.F.sign_vector(x, self._act_tol(x)))
 
-    def _budget(self) -> bool:
-        self.steps += 1
-        if self.steps > self.cfg.max_steps:
-            self.b.event(STEP_LIMIT, "max_steps exceeded")
-            return False
-        return True
-
     def _strict_sigma(self, x) -> tuple[int, ...]:
         g = self.F.switch_values(x)
         return tuple(1 if v > 0 else -1 for v in g)
 
+    def _landed_on(self, x, skip) -> int | None:
+        """First surface outside ``skip`` that x lies on."""
+        tol = self._act_tol(x)
+        for j, s in enumerate(self.F.switches):
+            if j not in skip and abs(s.value(x)) <= tol:
+                return j
+        return None
+
     # -- phases -----------------------------------------------------------
 
-    def run(self) -> Trajectory:
+    def step(self, h: float) -> bool:
         cfg = self.cfg
-        while self.b.t < self.t_end - 1e-12 and not self.stopped:
-            if not self._budget():
-                break
+        stopped = False
+        if self.sliding is not None:
+            self._slide_step(self.sliding, h)
+        else:
             x = self.b.x
             active = self.F.active_set(x, self._act_tol(x))
             if not active:
-                self._regular_phase()
+                self._regular_phase(h)
             elif len(active) == 1:
-                self._surface_phase(active[0])
+                stopped = self._surface_phase(active[0], h)
             else:
-                self._least_norm_phase(active)
-            if not self.stopped and self.b.stalled(cfg.stall_window, cfg.conv_tol):
-                self.b.event(CONVERGED, "stall window")
-                self.stopped = True
-        if self.stopped and self.b.t < self.t_end - 1e-12:
-            _fill_stopped(self.b, self.t_end, cfg.dt_max)
-        return self.b.finish()
+                stopped = self._least_norm_phase(active)
+        if not stopped and self.b.stalled(cfg.stall_window, cfg.conv_tol):
+            detail = "stall window" if self.sliding is None else "sliding stall"
+            self.b.event(CONVERGED, detail)
+            stopped = True
+        return stopped
 
-    def _regular_phase(self, forced_sigma=None, skip_surface=()):
-        cfg = self.cfg
+    def _regular_phase(self, h: float, forced_sigma=None, skip_surface=()):
         x = self.b.x
         sigma = forced_sigma if forced_sigma is not None else self._strict_sigma(x)
-        fcell = lambda y: self.F.cell_value(sigma, y)
-        h = min(cfg.dt_max, self.t_end - self.b.t)
-        flow = lambda s: rk4_step(fcell, x, s * h)
-        g_fns = [s.value for s in self.F.switches]
-        start_vals = [g(x) for g in g_fns]
-        # Surfaces we are currently sitting on cannot "cross" meaningfully.
-        skip = set(skip_surface) | {
-            i for i, v in enumerate(start_vals) if abs(v) <= cfg.event_refine_tol
-        }
-        hit = _first_crossing(flow, g_fns, x, h, start_vals, cfg.event_refine_tol, skip)
-        if hit is None:
-            x_new = flow(1.0)
-            self.b.append(self.b.t + h, x_new, regular_mode(sigma))
-            tol_new = self._act_tol(x_new)
-            for j, g in enumerate(g_fns):
-                if j not in skip and abs(g(x_new)) <= tol_new:
-                    self.b.event(SURFACE_HIT, f"surface {j}")
-                    break
-            return
-        s_star, i, x_star = hit
-        self.b.append(self.b.t + s_star * h, x_star, regular_mode(sigma))
-        self.b.event(SURFACE_HIT, f"surface {i}")
+        (s_star, i, x_new), skip = _cell_step(self.F, sigma, x, h,
+                                              self.cfg.event_refine_tol, skip_surface)
+        self.b.append(self.b.t + s_star * h, x_new, regular_mode(sigma))
+        if i is None:
+            i = self._landed_on(x_new, skip)
+        if i is not None:
+            self.b.event(SURFACE_HIT, f"surface {i}")
 
-    def _surface_phase(self, i: int):
+    def _surface_phase(self, i: int, h: float) -> bool:
         cls = classify_point(self.F, self.b.x, self._act_tol(self.b.x))
         if cls.kind == SLIDING:
             self.b.event(SLIDE_ENTER, f"surface {i}")
-            self._slide(i)
+            self.sliding = i
         elif cls.kind == CROSSING:
             dest = 1 if cls.alpha > 0 else -1
             sigma = list(self._strict_sigma(self.b.x))
             sigma[i] = dest
-            self._regular_phase(forced_sigma=tuple(sigma), skip_surface=(i,))
+            self._regular_phase(h, forced_sigma=tuple(sigma), skip_surface=(i,))
         elif cls.kind == REPULSIVE:
             lo = list(self._strict_sigma(self.b.x))
             hi = list(lo)
@@ -389,94 +425,80 @@ class _FilippovRun:
             if branch is None:
                 raise ModelError("repulsive surface with no declared side")
             self.b.event(SURFACE_HIT, f"repulsive branch {sign_string(branch)}")
-            self._regular_phase(forced_sigma=branch, skip_surface=(i,))
+            self._regular_phase(h, forced_sigma=branch, skip_surface=(i,))
         else:  # tangent: no transversal information, fall back to least-norm
-            self._least_norm_phase([i])
+            return self._least_norm_phase([i])
+        return False
 
-    def _slide(self, i: int):
-        cfg = self.cfg
+    def _exit_slide(self, i: int, why: str):
+        self.b.event(SLIDE_EXIT, f"surface {i}: {why}")
+        self.sliding = None
+
+    def _project(self, i: int, y: np.ndarray) -> np.ndarray:
         surface = self.F.switches[i]
+        for _ in range(12):
+            gv = surface.value(y)
+            if abs(gv) <= self.cfg.event_refine_tol:
+                break
+            grad = surface.grad(y)
+            y = y - gv * grad / float(grad @ grad)
+        return y
 
-        def project(y: np.ndarray) -> np.ndarray:
-            for _ in range(12):
-                gv = surface.value(y)
-                if abs(gv) <= cfg.event_refine_tol:
-                    break
-                grad = surface.grad(y)
-                y = y - gv * grad / float(grad @ grad)
-            return y
-
-        def slide_vec(y: np.ndarray) -> np.ndarray:
-            return sliding_field(self.F, y, i).vector
-
+    def _slide_step(self, i: int, h: float):
+        cfg = self.cfg
+        x = self.b.x
+        try:
+            res = sliding_field(self.F, x, i)
+        except NotSlidingError:
+            self._exit_slide(i, "tangency lost")
+            return
+        lam = res.lam
+        if lam <= cfg.sliding_exit_margin or lam >= 1.0 - cfg.sliding_exit_margin:
+            self._exit_slide(i, f"lambda={lam:.3g}")
+            sigma = list(self._strict_sigma(x))
+            sigma[i] = -1 if lam <= cfg.sliding_exit_margin else 1
+            self._regular_phase(h, forced_sigma=tuple(sigma), skip_surface=(i,))
+            return
+        # Clamp the step to land just before the first predicted crossing
+        # of any other surface: the sliding vector jumps there, and an RK4
+        # stage straddling the jump corrupts the step.  The regular phases
+        # take over once the surface becomes active.
+        for j, s in enumerate(self.F.switches):
+            if j == i:
+                continue
+            gj = s.value(x)
+            rate = float(s.grad(x) @ res.vector)
+            if abs(gj) > cfg.event_refine_tol and abs(rate) > 1e-14:
+                tau = -gj / rate
+                if 0.0 < tau < 1.5 * h:
+                    h = min(h, max(0.9999 * tau, tau - 1e-12))
+        if h <= 1e-15:
+            h = 1e-15
+        slide_vec = lambda y: sliding_field(self.F, y, i).vector
+        flow = lambda s: self._project(i, rk4_step(slide_vec, x, s * h))
         g_fns = [s.value for s in self.F.switches]
-        while self.b.t < self.t_end - 1e-12 and not self.stopped:
-            if not self._budget():
-                return
-            x = self.b.x
-            try:
-                res = sliding_field(self.F, x, i)
-            except NotSlidingError:
-                self.b.event(SLIDE_EXIT, f"surface {i}: tangency lost")
-                return
-            lam = res.lam
-            if lam <= cfg.sliding_exit_margin or lam >= 1.0 - cfg.sliding_exit_margin:
-                self.b.event(SLIDE_EXIT, f"surface {i}: lambda={lam:.3g}")
-                sigma = list(self._strict_sigma(x))
-                sigma[i] = -1 if lam <= cfg.sliding_exit_margin else 1
-                self._regular_phase(forced_sigma=tuple(sigma), skip_surface=(i,))
-                return
-            h = min(cfg.dt_max, self.t_end - self.b.t)
-            # Clamp the step to land just before the first predicted crossing
-            # of any other surface: the sliding vector jumps there, and an RK4
-            # stage straddling the jump corrupts the step.  The main loop
-            # takes over once the surface becomes active.
-            for j, s in enumerate(self.F.switches):
-                if j == i:
-                    continue
-                gj = s.value(x)
-                rate = float(s.grad(x) @ res.vector)
-                if abs(gj) > cfg.event_refine_tol and abs(rate) > 1e-14:
-                    tau = -gj / rate
-                    if 0.0 < tau < 1.5 * h:
-                        h = min(h, max(0.9999 * tau, tau - 1e-12))
-            if h <= 1e-15:
-                h = 1e-15
-            try:
-                flow = lambda s: project(rk4_step(slide_vec, x, s * h))
-                start_vals = [g(x) for g in g_fns]
-                hit = _first_crossing(
-                    flow, g_fns, x, h, start_vals, cfg.event_refine_tol, skip={i}
-                )
-            except NotSlidingError:
-                self.b.event(SLIDE_EXIT, f"surface {i}: tangency lost")
-                return
-            if hit is not None:
-                s_star, j, x_star = hit
-                self.b.append(self.b.t + s_star * h, x_star, sliding_mode([i]))
-                self.b.event(SURFACE_HIT, f"surface {j} while sliding on {i}")
-                return
-            x_new = flow(1.0)
-            self.b.append(self.b.t + h, x_new, sliding_mode([i]))
-            tol_new = self._act_tol(x_new)
-            for j, g in enumerate(g_fns):
-                if j != i and abs(g(x_new)) <= tol_new:
-                    self.b.event(SURFACE_HIT, f"surface {j} while sliding on {i}")
-                    return
-            if self.b.stalled(cfg.stall_window, cfg.conv_tol):
-                self.b.event(CONVERGED, "sliding stall")
-                self.stopped = True
-                return
+        try:
+            s_star, j, x_new = _first_crossing(
+                flow, g_fns, [g(x) for g in g_fns], cfg.event_refine_tol, skip={i}
+            )
+        except NotSlidingError:
+            self._exit_slide(i, "tangency lost")
+            return
+        self.b.append(self.b.t + s_star * h, x_new, sliding_mode([i]))
+        if j is None:
+            j = self._landed_on(x_new, {i})
+        if j is not None:
+            self.b.event(SURFACE_HIT, f"surface {j} while sliding on {i}")
+            self.sliding = None
 
-    def _least_norm_phase(self, active: list[int]):
+    def _least_norm_phase(self, active: list[int]) -> bool:
         cfg = self.cfg
         x = self.b.x
         P = filippov_set(self.F, x, self._act_tol(x))
         v = least_norm(P).point
         if float(np.linalg.norm(v)) <= max(cfg.conv_tol, 1e-12):
             self.b.event(CONVERGED, "least-norm selection vanished")
-            self.stopped = True
-            return
+            return True
         h_sub = cfg.dt_max / 10.0
         t_used = 0.0
         while t_used < cfg.dt_max and self.b.t + t_used < self.t_end - 1e-12:
@@ -489,12 +511,17 @@ class _FilippovRun:
             if float(np.linalg.norm(v)) <= max(cfg.conv_tol, 1e-12):
                 break
         self.b.append(self.b.t + t_used, x, sliding_mode(active))
+        return False
 
 
 def integrate_filippov(F: PiecewiseField, x0, t_end: float,
                        cfg: IntegratorConfig | None = None) -> Trajectory:
     """Event-driven integration of the convexified dynamics of F."""
-    return _FilippovRun(F, x0, t_end, cfg or IntegratorConfig()).run()
+    cfg = cfg or IntegratorConfig()
+    x0 = np.asarray(x0, dtype=float)
+    _check_start(x0, t_end)
+    run = _FilippovRun(F, x0, float(t_end), cfg)
+    return _drive(run.b, run.t_end, cfg, run.step)
 
 
 # ---------------------------------------------------------------------------
@@ -514,23 +541,16 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
     """
     cfg = cfg or IntegratorConfig()
     x = np.asarray(x0, dtype=float)
-    g_fns = [s.value for s in F.switches]
+    _check_start(x, t_end)
 
     def pick_cell(y, preferred=None) -> tuple[int, ...]:
-        tol = default_active_tol(y)
-        g = [fn(y) for fn in g_fns]
-        base = [0] * len(g)
-        free = []
-        for i, v in enumerate(g):
-            if abs(v) <= tol:
-                free.append(i)
-            else:
-                base[i] = 1 if v > 0 else -1
+        # sign_vector marks the surfaces within the band with 0.
+        base = F.sign_vector(y, default_active_tol(y))
+        free = [i for i, s in enumerate(base) if s == 0]
         if not free:
-            sigma = tuple(base)
-            if sigma not in F.cells:
+            if base not in F.cells:
                 raise ModelError(f"no declared cell at {y.tolist()}")
-            return sigma
+            return base
         if preferred is not None:
             return preferred
         for combo in sorted(itertools.product((-1, 1), repeat=len(free))):
@@ -543,30 +563,20 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
 
     sigma = pick_cell(x, branch)
     b = _Builder(0.0, x, regular_mode(sigma))
-    steps = 0
-    while b.t < t_end - 1e-12:
-        steps += 1
-        if steps > cfg.max_steps:
-            b.event(STEP_LIMIT, "max_steps exceeded")
-            break
-        x = b.x
-        fcell = lambda y: F.cell_value(sigma, y)
-        h = min(cfg.dt_max, t_end - b.t)
-        flow = lambda s: rk4_step(fcell, x, s * h)
-        start_vals = [g(x) for g in g_fns]
-        skip = {i for i, v in enumerate(start_vals) if abs(v) <= cfg.event_refine_tol}
-        hit = _first_crossing(flow, g_fns, x, h, start_vals, cfg.event_refine_tol, skip)
-        if hit is None:
-            b.append(b.t + h, flow(1.0), regular_mode(sigma))
-            continue
-        s_star, i, x_star = hit
-        b.append(b.t + s_star * h, x_star, regular_mode(sigma))
-        b.event(SURFACE_HIT, f"surface {i}")
-        new_sigma = list(sigma)
-        new_sigma[i] = -sigma[i]
-        if tuple(new_sigma) in F.cells:
-            sigma = tuple(new_sigma)
-    return b.finish()
+
+    def step(h: float) -> bool:
+        nonlocal sigma
+        (s_star, i, x_new), _ = _cell_step(F, sigma, b.x, h, cfg.event_refine_tol)
+        b.append(b.t + s_star * h, x_new, regular_mode(sigma))
+        if i is not None:
+            b.event(SURFACE_HIT, f"surface {i}")
+            new_sigma = list(sigma)
+            new_sigma[i] = -sigma[i]
+            if tuple(new_sigma) in F.cells:
+                sigma = tuple(new_sigma)
+        return False
+
+    return _drive(b, t_end, cfg, step)
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +585,10 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
 
 
 def _integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: float,
-                         cfg: IntegratorConfig, *, method: str = "euler",
-                         stall_radius: float | None = None) -> Trajectory:
+                         cfg: IntegratorConfig, *, method: str = "euler") -> Trajectory:
     """Fixed-step integration of a pointwise-selected flow with oscillation
-    detection: once the recent window of samples stays inside a ball of the
-    stall radius, the state is declared converged and frozen.
+    detection: once the recent window of samples stays inside a ball of
+    radius 5 dt_max, the state is declared converged and frozen.
 
     The field value at the end of each step serves both the convergence test
     and the first stage of the next step, so v_fn runs once per stage.
@@ -587,17 +596,12 @@ def _integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: fl
     x = np.asarray(x0, dtype=float)
     _check_start(x, t_end)
     b = _Builder(0.0, x, "R:")
-    radius = stall_radius if stall_radius is not None else 5.0 * cfg.dt_max
+    radius = 5.0 * cfg.dt_max
     window = cfg.stall_window
-    steps = 0
-    stopped = False
     v = v_fn(x)
-    while b.t < t_end - 1e-12:
-        steps += 1
-        if steps > cfg.max_steps:
-            b.event(STEP_LIMIT, "max_steps exceeded")
-            break
-        h = min(cfg.dt_max, t_end - b.t)
+
+    def step(h: float) -> bool:
+        nonlocal v
         x = b.x
         if method == "rk4":
             x_new = rk4_step(v_fn, x, h, k1=v)
@@ -610,36 +614,31 @@ def _integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: fl
         v = v_fn(x_new)
         if float(np.linalg.norm(v)) <= max(cfg.conv_tol, 1e-12):
             b.event(CONVERGED, "flow direction vanished")
-            stopped = True
-            break
+            return True
         if len(b.times) > window:
             recent = np.array(b.states[-window:])
             center = recent.mean(axis=0)
             if float(np.max(np.linalg.norm(recent - center, axis=1))) <= radius:
                 b.event(CONVERGED, "oscillation window")
-                stopped = True
-                break
-    if stopped and b.t < t_end - 1e-12:
-        _fill_stopped(b, t_end, cfg.dt_max)
-    return b.finish()
+                return True
+        return False
+
+    return _drive(b, t_end, cfg, step)
 
 
 def gradient_flow(f: NsFunction, variant: str, x0, t_end: float,
-                  cfg: IntegratorConfig | None = None,
-                  field: PiecewiseField | None = None) -> Trajectory:
+                  cfg: IntegratorConfig | None = None) -> Trajectory:
     """Descent flows of f: ``natural`` follows the negated least-norm element
     of the gradient set, ``normalized`` the unit-speed gradient direction,
     ``signed`` the componentwise sign quantization.
 
-    When ``field`` is supplied (a piecewise model of the same flow), the
-    event-driven integrator is used and sliding is exact; otherwise the flow
-    is evaluated pointwise with the least-norm fallback on ties.
+    The flow is evaluated pointwise with the least-norm fallback on ties.
+    For exact sliding, pass a piecewise model of the same flow to
+    :func:`integrate_filippov` instead.
     """
     cfg = cfg or IntegratorConfig()
     if variant not in ("natural", "normalized", "signed"):
         raise ValueError("variant must be natural, normalized, or signed")
-    if field is not None:
-        return integrate_filippov(field, x0, t_end, cfg)
 
     if variant == "natural":
         if not f.regular:
@@ -665,8 +664,7 @@ def gradient_flow(f: NsFunction, variant: str, x0, t_end: float,
                 return np.zeros_like(g)
             return -g / nrm
 
-        return _integrate_pointwise(v_fn, x0, t_end, cfg, method="rk4",
-                                    stall_radius=5.0 * cfg.dt_max)
+        return _integrate_pointwise(v_fn, x0, t_end, cfg, method="rk4")
 
     def v_fn(x):
         g = grad_vec(x)
@@ -734,16 +732,14 @@ def consensus_flow(G: Graph, variant: str, p0, t_end: float,
     p0 = np.asarray(p0, dtype=float)
     if p0.shape[0] != G.n:
         raise ModelError("initial state length must match the number of agents")
-    phi = disagreement_function(G)
     if variant == "smooth":
         L = G.laplacian()
         field = PiecewiseField(G.n, [], {(): lambda p: -(L @ p)}, name="laplacian_flow")
         tr = integrate_filippov(field, p0, t_end, cfg)
     elif variant == "norm":
-        tr = gradient_flow(phi, "normalized", p0, t_end, cfg)
+        tr = gradient_flow(disagreement_function(G), "normalized", p0, t_end, cfg)
     else:
-        tr = gradient_flow(phi, "signed", p0, t_end, cfg,
-                           field=sign_consensus_field(G))
+        tr = integrate_filippov(sign_consensus_field(G), p0, t_end, cfg)
     spread = lambda p: float(np.max(p) - np.min(p))
     t_star = tr.first_time(lambda p: spread(p) <= spread_tol)
     value = float(np.mean(tr.final_state)) if t_star is not None else None

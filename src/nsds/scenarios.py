@@ -51,13 +51,13 @@ class Scenario:
         return self.builder(self.merged(overrides))
 
     def simulate(self, x0, t_end: float, cfg: IntegratorConfig | None = None,
-                 overrides: dict | None = None, seed: int = 0) -> Trajectory:
+                 overrides: dict | None = None) -> Trajectory:
         cfg = cfg or IntegratorConfig()
         consts = self.merged(overrides)
         if self.kind == "piecewise":
             return integrate_filippov(self.builder(consts), x0, t_end, cfg)
         if self.runner is not None:
-            return self.runner(consts, np.asarray(x0, dtype=float), t_end, cfg, seed)
+            return self.runner(consts, np.asarray(x0, dtype=float), t_end, cfg)
         raise UnsupportedError(
             f"scenario {self.name} has no autonomous dynamics to simulate"
         )
@@ -225,7 +225,7 @@ class MoveAwayLaw:
         return flat
 
 
-def _move_away_runner(consts, x0, t_end, cfg, seed) -> Trajectory:
+def _move_away_runner(consts, x0, t_end, cfg) -> Trajectory:
     n = int(consts["n"])
     poly = consts.get("_polygon") or ConvexPolygon.square(1.0)
     law = MoveAwayLaw(poly, n, tie_band=max(4.0 * cfg.dt_max, 1e-6))
@@ -234,13 +234,7 @@ def _move_away_runner(consts, x0, t_end, cfg, seed) -> Trajectory:
     return _integrate_pointwise(law.direction, x0, t_end, cfg, method="euler")
 
 
-def _smq_flow_runner(consts, x0, t_end, cfg, seed) -> Trajectory:
-    # Natural descent flow of -sm_Q on the unit square: the exact piecewise
-    # model with sliding on the diagonals.
-    return integrate_filippov(move_away_square_field(), x0, t_end, cfg)
-
-
-def _consensus_runner(consts, x0, t_end, cfg, seed) -> Trajectory:
+def _consensus_runner(consts, x0, t_end, cfg) -> Trajectory:
     graph = consts.get("_graph") or Graph.path(x0.shape[0])
     variant = consts.get("_variant", "sign")
     return consensus_flow(graph, variant, x0, t_end, cfg).trajectory
@@ -387,14 +381,15 @@ _register(Scenario(
     builder=_nonholonomic_control,
 ))
 
+# The natural descent flow of -sm_Q on the unit square is the move-away
+# field: the exact piecewise model, with sliding on the diagonals.
 _register(Scenario(
     name="smq_flow",
-    kind="flow",
+    kind="piecewise",
     constants={},
     lyapunov="neg_smq",
     note="Descent flow of the negated boundary-distance on the unit square; reaches the incenter in finite time.",
     builder=lambda c: move_away_square_field(),
-    runner=_smq_flow_runner,
 ))
 
 
@@ -417,14 +412,13 @@ class RunSpec:
     t_end: float
     constants: dict = field(default_factory=dict)
     dt_max: float | None = None
-    seed: int = 0
 
 
 def _run_one(spec: RunSpec) -> Trajectory:
     cfg = IntegratorConfig() if spec.dt_max is None else IntegratorConfig(dt_max=spec.dt_max)
     scenario = get_scenario(spec.scenario)
     return scenario.simulate(np.array(spec.x0), spec.t_end, cfg,
-                             overrides=dict(spec.constants), seed=spec.seed)
+                             overrides=dict(spec.constants))
 
 
 def run_batch(specs: list[RunSpec], max_workers: int | None = None) -> list[Trajectory]:

@@ -221,7 +221,7 @@ def test_criterion_08_boundary_distance_flow():
 def test_criterion_09_sphere_packing():
     law = MoveAwayLaw(ConvexPolygon.square(1.0), 5, tie_band=4e-3)
     x0 = law.random_interior_points(seed=5)
-    tr = get_scenario("sphere_packing").simulate(x0, 20.0, seed=5)
+    tr = get_scenario("sphere_packing").simulate(x0, 20.0)
     hs = np.array([law.packing_radius(x) for x in tr.states])
     monotone = float(np.max(-np.diff(hs), initial=0.0)) <= 1e-6
     stationary = any(e.kind == "Converged" for e in tr.events)

@@ -82,8 +82,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(dt_max=0.0)
         with pytest.raises(ValueError):
-            IntegratorConfig(rk_order=2)
-        with pytest.raises(ValueError):
             IntegratorConfig(stall_window=1)
 
     def test_partition_schedule(self):
@@ -160,7 +158,7 @@ class TestFilippovIntegrator:
         tr = integrate_filippov(F, [0.6, 0.6], 1.0, cfg)
         for x, m in zip(tr.states, tr.modes):
             if m == "S:0":
-                assert abs(x[1] - x[0]) <= cfg.surface_tol
+                assert abs(x[1] - x[0]) <= 1e-8
 
     def test_step_limit_event(self):
         cfg = IntegratorConfig(max_steps=10)
@@ -178,8 +176,8 @@ class TestFilippovIntegrator:
                  (neg_sign_field(), [1.0], 1.5)]
         for field, x0, t_end in cases:
             for dt in (0.08, 0.04, 0.02, 0.01):
-                cfg = IntegratorConfig(dt_max=dt, surface_tol=dt * 1e-2,
-                                       event_refine_tol=dt * 1e-3, conv_tol=dt * 1e-2)
+                cfg = IntegratorConfig(dt_max=dt, event_refine_tol=dt * 1e-3,
+                                       conv_tol=dt * 1e-2)
                 tr = integrate_filippov(field, x0, t_end, cfg)
                 err = abs(tr.final_state[0] - 0.0)
                 assert err <= 1.05 * dt * 1e-3
@@ -236,8 +234,10 @@ class TestGradientFlows:
     def test_monotone_descent_along_natural_flows(self):
         for name, x0 in (("abs_sum", [0.8, -0.6]), ("neg_smq", [0.7, 0.2])):
             f = make_function(name, 2)
-            field = move_away_square_field() if name == "neg_smq" else None
-            tr = gradient_flow(f, "natural", x0, 2.0, field=field)
+            if name == "neg_smq":
+                tr = integrate_filippov(move_away_square_field(), x0, 2.0)
+            else:
+                tr = gradient_flow(f, "natural", x0, 2.0)
             vals = np.array([f(x) for x in tr.states])
             assert np.all(np.diff(vals) <= 1e-8)
 
@@ -338,7 +338,7 @@ class TestMoveAwayAgents:
     def test_hsp_monotone_and_collision_free(self):
         law = MoveAwayLaw(ConvexPolygon.square(1.0), 3, tie_band=4e-3)
         x0 = law.random_interior_points(seed=12)
-        tr = get_scenario("move_away_n").simulate(x0, 10.0, overrides={"n": 3}, seed=12)
+        tr = get_scenario("move_away_n").simulate(x0, 10.0, overrides={"n": 3})
         hs = [law.packing_radius(x) for x in tr.states]
         assert all(b >= a - 1e-6 for a, b in zip(hs, hs[1:]))
         assert hs[-1] > hs[0]
@@ -430,9 +430,15 @@ class TestFixedStepLoops:
         ([0.0, 0.0], math.inf),
     ])
     def test_pointwise_rejects_bad_start(self, x0, t_end):
+        # The event-driven integrators check their start the same way.
         v_fn, calls = self.counting([1.0, 0.0])
-        with pytest.raises(ModelError):
-            _integrate_pointwise(v_fn, x0, t_end, IntegratorConfig())
+        F = PiecewiseField(2, [SwitchingSurface.coordinate(0, 2)],
+                           {(-1,): v_fn, (1,): v_fn})
+        for run in (lambda: _integrate_pointwise(v_fn, x0, t_end, IntegratorConfig()),
+                    lambda: integrate_filippov(F, x0, t_end),
+                    lambda: integrate_caratheodory(F, x0, t_end)):
+            with pytest.raises(ModelError):
+                run()
         assert not calls
 
     def test_sample_and_hold_rejects_non_finite_start(self):
@@ -497,3 +503,99 @@ class TestFixedStepLoops:
             assert verdict == reference(b, window, conv_tol)
             seen.add(verdict)
         assert seen == {True, False}
+
+
+# Sample count, event (kind, detail) sequence and final state of runs that
+# cover each phase of the event-driven integrators.
+GOLDEN = {
+    "oscillator_crossing": (
+        lambda: get_scenario("oscillator").simulate([0.02, 0.1], 0.4),
+        402, [("SurfaceHit", "surface 0")],
+        [-0.014164078714466033, -0.14721359634399458]),
+    "dissipative_corner_stop": (
+        lambda: get_scenario("oscillator_dissipative").simulate([0.005, -0.1], 0.7),
+        712, [("SurfaceHit", "surface 0"), ("SurfaceHit", "surface 1")] * 8
+        + [("Converged", "least-norm selection vanished")],
+        [4.324734798329077e-09, -5.960457005889895e-11]),
+    "move_away_1_slide": (
+        lambda: get_scenario("move_away_1").simulate([0.05, 0.05], 0.15),
+        151, [("SlideEnter", "surface 0"), ("SurfaceHit", "surface 1 while sliding on 0"),
+              ("Converged", "least-norm selection vanished")],
+        [4.999999980020986e-13, 4.999999980020986e-13]),
+    "smq_flow_least_norm_stop": (
+        lambda: get_scenario("smq_flow").simulate([0.125, 0.055], 0.3),
+        302, [("SurfaceHit", "surface 0"), ("SlideEnter", "surface 0"),
+              ("SurfaceHit", "surface 1 while sliding on 0"),
+              ("Converged", "least-norm selection vanished")],
+        [5.960454005360383e-11, -4.5102810375396984e-17]),
+    "brick": (
+        lambda: get_scenario("brick").simulate([0.5], 0.3),
+        302, [("SurfaceHit", "surface 0"), ("SlideEnter", "surface 0"),
+              ("Converged", "sliding stall")],
+        [8.243971371009455e-11]),
+    "caratheodory_oscillator": (
+        lambda: integrate_caratheodory(get_scenario("oscillator").build(), [0.02, 0.1], 0.4),
+        402, [("SurfaceHit", "surface 0")],
+        [-0.014164078714466033, -0.14721359634399458]),
+    "sign_consensus_path3": (
+        lambda: consensus_flow(Graph.path(3), "sign", [0.0, 0.05, 0.1], 0.3).trajectory,
+        301, [("SlideEnter", "surface 1"), ("SurfaceHit", "surface 0 while sliding on 1"),
+              ("Converged", "least-norm selection vanished")],
+        [0.049999999999, 0.05, 0.050000000001]),
+}
+
+
+def livelock_field():
+    """Switches on x2; the sliding solution leaves the surface near x1 = 0,
+    where RK4 stages of a slide step overshoot the exit."""
+    return PiecewiseField(2, [SwitchingSurface.coordinate(1, 2)],
+                          {(1,): lambda x: np.array([1.0, x[0]]),
+                           (-1,): lambda x: np.array([10.0, 1.0])})
+
+
+class TestSteppingLoop:
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_golden_outputs(self, name):
+        run, samples, events, final = GOLDEN[name]
+        tr = run()
+        assert len(tr.times) == samples
+        assert [(e.kind, e.detail) for e in tr.events] == events
+        assert np.max(np.abs(tr.final_state - final)) <= 1e-12
+
+    @pytest.mark.parametrize("loop, samples", [
+        ("slide", 20), ("regular", 21), ("caratheodory", 21), ("pointwise", 21),
+    ])
+    def test_one_step_limit_event(self, loop, samples):
+        cfg = IntegratorConfig(max_steps=20)
+        osc = get_scenario("oscillator")
+        tr = {
+            "slide": lambda: get_scenario("move_away_1").simulate([0.05, 0.05], 1.0, cfg),
+            "regular": lambda: osc.simulate([0.02, 0.1], 1.0, cfg),
+            "caratheodory": lambda: integrate_caratheodory(osc.build(), [0.02, 0.1], 1.0, cfg),
+            "pointwise": lambda: gradient_flow(make_function("abs"), "natural", [1.0], 2.0, cfg),
+        }[loop]()
+        assert [e.kind for e in tr.events].count("StepLimit") == 1
+        assert tr.events[-1].kind == "StepLimit"
+        assert len(tr.times) == samples
+
+    def test_no_progress_watchdog(self):
+        cfg = IntegratorConfig(dt_max=1e-5, max_steps=20000)
+        tr = integrate_filippov(livelock_field(), [-5e-4, 1e-7], 2e-3, cfg)
+        kinds = [e.kind for e in tr.events]
+        assert kinds[-1] == "NoProgress"
+        assert "StepLimit" not in kinds
+        assert kinds.count("SlideEnter") < 200
+        # No stopped fill: the state did not converge.
+        assert tr.final_time < 2e-3 and tr.modes[-1] != "STOP"
+
+    def test_regular_step_runs_the_cell_field_once_per_stage(self):
+        calls = []
+
+        def up(x):
+            calls.append(1)
+            return np.array([0.0, 1.0])
+
+        F = PiecewiseField(2, [SwitchingSurface.coordinate(0, 2)], {(-1,): up, (1,): up})
+        tr = integrate_filippov(F, [1.0, 0.0], 1.25, IntegratorConfig(dt_max=0.125))
+        assert len(tr.times) == 11 and not tr.events
+        assert len(calls) == 10 * 4

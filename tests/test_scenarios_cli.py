@@ -178,6 +178,20 @@ class TestCli:
         code = main(["gradient", "--function", "smq", "--point", "5,5,5"])
         assert code == 1
 
+    def test_simulate_rejects_removed_settings(self, tmp_path, capsys):
+        # Neither a run-config key nor a flag outside the integrator's
+        # settings ends in a traceback.
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"scenario": "brick", "x0": [1.0], "t_end": 0.1,
+                                        "cfg": {"rk_order": 4}}))
+        out = str(tmp_path / "never.csv")
+        assert main(["simulate", "--config", str(cfg_file), "--out", out]) == 1
+        assert "rk_order" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", "brick", "--x0", "1", "--t-end", "0.1",
+                  "--out", out, "--seed", "3"])
+        assert exc.value.code == 2
+
 
 class TestPlotData:
     def test_phase_closed_orbit(self, tmp_path):
