@@ -14,6 +14,7 @@ from .errors import (
     NotSlidingError,
     NsdsError,
     SingularityError,
+    SolverError,
     UnsupportedError,
 )
 from .fields import (
@@ -49,6 +50,7 @@ from .integrate import (
     gradient_flow,
     integrate_caratheodory,
     integrate_filippov,
+    integrate_pointwise,
     limit_set_estimate,
     sample_and_hold,
 )

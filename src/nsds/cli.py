@@ -32,7 +32,7 @@ from .integrate import (
 )
 from .lie import GridSpec, exclude_band, lyapunov_certify, monotonicity_verdict
 from .nonsmooth import ALL_SPACE, UNSUPPORTED, Graph, NsFunction, hsp, make_function
-from .scenarios import MoveAwayLaw, cart_feedback, get_scenario
+from .scenarios import MoveAwayLaw, cart_feedback, get_scenario, move_away_flow
 
 log = logging.getLogger("nsds")
 
@@ -136,6 +136,17 @@ def emit_plot_data(tr: Trajectory, kind: str, f: NsFunction | None = None,
     return "\n".join(lines) + "\n"
 
 
+def _direction_source(name: str, consts: dict):
+    """A scenario's model and the map from a point to its direction set:
+    the Filippov set of a piecewise field, the inclusion of a control one."""
+    model = get_scenario(name).build(consts)
+    if isinstance(model, PiecewiseField):
+        return model, lambda x: filippov_set(model, x)
+    if isinstance(model, ControlField):
+        return model, lambda x: control_inclusion(model, x)
+    raise UnsupportedError(f"scenario {name} has no direction set")
+
+
 def _config_from_args(args) -> IntegratorConfig:
     kw = {}
     if getattr(args, "dt_max", None) is not None:
@@ -192,14 +203,8 @@ def _cmd_filippov_set(args) -> int:
             raise UnsupportedError("descent-field set needs an exact gradient")
         P = gr.polytope.scaled(-1.0)
     else:
-        scenario = get_scenario(args.scenario)
-        model = scenario.build(_parse_consts(args.const))
-        if isinstance(model, PiecewiseField):
-            P = filippov_set(model, point)
-        elif isinstance(model, ControlField):
-            P = control_inclusion(model, point)
-        else:
-            raise UnsupportedError(f"scenario {args.scenario} has no direction set")
+        _, source = _direction_source(args.scenario, _parse_consts(args.const))
+        P = source(point)
     print(json.dumps(_polytope_json(P)))
     return 0
 
@@ -226,16 +231,9 @@ def _cmd_gradient(args) -> int:
 
 
 def _cmd_lyapunov(args) -> int:
-    scenario = get_scenario(args.scenario)
-    model = scenario.build(_parse_consts(args.const))
+    model, source = _direction_source(args.scenario, _parse_consts(args.const))
     point_dim = model.dim
     f = make_function(args.function, dim=point_dim)
-    if isinstance(model, PiecewiseField):
-        source = lambda x: filippov_set(model, x)
-    elif isinstance(model, ControlField):
-        source = lambda x: control_inclusion(model, x)
-    else:
-        raise UnsupportedError(f"scenario {args.scenario} has no direction set")
     exclude = None
     if args.exclude_band is not None:
         axes = None
@@ -275,11 +273,9 @@ def _cmd_consensus(args) -> int:
 
 def _cmd_pack(args) -> int:
     polygon = _load_polygon(args.polygon) if args.polygon else ConvexPolygon.square(1.0)
-    cfg = _config_from_args(args)
-    law = MoveAwayLaw(polygon, args.n, tie_band=max(4.0 * cfg.dt_max, 1e-6))
+    law = MoveAwayLaw(polygon, args.n)
     x0 = law.random_interior_points(args.seed)
-    scenario = get_scenario("sphere_packing")
-    tr = scenario.simulate(x0, args.t_end, cfg, overrides={"n": args.n})
+    tr = move_away_flow(law, x0, args.t_end, _config_from_args(args))
     if args.out:
         _write_trajectory(tr, args.out, "csv")
     print(json.dumps({

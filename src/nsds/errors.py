@@ -31,3 +31,8 @@ class SingularityError(NsdsError):
 
 class UnsupportedError(NsdsError):
     """The requested computation is outside the implemented catalog."""
+
+
+class SolverError(NsdsError):
+    """A linear program hit its iteration limit or ended without an optimum
+    where one must exist."""

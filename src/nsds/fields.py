@@ -340,7 +340,7 @@ def one_sided_lipschitz_test(
                 abs(s.value(y)) > band for s in F.switches
             ):
                 return y
-        raise RuntimeError("could not sample off the switching surfaces")
+        raise ModelError("could not sample off the switching surfaces")
 
     for _ in range(samples):
         y, yp = draw(), draw()

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptySetError
+from .errors import DimensionMismatchError, EmptySetError, SolverError
 
 # Default tolerance for geometric membership queries, reported in results.
 MEMBERSHIP_TOL = 1e-9
@@ -197,7 +197,7 @@ def _simplex_iterate(T, basis, n_vars, tol, max_iter) -> str:
         best = min(r for r, _, _ in ratios)
         leaving = min(i for r, bi, i in ratios if r <= best + tol)
         _pivot(T, basis, leaving, entering)
-    raise RuntimeError("simplex iteration limit reached")
+    raise SolverError("simplex iteration limit reached")
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +354,7 @@ def maximin_value(A: Polytope, B: Polytope) -> float:
     c[na + 1] = 1.0
     res = solve_lp(c, Aeq, beq)
     if res.status != OPTIMAL:  # pragma: no cover - game LPs are always solvable
-        raise RuntimeError(f"maximin LP failed: {res.status}")
+        raise SolverError(f"maximin LP failed: {res.status}")
     return -res.value
 
 

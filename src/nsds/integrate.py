@@ -323,14 +323,17 @@ def _cell_step(F: PiecewiseField, sigma, x: np.ndarray, h: float, refine_tol: fl
     """One RK4 step of cell sigma's field from x, cut at the first crossing.
 
     Surfaces in ``skip``, and those within ``refine_tol`` of x (a surface the
-    step starts on cannot be crossed meaningfully), are not watched.  Returns the crossing as (s, index, state), index None when the
-    whole step is taken, and the set of surfaces that were not watched.
+    step starts on cannot be crossed meaningfully), are not watched.  Returns
+    the crossing as (s, index, state), index None when the whole step is
+    taken, and the set of surfaces that were not watched.  The field at x is
+    evaluated once and shared by every trial fraction of the step.
     """
     g_fns = [s.value for s in F.switches]
     start_vals = [g(x) for g in g_fns]
     skip = set(skip) | {i for i, v in enumerate(start_vals) if abs(v) <= refine_tol}
     fcell = lambda y: F.cell_value(sigma, y)
-    flow = lambda s: rk4_step(fcell, x, s * h)
+    k1 = fcell(x)
+    flow = lambda s: rk4_step(fcell, x, s * h, k1)
     return _first_crossing(flow, g_fns, start_vals, refine_tol, skip), skip
 
 
@@ -475,7 +478,7 @@ class _FilippovRun:
         if h <= 1e-15:
             h = 1e-15
         slide_vec = lambda y: sliding_field(self.F, y, i).vector
-        flow = lambda s: self._project(i, rk4_step(slide_vec, x, s * h))
+        flow = lambda s: self._project(i, rk4_step(slide_vec, x, s * h, res.vector))
         g_fns = [s.value for s in self.F.switches]
         try:
             s_star, j, x_new = _first_crossing(
@@ -584,8 +587,8 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
 # ---------------------------------------------------------------------------
 
 
-def _integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: float,
-                         cfg: IntegratorConfig, *, method: str = "euler") -> Trajectory:
+def integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: float,
+                        cfg: IntegratorConfig, *, method: str = "euler") -> Trajectory:
     """Fixed-step integration of a pointwise-selected flow with oscillation
     detection: once the recent window of samples stays inside a ball of
     radius 5 dt_max, the state is declared converged and frozen.
@@ -650,7 +653,7 @@ def gradient_flow(f: NsFunction, variant: str, x0, t_end: float,
                 raise ModelError("natural descent flow needs exact gradients")
             return -least_norm(gr.polytope).point
 
-        return _integrate_pointwise(v_fn, x0, t_end, cfg, method="euler")
+        return integrate_pointwise(v_fn, x0, t_end, cfg, method="euler")
 
     def grad_vec(x):
         return least_norm(f.gradient(x).polytope).point
@@ -664,7 +667,7 @@ def gradient_flow(f: NsFunction, variant: str, x0, t_end: float,
                 return np.zeros_like(g)
             return -g / nrm
 
-        return _integrate_pointwise(v_fn, x0, t_end, cfg, method="rk4")
+        return integrate_pointwise(v_fn, x0, t_end, cfg, method="rk4")
 
     def v_fn(x):
         g = grad_vec(x)
@@ -672,7 +675,7 @@ def gradient_flow(f: NsFunction, variant: str, x0, t_end: float,
         out[np.abs(g) <= cfg.conv_tol] = 0.0
         return out
 
-    return _integrate_pointwise(v_fn, x0, t_end, cfg)
+    return integrate_pointwise(v_fn, x0, t_end, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptySetError, UnsupportedError
+from .errors import DimensionMismatchError, EmptySetError, SolverError, UnsupportedError
 from .geometry import (
     INFEASIBLE,
     OPTIMAL,
@@ -114,7 +114,7 @@ def set_lie_derivative(Fset: Polytope, grad: Polytope, *, pivot_tol: float = 1e-
         return LieInterval.empty()
     hi_res = solve_lp(-w, A, b)
     if lo_res.status != OPTIMAL or hi_res.status != OPTIMAL:  # pragma: no cover
-        raise RuntimeError("Lie-derivative LP failed")
+        raise SolverError("Lie-derivative LP failed")
     return LieInterval.closed(lo_res.value, -hi_res.value)
 
 

@@ -9,8 +9,9 @@ constructors.
 from __future__ import annotations
 
 import concurrent.futures
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -21,17 +22,18 @@ from .geometry import ConvexPolygon, Polytope, least_norm
 from .integrate import (
     IntegratorConfig,
     Trajectory,
-    _integrate_pointwise,
     consensus_flow,
     integrate_filippov,
+    integrate_pointwise,
 )
 from .nonsmooth import Graph
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    kind: str  # "piecewise" | "control" | "flow"
     constants: dict
     lyapunov: str | None
     note: str
@@ -52,15 +54,17 @@ class Scenario:
 
     def simulate(self, x0, t_end: float, cfg: IntegratorConfig | None = None,
                  overrides: dict | None = None) -> Trajectory:
+        """Integrate the built model: a PiecewiseField through
+        :func:`integrate_filippov`, any other model through the runner."""
         cfg = cfg or IntegratorConfig()
-        consts = self.merged(overrides)
-        if self.kind == "piecewise":
-            return integrate_filippov(self.builder(consts), x0, t_end, cfg)
-        if self.runner is not None:
-            return self.runner(consts, np.asarray(x0, dtype=float), t_end, cfg)
-        raise UnsupportedError(
-            f"scenario {self.name} has no autonomous dynamics to simulate"
-        )
+        model = self.build(overrides)
+        if isinstance(model, PiecewiseField):
+            return integrate_filippov(model, x0, t_end, cfg)
+        if self.runner is None:
+            raise UnsupportedError(
+                f"scenario {self.name} has no autonomous dynamics to simulate"
+            )
+        return self.runner(model, np.asarray(x0, dtype=float), t_end, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +149,8 @@ class MoveAwayLaw:
     count at half separation, polygon edges at full distance.  Entities tied
     within the band contribute jointly through the least-norm selection of
     the hull of their away directions, which keeps each tied distance term
-    nondecreasing.  The sphere-packing runner widens ``tie_band`` to
-    ``max(4 * dt_max, 1e-6)``, a few steps' travel, so that fixed steps slide
-    along a tie instead of chattering across it.
+    nondecreasing.  :func:`move_away_flow` widens ``tie_band`` for its fixed
+    steps.
     """
 
     polygon: ConvexPolygon
@@ -225,19 +228,18 @@ class MoveAwayLaw:
         return flat
 
 
-def _move_away_runner(consts, x0, t_end, cfg) -> Trajectory:
-    n = int(consts["n"])
-    poly = consts.get("_polygon") or ConvexPolygon.square(1.0)
-    law = MoveAwayLaw(poly, n, tie_band=max(4.0 * cfg.dt_max, 1e-6))
-    if x0.shape[0] != 2 * n:
-        raise ModelError(f"state length {x0.shape[0]} != 2n = {2 * n}")
-    return _integrate_pointwise(law.direction, x0, t_end, cfg, method="euler")
+def move_away_flow(law: MoveAwayLaw, x0, t_end: float, cfg: IntegratorConfig) -> Trajectory:
+    """Fixed-step Euler run of the move-away law from the 2n-vector x0.
 
-
-def _consensus_runner(consts, x0, t_end, cfg) -> Trajectory:
-    graph = consts.get("_graph") or Graph.path(x0.shape[0])
-    variant = consts.get("_variant", "sign")
-    return consensus_flow(graph, variant, x0, t_end, cfg).trajectory
+    The tie band is widened to ``max(4 * dt_max, 1e-6)``, a few steps'
+    travel, so that fixed steps slide along a tie instead of chattering
+    across it.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape[0] != 2 * law.n:
+        raise ModelError(f"state length {x0.shape[0]} != 2n = {2 * law.n}")
+    law = replace(law, tie_band=max(4.0 * cfg.dt_max, 1e-6))
+    return integrate_pointwise(law.direction, x0, t_end, cfg, method="euler")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +301,6 @@ def _register(s: Scenario):
 
 _register(Scenario(
     name="brick",
-    kind="piecewise",
     constants={"theta": math.pi / 6.0, "nu": 1.0, "g": 9.8},
     lyapunov=None,
     note="Rigid brick on an inclined plane with Coulomb friction; the state is the velocity along the ramp.",
@@ -308,7 +309,6 @@ _register(Scenario(
 
 _register(Scenario(
     name="oscillator",
-    kind="piecewise",
     constants={},
     lyapunov="energy_oscillator",
     note="Unit mass with a constant-magnitude restoring force toward the origin.",
@@ -317,7 +317,6 @@ _register(Scenario(
 
 _register(Scenario(
     name="oscillator_dissipative",
-    kind="piecewise",
     constants={"k": 0.75},
     lyapunov="energy_oscillator",
     note="Relay oscillator with an additional velocity relay providing dissipation.",
@@ -326,7 +325,6 @@ _register(Scenario(
 
 _register(Scenario(
     name="move_away_1",
-    kind="piecewise",
     constants={},
     lyapunov="neg_smq",
     note="One robot in the unit square moving away from the nearest wall; discontinuous on the diagonals.",
@@ -334,38 +332,25 @@ _register(Scenario(
 ))
 
 _register(Scenario(
-    name="move_away_n",
-    kind="flow",
-    constants={"n": 5},
-    lyapunov="hsp",
-    note="n robots moving away from their nearest entity (other robot or wall), with agent pairs weighted at half distance.",
-    builder=lambda c: MoveAwayLaw(c.get("_polygon") or ConvexPolygon.square(1.0), int(c["n"])),
-    runner=_move_away_runner,
-))
-
-_register(Scenario(
     name="sphere_packing",
-    kind="flow",
     constants={"n": 5},
     lyapunov="hsp",
     note="Sphere packing in a convex polygon driven by the multi-agent move-away law; the packing radius grows along runs.",
-    builder=lambda c: MoveAwayLaw(c.get("_polygon") or ConvexPolygon.square(1.0), int(c["n"])),
-    runner=_move_away_runner,
+    builder=lambda c: MoveAwayLaw(ConvexPolygon.square(1.0), int(c["n"])),
+    runner=move_away_flow,
 ))
 
 _register(Scenario(
     name="consensus",
-    kind="flow",
-    constants={},
+    constants={"n": 3},
     lyapunov="disagreement",
-    note="Finite-time consensus on a graph via quantized descent of the disagreement.",
-    builder=lambda c: c.get("_graph") or Graph.path(3),
-    runner=_consensus_runner,
+    note="Finite-time consensus of n agents on a path graph via sign-quantized descent of the disagreement.",
+    builder=lambda c: Graph.path(int(c["n"])),
+    runner=lambda graph, x0, t_end, cfg: consensus_flow(graph, "sign", x0, t_end, cfg).trajectory,
 ))
 
 _register(Scenario(
     name="cart",
-    kind="control",
     constants={"sigma": 1.0},
     lyapunov="cart_lyapunov",
     note="Cart whose input field traces circles tangent to the horizontal axis; stabilizable only through discontinuous feedback.",
@@ -374,23 +359,15 @@ _register(Scenario(
 
 _register(Scenario(
     name="nonholonomic_integrator",
-    kind="control",
     constants={},
     lyapunov=None,
     note="Canonical drift-free system that admits no continuous stabilizer; provided as a direction-set model only.",
     builder=_nonholonomic_control,
 ))
 
-# The natural descent flow of -sm_Q on the unit square is the move-away
-# field: the exact piecewise model, with sliding on the diagonals.
-_register(Scenario(
-    name="smq_flow",
-    kind="piecewise",
-    constants={},
-    lyapunov="neg_smq",
-    note="Descent flow of the negated boundary-distance on the unit square; reaches the incenter in finite time.",
-    builder=lambda c: move_away_square_field(),
-))
+# Aliases: the descent flow of -sm_Q on the unit square is the move-away field.
+SCENARIOS["move_away_n"] = SCENARIOS["sphere_packing"]
+SCENARIOS["smq_flow"] = SCENARIOS["move_away_1"]
 
 
 def get_scenario(name: str) -> Scenario:
@@ -429,5 +406,7 @@ def run_batch(specs: list[RunSpec], max_workers: int | None = None) -> list[Traj
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
             return list(pool.map(_run_one, specs))
-    except (OSError, RuntimeError):  # pragma: no cover - restricted environments
+    except OSError as exc:  # no process pool here; a crashed worker propagates
+        log.warning("process pool unavailable (%s); running %d specs serially",
+                    exc, len(specs))
         return [_run_one(s) for s in specs]

@@ -291,6 +291,11 @@ class TestUniquenessChecks:
         diff = (y - yp)[0]
         assert (np.sign(y[0]) - np.sign(yp[0])) * diff > 10.0 * diff ** 2
 
+    def test_sampling_failure_is_a_model_error(self):
+        # A ball far thinner than the surface band has no point off the surface.
+        with pytest.raises(ModelError):
+            one_sided_lipschitz_test(neg_sign_field(), [0.0], 1e-20, 0.0, 2)
+
     def test_smooth_field_with_jacobian_bound(self):
         F = PiecewiseField(1, [], {(): lambda x: np.array([3.0 * x[0]])})
         v = one_sided_lipschitz_test(F, [0.0], 0.5, 3.0, 300, seed=2)

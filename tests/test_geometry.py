@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsds.errors import DimensionMismatchError, EmptySetError
+from nsds.errors import DimensionMismatchError, EmptySetError, SolverError
 from nsds.geometry import (
     ConvexPolygon,
     Polytope,
@@ -265,6 +265,14 @@ def test_lp_solver_basics():
     # Unbounded: the recession direction (1, 1) has negative cost.
     res = solve_lp([-1.0, -1.0], [[1.0, -1.0]], [0.0])
     assert res.status == "unbounded"
+
+
+def test_lp_iteration_limit_raises_solver_error():
+    # Phase 1 pivots each of the two artificial variables out of the basis.
+    A, b = np.eye(2), [1.0, 1.0]
+    assert solve_lp([1.0, 1.0], A, b).status == "optimal"
+    with pytest.raises(SolverError):
+        solve_lp([1.0, 1.0], A, b, max_iter=1)
 
 
 def test_convex_polygon_validation():

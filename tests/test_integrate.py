@@ -12,11 +12,11 @@ from nsds.integrate import (
     PartitionSchedule,
     Trajectory,
     _Builder,
-    _integrate_pointwise,
     consensus_flow,
     gradient_flow,
     integrate_caratheodory,
     integrate_filippov,
+    integrate_pointwise,
     limit_set_estimate,
     rk4_step,
     sample_and_hold,
@@ -416,7 +416,7 @@ class TestFixedStepLoops:
     def test_one_field_evaluation_per_stage(self, method, per_step):
         v_fn, calls = self.counting([1.0, -0.5])
         cfg = IntegratorConfig(dt_max=0.125)
-        tr = _integrate_pointwise(v_fn, [0.0, 0.0], 1.25, cfg, method=method)
+        tr = integrate_pointwise(v_fn, [0.0, 0.0], 1.25, cfg, method=method)
         assert len(tr.times) == 11 and not tr.events
         assert len(calls) == 10 * per_step + 1
         assert np.allclose(tr.final_state, [1.25, -0.625])
@@ -434,7 +434,7 @@ class TestFixedStepLoops:
         v_fn, calls = self.counting([1.0, 0.0])
         F = PiecewiseField(2, [SwitchingSurface.coordinate(0, 2)],
                            {(-1,): v_fn, (1,): v_fn})
-        for run in (lambda: _integrate_pointwise(v_fn, x0, t_end, IntegratorConfig()),
+        for run in (lambda: integrate_pointwise(v_fn, x0, t_end, IntegratorConfig()),
                     lambda: integrate_filippov(F, x0, t_end),
                     lambda: integrate_caratheodory(F, x0, t_end)):
             with pytest.raises(ModelError):
@@ -599,3 +599,36 @@ class TestSteppingLoop:
         tr = integrate_filippov(F, [1.0, 0.0], 1.25, IntegratorConfig(dt_max=0.125))
         assert len(tr.times) == 11 and not tr.events
         assert len(calls) == 10 * 4
+
+    def test_crossing_step_evaluates_the_start_field_once(self, monkeypatch):
+        # Every bisection midpoint reuses the field value at the step start,
+        # so a step costs 1 + 3 evaluations per trial fraction.
+        import nsds.integrate as integrate
+
+        calls, trials = [], []
+        monkeypatch.setattr(integrate, "rk4_step",
+                            lambda *a, **k: trials.append(1) or rk4_step(*a, **k))
+
+        def right(x):
+            calls.append(1)
+            return np.array([1.0, 0.0])
+
+        F = PiecewiseField(2, [SwitchingSurface.coordinate(0, 2)], {(-1,): right, (1,): right})
+        tr = integrate_caratheodory(F, [-0.3, 0.0], 1.0, IntegratorConfig(dt_max=1.0))
+        assert [e.kind for e in tr.events] == ["SurfaceHit"]
+        steps = len(tr.times) - 1
+        assert steps == 2 and len(trials) > 10
+        assert len(calls) == steps + 3 * len(trials)
+
+    def test_slide_step_reuses_the_sliding_vector(self, monkeypatch):
+        # One sliding_field call decides the step and serves as RK4's k1.
+        import nsds.integrate as integrate
+        from nsds.fields import sliding_field
+
+        calls = []
+        monkeypatch.setattr(integrate, "sliding_field",
+                            lambda *a: calls.append(1) or sliding_field(*a))
+        tr = get_scenario("move_away_1").simulate([0.05, 0.05], 1e-3)
+        assert [e.kind for e in tr.events] == ["SlideEnter"]
+        assert len(tr.times) == 2
+        assert len(calls) == 4

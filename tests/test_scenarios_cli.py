@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -5,11 +6,14 @@ import sys
 import numpy as np
 import pytest
 
+import nsds.scenarios as scenarios
 from nsds.cli import emit_plot_data, main
-from nsds.errors import UnsupportedError
+from nsds.errors import ModelError, UnsupportedError
+from nsds.fields import ControlField, PiecewiseField
+from nsds.geometry import ConvexPolygon
 from nsds.integrate import IntegratorConfig, Trajectory
-from nsds.nonsmooth import make_function
-from nsds.scenarios import SCENARIOS, RunSpec, get_scenario, run_batch
+from nsds.nonsmooth import Graph, hsp, make_function
+from nsds.scenarios import SCENARIOS, MoveAwayLaw, RunSpec, get_scenario, run_batch
 
 
 EXPECTED_CATALOG = {
@@ -49,6 +53,17 @@ class TestCatalog:
         with pytest.raises(UnsupportedError):
             get_scenario("nonholonomic_integrator").simulate([0.0, 0.0, 0.0], 1.0)
 
+    def test_duplicates_are_aliases(self):
+        assert SCENARIOS["move_away_n"] is SCENARIOS["sphere_packing"]
+        assert SCENARIOS["smq_flow"] is SCENARIOS["move_away_1"]
+
+    def test_runner_receives_the_built_model(self):
+        tr = get_scenario("consensus").simulate([0.0, 1.0, 2.0, 3.0], 0.01,
+                                                overrides={"n": 4})
+        assert tr.dim == 4
+        with pytest.raises(ModelError):
+            get_scenario("consensus").simulate([0.0, 1.0, 2.0, 3.0], 0.01)
+
 
 class TestBatch:
     def test_parallel_runs_match_serial(self):
@@ -62,6 +77,42 @@ class TestBatch:
         for a, b in zip(parallel, serial):
             assert np.array_equal(a.states, b.states)
             assert np.array_equal(a.times, b.times)
+
+    SPECS = [RunSpec("brick", (1.0,), 0.1), RunSpec("oscillator", (1.0, 0.0), 0.1)]
+
+    def test_crashed_worker_propagates(self, monkeypatch):
+        class BrokenPool:
+            def __init__(self, max_workers=None):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, specs):
+                raise concurrent.futures.process.BrokenProcessPool("worker died")
+
+        serial = []
+        run_one = scenarios._run_one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(scenarios, "_run_one",
+                            lambda spec: serial.append(spec) or run_one(spec))
+        with pytest.raises(concurrent.futures.process.BrokenProcessPool):
+            run_batch(self.SPECS)
+        assert not serial
+
+    def test_unavailable_pool_runs_serially(self, monkeypatch):
+        def no_pool(max_workers=None):
+            raise PermissionError("no semaphores")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        got = run_batch(self.SPECS)
+        for spec, tr in zip(self.SPECS, got):
+            expected = scenarios._run_one(spec)
+            assert np.array_equal(tr.states, expected.states)
+            assert np.array_equal(tr.times, expected.times)
 
 
 class TestCli:
@@ -165,6 +216,29 @@ class TestCli:
         payload = json.loads(out)
         assert payload["final_hsp"] >= payload["initial_hsp"] - 1e-9
 
+    def test_pack_integrates_in_the_given_polygon(self, tmp_path):
+        poly_file = tmp_path / "triangle.txt"
+        poly_file.write_text("0 0\n3 0\n0 3\n")
+        out_file = tmp_path / "pack.csv"
+        code, out = run_cli("pack", "--n", "3", "--seed", "1", "--polygon", str(poly_file),
+                            "--t-end", "0.5", "--out", str(out_file))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["final_hsp"] > payload["initial_hsp"]
+        triangle = ConvexPolygon([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+        tr = Trajectory.from_csv(out_file.read_text())
+        for x in tr.states:
+            assert all(triangle.contains_point(p) for p in x.reshape(3, 2))
+        assert payload["final_hsp"] == hsp(triangle, tr.final_state.reshape(3, 2))
+
+    @pytest.mark.parametrize("name", ["consensus", "sphere_packing", "move_away_n"])
+    def test_lyapunov_on_a_flow_scenario_is_unsupported(self, name, capsys):
+        code = main(["lyapunov", "--scenario", name, "--function", "abs_sum",
+                     "--theorem", "thm1", "--grid=-1:1:2,-1:1:2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Unsupported:") and "Traceback" not in err
+
     def test_exit_codes(self, capsys):
         # Argument errors exit 2 through argparse.
         with pytest.raises(SystemExit) as exc:
@@ -233,6 +307,41 @@ class TestPlotData:
 
         with pytest.raises(DimensionMismatchError):
             emit_plot_data(tr, "phase")
+
+
+def state_dim(model) -> int:
+    if isinstance(model, MoveAwayLaw):
+        return 2 * model.n
+    if isinstance(model, Graph):
+        return model.n
+    return model.dim
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_scenario_through_the_cli(name, tmp_path, capsys):
+    """Each command ends in exit 0 or a named error, never a traceback: a
+    piecewise or control model has a direction set, a piecewise or flow
+    model has dynamics to simulate."""
+    sc = get_scenario(name)
+    model = sc.build()
+    dim = state_dim(model)
+    has_set = isinstance(model, (PiecewiseField, ControlField))
+    has_flow = not isinstance(model, ControlField)
+    point = ",".join(repr(0.05 * (k + 1) - 0.25) for k in range(dim))
+    grid = ",".join(["-0.5:0.5:2"] * dim)
+    runs = [
+        (["filippov-set", "--scenario", name, f"--point={point}"], has_set),
+        (["lyapunov", "--scenario", name, "--function", sc.lyapunov or "abs_sum",
+          "--theorem", "thm1", f"--grid={grid}"], has_set),
+        (["simulate", "--scenario", name, f"--x0={point}", "--t-end", "0.01",
+          "--out", str(tmp_path / "tr.csv")], has_flow),
+    ]
+    for argv, supported in runs:
+        code, _ = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == (0 if supported else 1), (argv, err)
+        if not supported:
+            assert err.startswith("Unsupported:"), err
 
 
 def test_cli_entrypoint_subprocess():
