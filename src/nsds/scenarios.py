@@ -9,7 +9,6 @@ constructors.
 from __future__ import annotations
 
 import concurrent.futures
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -27,8 +26,6 @@ from .integrate import (
     integrate_pointwise,
 )
 from .nonsmooth import Graph
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -342,11 +339,13 @@ _register(Scenario(
 
 _register(Scenario(
     name="consensus",
-    constants={"n": 3},
+    constants={},
     lyapunov="disagreement",
-    note="Finite-time consensus of n agents on a path graph via sign-quantized descent of the disagreement.",
-    builder=lambda c: Graph.path(int(c["n"])),
-    runner=lambda graph, x0, t_end, cfg: consensus_flow(graph, "sign", x0, t_end, cfg).trajectory,
+    note="Finite-time consensus of the agents of x0 on a path graph via sign-quantized descent of the disagreement.",
+    builder=lambda c: Graph.path(3),
+    # The built path is a 3-agent default; the runner sizes its path from x0.
+    runner=lambda _, x0, t_end, cfg: consensus_flow(
+        Graph.path(x0.shape[0]), "sign", x0, t_end, cfg).trajectory,
 ))
 
 _register(Scenario(
@@ -371,6 +370,8 @@ SCENARIOS["smq_flow"] = SCENARIOS["move_away_1"]
 
 
 def get_scenario(name: str) -> Scenario:
+    """The catalog entry for ``name``.  An alias returns the scenario it
+    names, so its errors carry that scenario's name."""
     try:
         return SCENARIOS[name]
     except KeyError:
@@ -406,7 +407,5 @@ def run_batch(specs: list[RunSpec], max_workers: int | None = None) -> list[Traj
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
             return list(pool.map(_run_one, specs))
-    except OSError as exc:  # no process pool here; a crashed worker propagates
-        log.warning("process pool unavailable (%s); running %d specs serially",
-                    exc, len(specs))
+    except OSError:  # no process pool here; a crashed worker propagates
         return [_run_one(s) for s in specs]

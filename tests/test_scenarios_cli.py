@@ -57,12 +57,15 @@ class TestCatalog:
         assert SCENARIOS["move_away_n"] is SCENARIOS["sphere_packing"]
         assert SCENARIOS["smq_flow"] is SCENARIOS["move_away_1"]
 
-    def test_runner_receives_the_built_model(self):
-        tr = get_scenario("consensus").simulate([0.0, 1.0, 2.0, 3.0], 0.01,
-                                                overrides={"n": 4})
-        assert tr.dim == 4
-        with pytest.raises(ModelError):
-            get_scenario("consensus").simulate([0.0, 1.0, 2.0, 3.0], 0.01)
+    @pytest.mark.parametrize("x0", [[0.0, 1.0], [0.0, 1.0, 5.0, 7.0]])
+    def test_consensus_sizes_its_path_from_x0(self, x0, tmp_path):
+        tr = get_scenario("consensus").simulate(x0, 0.01)
+        assert tr.dim == len(x0)
+        out = tmp_path / "c.csv"
+        code, text = run_cli("simulate", "--scenario", "consensus", "--t-end", "0.01",
+                             "--x0", ",".join(map(str, x0)), "--out", str(out))
+        assert code == 0
+        assert len(json.loads(text)["final_state"]) == len(x0)
 
 
 class TestBatch:
