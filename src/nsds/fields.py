@@ -280,7 +280,7 @@ class ControlField:
         return np.asarray(self.dynamics(x, u), dtype=float)
 
 
-def control_inclusion(C: ControlField, x, control_set: Polytope | None = None) -> Polytope:
+def control_inclusion(C: ControlField, x) -> Polytope:
     """Hull of the directions reachable at x with inputs from the control set.
 
     Exact when the dynamics are affine in the input, because the image of a
@@ -288,9 +288,8 @@ def control_inclusion(C: ControlField, x, control_set: Polytope | None = None) -
     """
     if not C.affine_in_control:
         raise UnsupportedError("control inclusion needs input-affine dynamics")
-    U = C.control_set if control_set is None else control_set
     x = np.asarray(x, dtype=float)
-    verts = np.array([C.value(x, u) for u in U.vertices])
+    verts = np.array([C.value(x, u) for u in C.control_set.vertices])
     return Polytope(verts)
 
 

@@ -179,8 +179,10 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
 
 
 def _simplex_iterate(T, basis, n_vars, tol, max_iter) -> str:
+    """Pivot until optimal or unbounded; more than max_iter pivots raise."""
     m = len(basis)
-    for _ in range(max_iter):
+    pivots = 0
+    while True:
         entering = -1
         for j in range(n_vars):  # Bland: smallest eligible index
             if T[m, j] < -tol:
@@ -196,8 +198,10 @@ def _simplex_iterate(T, basis, n_vars, tol, max_iter) -> str:
             return UNBOUNDED
         best = min(r for r, _, _ in ratios)
         leaving = min(i for r, bi, i in ratios if r <= best + tol)
+        if pivots == max_iter:
+            raise SolverError("simplex iteration limit reached")
         _pivot(T, basis, leaving, entering)
-    raise SolverError("simplex iteration limit reached")
+        pivots += 1
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .fields import (
     filippov_set,
     sliding_field,
 )
-from .geometry import OPTIMAL, least_norm, solve_lp
+from .geometry import least_norm
 from .nonsmooth import Graph, NsFunction, disagreement_function
 
 SURFACE_HIT = "SurfaceHit"
@@ -53,6 +53,11 @@ NO_PROGRESS = "NoProgress"
 # Consecutive steps without a new sample after which a run is abandoned: the
 # state is not converging, only cycling between phases at one time.
 NO_PROGRESS_STEPS = 100
+# Stall detection: Converged is declared once the average speed over this
+# many consecutive steps drops below conv_tol.
+STALL_WINDOW = 20
+# A slide ends once its tangency coefficient comes this close to 0 or 1.
+SLIDING_EXIT_MARGIN = 1e-6
 
 MODE_STOP = "STOP"
 
@@ -68,18 +73,14 @@ class Event:
 class IntegratorConfig:
     dt_max: float = 1e-3
     event_refine_tol: float = 1e-10
-    sliding_exit_margin: float = 1e-6
     max_steps: int = 2_000_000
-    # Stall detection: Converged is declared once the average speed over
-    # stall_window consecutive steps drops below conv_tol.
     conv_tol: float = 1e-8
-    stall_window: int = 20
 
     def __post_init__(self):
-        for name in ("dt_max", "event_refine_tol", "sliding_exit_margin", "conv_tol"):
+        for name in ("dt_max", "event_refine_tol", "conv_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_steps <= 0 or self.stall_window <= 1:
+        if self.max_steps <= 0:
             raise ValueError("bad step limits")
 
 
@@ -389,7 +390,7 @@ class _FilippovRun:
                 stopped = self._surface_phase(active[0], h)
             else:
                 stopped = self._least_norm_phase(active)
-        if not stopped and self.b.stalled(cfg.stall_window, cfg.conv_tol):
+        if not stopped and self.b.stalled(STALL_WINDOW, cfg.conv_tol):
             detail = "stall window" if self.sliding is None else "sliding stall"
             self.b.event(CONVERGED, detail)
             stopped = True
@@ -456,10 +457,10 @@ class _FilippovRun:
             self._exit_slide(i, "tangency lost")
             return
         lam = res.lam
-        if lam <= cfg.sliding_exit_margin or lam >= 1.0 - cfg.sliding_exit_margin:
+        if lam <= SLIDING_EXIT_MARGIN or lam >= 1.0 - SLIDING_EXIT_MARGIN:
             self._exit_slide(i, f"lambda={lam:.3g}")
             sigma = list(self._strict_sigma(x))
-            sigma[i] = -1 if lam <= cfg.sliding_exit_margin else 1
+            sigma[i] = -1 if lam <= SLIDING_EXIT_MARGIN else 1
             self._regular_phase(h, forced_sigma=tuple(sigma), skip_surface=(i,))
             return
         # Clamp the step to land just before the first predicted crossing
@@ -600,7 +601,6 @@ def integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: flo
     _check_start(x, t_end)
     b = _Builder(0.0, x, "R:")
     radius = 5.0 * cfg.dt_max
-    window = cfg.stall_window
     v = v_fn(x)
 
     def step(h: float) -> bool:
@@ -618,8 +618,8 @@ def integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: flo
         if float(np.linalg.norm(v)) <= max(cfg.conv_tol, 1e-12):
             b.event(CONVERGED, "flow direction vanished")
             return True
-        if len(b.times) > window:
-            recent = np.array(b.states[-window:])
+        if len(b.times) > STALL_WINDOW:
+            recent = np.array(b.states[-STALL_WINDOW:])
             center = recent.mean(axis=0)
             if float(np.max(np.linalg.norm(recent - center, axis=1))) <= radius:
                 b.event(CONVERGED, "oscillation window")
@@ -700,28 +700,16 @@ def sign_consensus_field(G: Graph) -> PiecewiseField:
         raise ModelError("explicit sign-cell enumeration is limited to 12 agents")
     L = G.laplacian()
     switches = [SwitchingSurface.affine(L[i], 0.0, name=f"(Lp){i + 1}") for i in range(n)]
+    components = G.components()
     cells = {}
     for sigma in itertools.product((-1, 1), repeat=n):
-        if _sign_cell_nonempty(L, sigma):
+        # L p sums to zero over each connected component and is otherwise
+        # free, so {p : sigma_i (L p)_i > 0} is nonempty exactly when every
+        # component takes both signs.
+        if all(len({sigma[i] for i in comp}) == 2 for comp in components):
             v = -np.array(sigma, dtype=float)
             cells[sigma] = (lambda vec: (lambda p: vec.copy()))(v)
     return PiecewiseField(n, switches, cells, name="sign_consensus")
-
-
-def _sign_cell_nonempty(L: np.ndarray, sigma) -> bool:
-    """Strict feasibility of {p : sigma_i (L p)_i > 0}, decided by LP with
-    the normalization sigma_i (L p)_i >= 1."""
-    n = L.shape[0]
-    # Variables: p+ (n), p- (n), slack (n).
-    A = np.zeros((n, 3 * n))
-    for i in range(n):
-        row = sigma[i] * L[i]
-        A[i, :n] = row
-        A[i, n : 2 * n] = -row
-        A[i, 2 * n + i] = -1.0
-    b = np.ones(n)
-    res = solve_lp(np.zeros(3 * n), A, b)
-    return res.status == OPTIMAL
 
 
 def consensus_flow(G: Graph, variant: str, p0, t_end: float,
@@ -815,8 +803,12 @@ def sample_and_hold(C: ControlField, feedback: Callable[[float, np.ndarray], np.
 # ---------------------------------------------------------------------------
 
 
+# Trailing samples kept (evenly thinned) for the pairwise limit-set clustering.
+LIMIT_SET_POINTS = 400
+
+
 def limit_set_estimate(tr: Trajectory, tail_fraction: float,
-                       radius: float = 1e-4, max_points: int = 400) -> np.ndarray:
+                       radius: float = 1e-4) -> np.ndarray:
     """Cluster representatives (single linkage) of the trailing samples: a
     numerical estimate of the positive limit set."""
     if not 0 < tail_fraction <= 1:
@@ -826,8 +818,8 @@ def limit_set_estimate(tr: Trajectory, tail_fraction: float,
     tail = tr.states[start:]
     if tail.shape[0] < 10:
         raise ValueError("trajectory tail too short for a limit-set estimate")
-    if tail.shape[0] > max_points:
-        idx = np.linspace(0, tail.shape[0] - 1, max_points).astype(int)
+    if tail.shape[0] > LIMIT_SET_POINTS:
+        idx = np.linspace(0, tail.shape[0] - 1, LIMIT_SET_POINTS).astype(int)
         tail = tail[idx]
     m = tail.shape[0]
     parent = list(range(m))

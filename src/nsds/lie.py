@@ -81,32 +81,24 @@ class LieInterval:
         return self.lo - tol <= a <= self.hi + tol
 
 
-def set_lie_derivative(Fset: Polytope, grad: Polytope, *, pivot_tol: float = 1e-10) -> LieInterval:
+def set_lie_derivative(Fset: Polytope, grad: Polytope) -> LieInterval:
     """Interval of values a for which some v in Fset has zeta . v = a for
     every zeta in the gradient polytope.
 
     The feasible v form the slice of Fset where all gradient differences are
     orthogonal; the interval endpoints come from two LPs over the slice in
-    convex-combination coordinates.  Gradient vertex differences are reduced
-    to an independent set first, so duplicated vertices are harmless.
+    convex-combination coordinates.  Duplicated or dependent gradient
+    vertices give redundant equality rows, which the simplex drops.
     """
     if Fset.is_empty or grad.is_empty:
         raise EmptySetError("set_lie_derivative needs nonempty polytopes")
     if Fset.dim != grad.dim:
         raise DimensionMismatchError("field and gradient dimensions differ")
-    zeta0 = grad.vertices[0]
-    diffs = grad.vertices[1:] - zeta0
-    rows = _independent_rows(diffs, pivot_tol)
-
     V = Fset.vertices
-    k = V.shape[0]
-    n_eq = 1 + len(rows)
-    A = np.zeros((n_eq, k))
-    b = np.zeros(n_eq)
-    A[0, :] = 1.0
+    zeta0 = grad.vertices[0]
+    A = np.vstack([np.ones(V.shape[0]), (grad.vertices[1:] - zeta0) @ V.T])
+    b = np.zeros(A.shape[0])
     b[0] = 1.0
-    for r, row in enumerate(rows):
-        A[1 + r, :] = V @ row
     w = V @ zeta0
 
     lo_res = solve_lp(w, A, b)
@@ -116,31 +108,6 @@ def set_lie_derivative(Fset: Polytope, grad: Polytope, *, pivot_tol: float = 1e-
     if lo_res.status != OPTIMAL or hi_res.status != OPTIMAL:  # pragma: no cover
         raise SolverError("Lie-derivative LP failed")
     return LieInterval.closed(lo_res.value, -hi_res.value)
-
-
-def _independent_rows(M: np.ndarray, pivot_tol: float) -> list[np.ndarray]:
-    """Row-reduce M and keep the numerically independent rows."""
-    if M.size == 0:
-        return []
-    work = M.astype(float).copy()
-    scale = max(1.0, float(np.max(np.abs(work))))
-    out: list[np.ndarray] = []
-    cols = work.shape[1]
-    row_idx = 0
-    for col in range(cols):
-        if row_idx >= work.shape[0]:
-            break
-        pivots = np.abs(work[row_idx:, col])
-        best = int(np.argmax(pivots)) + row_idx
-        if np.abs(work[best, col]) <= pivot_tol * scale:
-            continue
-        work[[row_idx, best]] = work[[best, row_idx]]
-        for r in range(work.shape[0]):
-            if r != row_idx:
-                work[r] -= work[r, col] / work[row_idx, col] * work[row_idx]
-        out.append(M[0] * 0 + work[row_idx])  # copy of the reduced row
-        row_idx += 1
-    return out
 
 
 def lower_upper_lie(Fset: Polytope, prox) -> tuple[LieInterval, LieInterval]:
@@ -263,10 +230,69 @@ class StabilityReport:
 
 FieldSource = Callable[[np.ndarray], Polytope]
 
+# Per theorem: the Lie set whose supremum is bounded (``gradient``: the
+# set-valued Lie derivative of the generalized gradient; ``lower``/``upper``:
+# the lower/upper Lie derivative of the proximal subdifferential), whether
+# the positivity clause applies, whether the bound is strict off the
+# equilibrium, and the clause a failed bound reports.
+_CHECKS = {
+    "thm1": ("gradient", True, False, "lie-bound"),
+    "thm1p": ("gradient", True, True, "lie-bound"),
+    "thm3": ("upper", True, False, "lie-bound"),
+    "thm3p": ("upper", True, True, "lie-bound"),
+    "prop13w": ("lower", False, False, "lie-positive"),
+    "prop13s": ("upper", False, False, "lie-positive"),
+}
 
-def _upper_lie_sup(prox: Polytope, Fset: Polytope) -> float:
-    """sup of the upper Lie set: support maximized over prox vertices."""
+
+def _lie_sup(lie_set: str, f: NsFunction, F: FieldSource, x: np.ndarray) -> float | str:
+    """Supremum of the Lie set at x, or the name of the clause that blocks
+    it.  An empty proximal subdifferential gives sup(empty) = -inf."""
+    if lie_set == "gradient":
+        gr = f.gradient(x)
+        if not gr.exact:
+            return "gradient-inexact"
+        return set_lie_derivative(F(x), gr.polytope).max_value()
+    prox = f.proximal(x)
+    if prox is UNSUPPORTED or prox is ALL_SPACE:
+        return "proximal-unavailable"
+    if prox.is_empty:
+        return -math.inf
+    Fset = F(x)
+    if lie_set == "lower":
+        return maximin_value(prox, Fset)
     return max(support(Fset, zeta) for zeta in prox.vertices)
+
+
+def _sweep(theorem: str, f: NsFunction, F: FieldSource, region: GridSpec, *,
+           tol: float, margin: float = 0.0, x_e: np.ndarray | None = None,
+           f0: float = 0.0, details: dict | None = None) -> StabilityReport:
+    """Check one theorem's clauses point by point; the first point that
+    fails or blocks a clause ends the sweep and is counted."""
+    lie_set, positivity, strict, bound_clause = _CHECKS[theorem]
+    details = details or {}
+    grid = region.describe()
+    checked = 0
+    worst, worst_at = -math.inf, None
+
+    def stop(verdict: str, clause: str, **extra) -> StabilityReport:
+        return StabilityReport(verdict, theorem, checked, witness=x.tolist(),
+                               failed_clause=clause, grid=grid, details={**details, **extra})
+
+    for x in region.points():
+        checked += 1
+        at_equilibrium = x_e is not None and bool(np.linalg.norm(x - x_e) <= 1e-12)
+        if positivity and not at_equilibrium and f.value(x) - f0 <= 0:
+            return stop(FALSIFIED, "positivity")
+        val = _lie_sup(lie_set, f, F, x)
+        if isinstance(val, str):
+            return stop(INCONCLUSIVE, val)
+        if not (val < -margin if strict and not at_equilibrium else val <= tol):
+            return stop(FALSIFIED, bound_clause, value=val)
+        if val > worst:
+            worst, worst_at = val, x.tolist()
+    return StabilityReport(CERTIFIED, theorem, checked, grid=grid, details={
+        **details, "max_value": None if worst_at is None else worst, "max_point": worst_at})
 
 
 def monotonicity_verdict(
@@ -292,26 +318,7 @@ def monotonicity_verdict(
     if kind == "strong" and not strong_hypotheses_ok:
         return StabilityReport(INCONCLUSIVE, theorem, 0,
                                details={"note": "strong hypotheses not asserted"})
-    checked = 0
-    for x in region.points():
-        prox = f.proximal(x)
-        if prox is UNSUPPORTED or prox is ALL_SPACE:
-            return StabilityReport(
-                INCONCLUSIVE, theorem, checked, witness=x.tolist(),
-                failed_clause="proximal-unavailable", grid=region.describe(),
-            )
-        checked += 1
-        if prox.is_empty:
-            continue  # sup(empty) = -inf passes vacuously
-        Fset = F(x)
-        val = maximin_value(prox, Fset) if kind == "weak" else _upper_lie_sup(prox, Fset)
-        if val > tol:
-            return StabilityReport(
-                FALSIFIED, theorem, checked, witness=x.tolist(),
-                failed_clause="lie-positive", grid=region.describe(),
-                details={"value": val},
-            )
-    return StabilityReport(CERTIFIED, theorem, checked, grid=region.describe())
+    return _sweep(theorem, f, F, region, tol=tol)
 
 
 _THEOREMS = ("thm1", "thm1p", "thm3", "thm3p")
@@ -339,49 +346,14 @@ def lyapunov_certify(
         raise ValueError(f"theorem must be one of {_THEOREMS}")
     x_e = np.asarray(x_e, dtype=float)
     f0 = f.value(x_e)
-    use_gradient = theorem.startswith("thm1")
-    strict = theorem.endswith("p")
     details: dict = {"offset": f0, "tol": tol, "margin": margin}
-    if use_gradient and not f.regular:
+    if _CHECKS[theorem][0] == "gradient" and not f.regular:
         return StabilityReport(
             INCONCLUSIVE, theorem, 0, failed_clause="regularity-not-established",
             grid=region.describe(), details=details,
         )
-    checked = 0
-    for x in region.points():
-        checked += 1
-        at_equilibrium = bool(np.linalg.norm(x - x_e) <= 1e-12)
-        if not at_equilibrium and f.value(x) - f0 <= 0:
-            return StabilityReport(
-                FALSIFIED, theorem, checked, witness=x.tolist(),
-                failed_clause="positivity", grid=region.describe(), details=details,
-            )
-        if use_gradient:
-            gr = f.gradient(x)
-            if not gr.exact:
-                return StabilityReport(
-                    INCONCLUSIVE, theorem, checked, witness=x.tolist(),
-                    failed_clause="gradient-inexact", grid=region.describe(),
-                    details=details,
-                )
-            val = set_lie_derivative(F(x), gr.polytope).max_value()
-        else:
-            prox = f.proximal(x)
-            if prox is UNSUPPORTED or prox is ALL_SPACE:
-                return StabilityReport(
-                    INCONCLUSIVE, theorem, checked, witness=x.tolist(),
-                    failed_clause="proximal-unavailable", grid=region.describe(),
-                    details=details,
-                )
-            val = -math.inf if prox.is_empty else _upper_lie_sup(prox, F(x))
-        bound_ok = (val <= tol) if (not strict or at_equilibrium) else (val < -margin)
-        if not bound_ok:
-            return StabilityReport(
-                FALSIFIED, theorem, checked, witness=x.tolist(),
-                failed_clause="lie-bound", grid=region.describe(),
-                details={**details, "value": val},
-            )
-    return StabilityReport(CERTIFIED, theorem, checked, grid=region.describe(), details=details)
+    return _sweep(theorem, f, F, region, tol=tol, margin=margin, x_e=x_e, f0=f0,
+                  details=details)
 
 
 def invariance_candidate_set(
@@ -389,30 +361,16 @@ def invariance_candidate_set(
     F: FieldSource,
     region: GridSpec,
     tol: float = 1e-8,
-    *,
-    use_upper: bool = False,
 ) -> np.ndarray:
-    """Sampled points where 0 belongs to the (upper) set-valued Lie derivative.
+    """Sampled points where 0 belongs to the set-valued Lie derivative.
 
     This is the candidate convergence locus of the invariance principle;
     trajectory limit sets should be intersected with it by the caller.
     """
     hits = []
     for x in region.points():
-        if use_upper:
-            prox = f.proximal(x)
-            if prox is UNSUPPORTED or prox is ALL_SPACE:
-                continue
-            if prox.is_empty:
-                continue
-            _, upper = lower_upper_lie(F(x), prox)
-            interval = upper
-        else:
-            gr = f.gradient(x)
-            if not gr.exact:
-                continue
-            interval = set_lie_derivative(F(x), gr.polytope)
-        if interval.contains(0.0, tol):
+        gr = f.gradient(x)
+        if gr.exact and set_lie_derivative(F(x), gr.polytope).contains(0.0, tol):
             hits.append(x)
     if not hits:
         return np.zeros((0, region.dim))

@@ -301,12 +301,11 @@ class Product(NsFunction):
 
 
 class Quotient(NsFunction):
-    def __init__(self, f1: NsFunction, f2: NsFunction, *, denom_tol: float = 1e-12):
+    def __init__(self, f1: NsFunction, f2: NsFunction):
         if f1.dim != f2.dim:
             raise DimensionMismatchError("quotient terms live in different dimensions")
         self.f1, self.f2 = f1, f2
         self.dim = f1.dim
-        self.denom_tol = denom_tol
         self.smooth = f1.smooth and f2.smooth
         self.c2 = f1.c2 and f2.c2
         self.regular = False
@@ -314,7 +313,7 @@ class Quotient(NsFunction):
 
     def _denominator(self, x) -> float:
         v2 = self.f2.value(x)
-        if abs(v2) <= self.denom_tol:
+        if abs(v2) <= 1e-12:
             raise SingularityError(f"denominator of {self.name} vanishes at {np.asarray(x).tolist()}")
         return v2
 
@@ -576,12 +575,12 @@ def smq(Q: ConvexPolygon, p) -> float:
     return Q.boundary_distance(np.asarray(p, dtype=float))
 
 
-def smq_gradient(Q: ConvexPolygon, p, tie_tol: float | None = None) -> Polytope:
+def smq_gradient(Q: ConvexPolygon, p) -> Polytope:
     """Hull of the inward unit normals of the edges nearest to p."""
     p = np.asarray(p, dtype=float)
     dists = [Q.edge_distance(p, i) for i in range(Q.n_edges)]
     low = min(dists)
-    tol = tie_tolerance(low) if tie_tol is None else tie_tol
+    tol = tie_tolerance(low)
     normals = [Q.inward_normal(i) for i, d in enumerate(dists) if d <= low + tol]
     return Polytope(np.array(normals))
 
@@ -642,20 +641,31 @@ class Graph:
             L[j, i] -= 1.0
         return L
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
+    def components(self) -> list[list[int]]:
+        """Vertex lists of the connected components, in order of their
+        smallest vertex."""
         adj = {i: [] for i in range(self.n)}
         for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
-        seen, stack = {0}, [0]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == self.n
+        seen: set[int] = set()
+        out = []
+        for root in range(self.n):
+            if root in seen:
+                continue
+            seen.add(root)
+            comp, stack = [root], [root]
+            while stack:
+                for nb in adj[stack.pop()]:
+                    if nb not in seen:
+                        seen.add(nb)
+                        comp.append(nb)
+                        stack.append(nb)
+            out.append(comp)
+        return out
+
+    def is_connected(self) -> bool:
+        return len(self.components()) <= 1
 
 
 def disagreement(G: Graph, p) -> float:

@@ -88,6 +88,43 @@ def maximin_lp_oracle(A: Polytope, B: Polytope) -> float:
     return float(res.x[-1])
 
 
+def set_lie_lp_oracle(Fset: Polytope, grad: Polytope) -> tuple[float, float] | None:
+    """Endpoints of the set-valued Lie derivative via scipy's HiGHS LP, or
+    None when it is empty.  Variables: convex weights lambda over Fset's
+    vertices and the common value a, with zeta . (V^T lambda) = a for every
+    gradient vertex zeta; no gradient differences are formed."""
+    M = grad.vertices @ Fset.vertices.T
+    ng, nf = M.shape
+    A_eq = np.zeros((ng + 1, nf + 1))
+    A_eq[:ng, :nf] = M
+    A_eq[:ng, -1] = -1.0
+    A_eq[ng, :nf] = 1.0
+    b_eq = np.zeros(ng + 1)
+    b_eq[-1] = 1.0
+    bounds = [(0, None)] * nf + [(None, None)]
+    ends = []
+    for sense in (1.0, -1.0):
+        c = np.zeros(nf + 1)
+        c[-1] = sense
+        res = scipy.optimize.linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+        if res.status == 2:  # infeasible
+            return None
+        assert res.success, res.message
+        ends.append(float(res.x[-1]))
+    return ends[0], ends[1]
+
+
+def sign_cell_lp_oracle(L: np.ndarray, sigma) -> bool:
+    """Whether {p : sigma_i (L p)_i > 0 for all i} is nonempty, via scipy's
+    HiGHS LP on the scaled system sigma_i (L p)_i >= 1 with p free."""
+    n = L.shape[0]
+    A_ub = -np.asarray(sigma, dtype=float)[:, None] * L
+    res = scipy.optimize.linprog(np.zeros(n), A_ub=A_ub, b_ub=-np.ones(n),
+                                 bounds=[(None, None)] * n, method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
 def maximin_grid_search(A: Polytope, B: Polytope, per_dim: int = 200) -> float:
     """Literal grid search: axis-aligned grid over A's bounding box (plus A's
     vertices), feasibility by weight fitting, payoff min over B's vertices.

@@ -275,6 +275,13 @@ def test_lp_iteration_limit_raises_solver_error():
         solve_lp([1.0, 1.0], A, b, max_iter=1)
 
 
+def test_lp_iteration_limit_counts_pivots():
+    # The two phase-1 pivots reach the optimum, so a limit of two suffices.
+    res = solve_lp([1.0, 1.0], np.eye(2), [1.0, 1.0], max_iter=2)
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(2.0)
+
+
 def test_convex_polygon_validation():
     with pytest.raises(ValueError):
         ConvexPolygon([[0, 0], [1, 0]])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from nsds.scenarios import (
 )
 from nsds.fields import ControlField
 
-from helpers import move_away_direction_loop
+from helpers import move_away_direction_loop, sign_cell_lp_oracle
 
 
 def neg_sign_field():
@@ -82,7 +83,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(dt_max=0.0)
         with pytest.raises(ValueError):
-            IntegratorConfig(stall_window=1)
+            IntegratorConfig(max_steps=0)
 
     def test_partition_schedule(self):
         sched = PartitionSchedule.uniform(0.0, 1.0, 4)
@@ -284,6 +285,25 @@ class TestConsensus:
         assert (1, 1, 1) not in F.cells
         assert (-1, -1, -1) not in F.cells
         assert len(F.cells) == 6
+
+    def test_sign_cells_against_external_lp(self):
+        # Every graph on at most 4 vertices, plus path, complete and
+        # two-component graphs on 6.  A graph with an isolated agent has no
+        # nonempty cell and so no piecewise model.
+        graphs = [Graph.path(6), Graph.complete(6), Graph(6, ((0, 1), (1, 2), (3, 4), (4, 5)))]
+        for n in range(1, 5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(2 ** len(pairs)):
+                graphs.append(Graph(n, tuple(e for k, e in enumerate(pairs) if mask >> k & 1)))
+        for G in graphs:
+            L = G.laplacian()
+            expected = {s for s in itertools.product((-1, 1), repeat=G.n)
+                        if sign_cell_lp_oracle(L, s)}
+            if not expected:
+                with pytest.raises(ModelError):
+                    sign_consensus_field(G)
+                continue
+            assert set(sign_consensus_field(G).cells) == expected, G
 
 
 class TestSampleAndHold:

@@ -16,10 +16,17 @@ from nsds.lie import (
     monotonicity_verdict,
     set_lie_derivative,
 )
-from nsds.nonsmooth import ALL_SPACE, half_square_atom, make_function
+from nsds.nonsmooth import (
+    ALL_SPACE,
+    UNSUPPORTED,
+    GradientResult,
+    NsFunction,
+    half_square_atom,
+    make_function,
+)
 from nsds.scenarios import cart_input_field, get_scenario
 
-from helpers import maximin_lp_oracle
+from helpers import maximin_lp_oracle, set_lie_lp_oracle
 
 
 class TestLieInterval:
@@ -75,6 +82,28 @@ class TestSetLieDerivative:
     def test_empty_inputs_rejected(self):
         with pytest.raises(EmptySetError):
             set_lie_derivative(Polytope.empty(1), Polytope([[1.0]]))
+
+    def test_dependent_gradient_vertices_against_external_lp(self):
+        # Gradient vertices on a lower-dimensional affine subspace, plus a
+        # duplicate, give redundant equality rows that the simplex must drop.
+        rng = np.random.default_rng(11)
+        nonempty = 0
+        for _ in range(300):
+            d = int(rng.integers(1, 4))
+            r = int(rng.integers(0, d))  # affine dimension of the gradient set
+            m = int(rng.integers(r + 2, r + 5))  # more than r + 1 vertices
+            rows = rng.uniform(-1, 1, d) + rng.uniform(-1, 1, (m, r)) @ rng.uniform(-1, 1, (r, d))
+            rows = rng.permutation(np.vstack([rows, rows[rng.integers(m)]]))
+            grad = Polytope(rows)
+            Fset = Polytope(rng.uniform(-1, 1, (int(rng.integers(1, 6)), d)))
+            iv = set_lie_derivative(Fset, grad)
+            ref = set_lie_lp_oracle(Fset, grad)
+            assert iv.is_empty == (ref is None)
+            if ref is not None:
+                nonempty += 1
+                assert iv.lo == pytest.approx(ref[0], abs=1e-8)
+                assert iv.hi == pytest.approx(ref[1], abs=1e-8)
+        assert 50 <= nonempty <= 250  # both outcomes are exercised
 
 
 class TestLowerUpperLie:
@@ -164,6 +193,16 @@ class TestMonotonicity:
         rep = monotonicity_verdict("weak", f, source, grid)
         assert rep.verdict == "certified"
         assert rep.checked_points == 441
+        assert rep.details["max_value"] <= 1e-9
+        assert len(rep.details["max_point"]) == 2
+
+    def test_vacuous_sweep_has_no_worst_point(self):
+        # The proximal subdifferential is empty on the whole line x1 = 0.
+        f = make_function("cart_lyapunov")
+        source = lambda x: Polytope([cart_input_field(x)])
+        rep = monotonicity_verdict("weak", f, source, GridSpec.parse("0:0:1,-1:1:5"))
+        assert (rep.verdict, rep.checked_points) == ("certified", 5)
+        assert rep.details == {"max_value": None, "max_point": None}
 
     def test_oscillator_energy_strong_certified_off_axis(self):
         osc = get_scenario("oscillator").build()
@@ -202,6 +241,21 @@ class TestLyapunovCertify:
                                [0.0, 0.0], GridSpec.parse("-1:1:21,-1:1:21"))
         assert rep.verdict == "certified"
         assert rep.checked_points == 441
+
+    def test_certified_report_states_worst_margin(self):
+        osc = get_scenario("oscillator").build()
+        f = make_function("energy_oscillator")
+        source = lambda x: filippov_set(osc, x)
+        grid = GridSpec.parse("-1:1:21,-1:1:21")
+        rep = lyapunov_certify("thm1", f, source, [0.0, 0.0], grid)
+        worst, at = -math.inf, None
+        for x in grid.points():
+            val = set_lie_derivative(source(x), f.gradient(x).polytope).max_value()
+            if val > worst:
+                worst, at = val, x.tolist()
+        assert rep.verdict == "certified"
+        assert rep.details["max_value"] == worst <= rep.details["tol"]
+        assert rep.details["max_point"] == at
 
     def test_dissipative_thm1p_off_axes(self):
         dis = get_scenario("oscillator_dissipative").build()
@@ -247,6 +301,42 @@ class TestLyapunovCertify:
                                [0.0, 0.0], GridSpec.parse("-0.5:0.5:3,-0.5:0.5:3"))
         assert rep.verdict == "inconclusive"
         assert rep.failed_clause == "regularity-not-established"
+
+
+class _Blocked(NsFunction):
+    """Regular and positive off the origin, with neither an exact gradient
+    nor a proximal subdifferential anywhere."""
+
+    dim = 1
+    regular = True
+
+    def value(self, x):
+        return float(x[0] ** 2)
+
+    def gradient(self, x):
+        return GradientResult(Polytope([[2.0 * x[0]], [-1.0]]), exact=False)
+
+    def proximal(self, x):
+        return UNSUPPORTED
+
+
+@pytest.mark.parametrize("theorem, clause", [
+    ("thm1", "gradient-inexact"),
+    ("thm1p", "gradient-inexact"),
+    ("thm3", "proximal-unavailable"),
+    ("thm3p", "proximal-unavailable"),
+    ("prop13w", "proximal-unavailable"),
+    ("prop13s", "proximal-unavailable"),
+])
+def test_blocked_point_ends_the_sweep_and_is_counted(theorem, clause):
+    f, source, grid = _Blocked(), lambda x: Polytope([-x]), GridSpec.parse("0.5:1:3")
+    if theorem.startswith("prop13"):
+        kind = "weak" if theorem == "prop13w" else "strong"
+        rep = monotonicity_verdict(kind, f, source, grid)
+    else:
+        rep = lyapunov_certify(theorem, f, source, [0.0], grid)
+    assert (rep.verdict, rep.theorem, rep.checked_points) == ("inconclusive", theorem, 1)
+    assert (rep.failed_clause, rep.witness) == (clause, [0.5])
 
 
 class TestDescentFlowNegativity:

@@ -298,6 +298,8 @@ class TestGraphsAndPacking:
             Graph(2, ((0, 2),))
         assert Graph.path(4).is_connected()
         assert not Graph(3, ((0, 1),)).is_connected()
+        assert Graph(5, ((3, 4), (0, 1))).components() == [[0, 1], [2], [3, 4]]
+        assert Graph(0, ()).components() == [] and Graph(0, ()).is_connected()
 
     def test_hsp_examples(self):
         assert hsp(SQUARE, [[0.0, 0.0]]) == pytest.approx(1.0)

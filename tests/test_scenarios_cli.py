@@ -259,11 +259,12 @@ class TestCli:
         # Neither a run-config key nor a flag outside the integrator's
         # settings ends in a traceback.
         cfg_file = tmp_path / "run.json"
-        cfg_file.write_text(json.dumps({"scenario": "brick", "x0": [1.0], "t_end": 0.1,
-                                        "cfg": {"rk_order": 4}}))
         out = str(tmp_path / "never.csv")
-        assert main(["simulate", "--config", str(cfg_file), "--out", out]) == 1
-        assert "rk_order" in capsys.readouterr().err
+        for key, value in (("rk_order", 4), ("stall_window", 20), ("sliding_exit_margin", 1e-6)):
+            cfg_file.write_text(json.dumps({"scenario": "brick", "x0": [1.0], "t_end": 0.1,
+                                            "cfg": {key: value}}))
+            assert main(["simulate", "--config", str(cfg_file), "--out", out]) == 1
+            assert key in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--scenario", "brick", "--x0", "1", "--t-end", "0.1",
                   "--out", out, "--seed", "3"])
