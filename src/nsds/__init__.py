@@ -81,6 +81,6 @@ from .nonsmooth import (
     smq,
     smq_gradient,
 )
-from .scenarios import SCENARIOS, RunSpec, Scenario, get_scenario, run_batch
+from .scenarios import SCENARIOS, Scenario, get_scenario
 
 __version__ = "0.1.0"

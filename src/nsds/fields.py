@@ -27,6 +27,7 @@ from .errors import (
 from .geometry import Polytope
 
 SignVector = tuple[int, ...]
+CellField = Callable[[np.ndarray], np.ndarray]
 
 CONTINUITY = "continuity"
 CROSSING = "crossing"
@@ -68,28 +69,34 @@ def default_active_tol(x: np.ndarray) -> float:
 class PiecewiseField:
     """Vector field that is smooth on each sign cell of the switching functions.
 
-    ``cells`` maps sign vectors in {-1, +1}^m to callables x -> R^d.  Empty
-    cells are simply not declared.  ``m = 0`` (no switches, one cell keyed by
-    the empty tuple) models a globally smooth field.
+    ``cells`` maps sign vectors in {-1, +1}^m to callables x -> R^d, or is a
+    rule ``sigma -> callable | None`` that returns None for an empty cell.
+    Empty cells are simply not declared.  ``m = 0`` (no switches, one cell
+    keyed by the empty tuple) models a globally smooth field.  ``cell`` is
+    the one lookup; :meth:`cell_value` and :meth:`adjacent_cells` are its
+    only readers.
     """
 
     def __init__(
         self,
         dim: int,
         switches: list[SwitchingSurface],
-        cells: Mapping[SignVector, Callable[[np.ndarray], np.ndarray]],
+        cells: Mapping[SignVector, CellField] | Callable[[SignVector], CellField | None],
         name: str = "",
     ):
         self.dim = dim
         self.switches = list(switches)
-        self.cells = {tuple(k): v for k, v in cells.items()}
         self.name = name
-        m = len(self.switches)
-        for k in self.cells:
-            if len(k) != m or any(s not in (-1, 1) for s in k):
-                raise ModelError(f"bad sign vector {k} for {m} switching functions")
-        if not self.cells:
-            raise ModelError("a piecewise field needs at least one declared cell")
+        if isinstance(cells, Mapping):
+            m = len(self.switches)
+            table = {tuple(k): v for k, v in cells.items()}
+            for k in table:
+                if len(k) != m or any(s not in (-1, 1) for s in k):
+                    raise ModelError(f"bad sign vector {k} for {m} switching functions")
+            if not table:
+                raise ModelError("a piecewise field needs at least one declared cell")
+            cells = table.get
+        self.cell: Callable[[SignVector], CellField | None] = cells
 
     @property
     def n_switches(self) -> int:
@@ -109,11 +116,19 @@ class PiecewiseField:
         return tuple(1 if gi > tol else (-1 if gi < -tol else 0) for gi in g)
 
     def cell_value(self, sigma: SignVector, x: np.ndarray) -> np.ndarray:
-        try:
-            fn = self.cells[tuple(sigma)]
-        except KeyError:
-            raise ModelError(f"no declared cell for sign vector {sigma}") from None
+        fn = self.cell(tuple(sigma))
+        if fn is None:
+            raise ModelError(f"no declared cell for sign vector {sigma}")
         return np.asarray(fn(np.asarray(x, dtype=float)), dtype=float)
+
+    def adjacent_cells(self, sigma: SignVector) -> list[SignVector]:
+        """Declared cells that border the face ``sigma`` (0 on the active
+        surfaces): its completions by -1/+1 in lexicographic order."""
+        if 0 not in sigma:  # off every surface: the cell itself, if declared
+            sigma = tuple(sigma)
+            return [sigma] if self.cell(sigma) is not None else []
+        sides = [(-1, 1) if s == 0 else (s,) for s in sigma]
+        return [c for c in itertools.product(*sides) if self.cell(c) is not None]
 
     def value(self, x: np.ndarray, tol: float | None = None) -> np.ndarray:
         """One-sided field value at x using the strict sign vector.
@@ -146,40 +161,25 @@ def filippov_set(F: PiecewiseField, x, tol: float | None = None) -> Polytope:
     x = np.asarray(x, dtype=float)
     if x.shape[0] != F.dim:
         raise DimensionMismatchError("point dimension mismatch")
-    tol = default_active_tol(x) if tol is None else tol
-    g = F.switch_values(x)
-    active = [i for i in range(len(g)) if abs(g[i]) <= tol]
-    fixed = {i: (1 if g[i] > 0 else -1) for i in range(len(g)) if i not in active}
-    if not active:
-        sigma = tuple(fixed[i] for i in range(len(g)))
-        return Polytope([F.cell_value(sigma, x)])
-    verts = []
-    for combo in itertools.product((-1, 1), repeat=len(active)):
-        sigma = [0] * len(g)
-        for i, s in fixed.items():
-            sigma[i] = s
-        for i, s in zip(active, combo):
-            sigma[i] = s
-        sigma = tuple(sigma)
-        if sigma in F.cells:
-            verts.append(F.cell_value(sigma, x))
-    if not verts:
+    cells = F.adjacent_cells(F.sign_vector(x, tol))
+    if not cells:
         raise ModelError(f"no declared cell adjacent to x={x.tolist()}")
-    return Polytope(np.array(verts))
+    return Polytope(np.array([F.cell_value(sigma, x) for sigma in cells]))
 
 
-def _adjacent_cells(F: PiecewiseField, x: np.ndarray, i: int, tol: float):
-    """Sign vectors of the two cells separated by surface i at x."""
-    g = F.switch_values(x)
-    base = [1 if gj > 0 else -1 for gj in g]
-    lo = list(base)
-    hi = list(base)
-    lo[i] = -1
-    hi[i] = 1
-    lo, hi = tuple(lo), tuple(hi)
-    if lo not in F.cells or hi not in F.cells:
+def _sides(F: PiecewiseField, x: np.ndarray, i: int, tol: float):
+    """Values of the minus and plus cells separated by surface i at x, and
+    their components alpha, beta along the surface gradient."""
+    n = F.switches[i].grad(x)
+    if np.linalg.norm(n) <= tol:
+        raise DegenerateSurfaceError(f"switching gradient vanishes on surface {i}")
+    sigma = [1 if gj > 0 else -1 for gj in F.switch_values(x)]
+    sigma[i] = 0
+    cells = F.adjacent_cells(tuple(sigma))
+    if len(cells) != 2:
         raise ModelError(f"surface {i} does not separate two declared cells at {x.tolist()}")
-    return lo, hi
+    x_minus, x_plus = F.cell_value(cells[0], x), F.cell_value(cells[1], x)
+    return x_minus, x_plus, float(n @ x_minus), float(n @ x_plus)
 
 
 def classify_point(F: PiecewiseField, x, tol: float | None = None) -> SurfaceClassification:
@@ -200,12 +200,7 @@ def classify_point(F: PiecewiseField, x, tol: float | None = None) -> SurfaceCla
     if len(active) >= 2:
         return SurfaceClassification(TANGENT, tuple(active), witness)
     i = active[0]
-    n = F.switches[i].grad(x)
-    if np.linalg.norm(n) <= tol:
-        raise DegenerateSurfaceError(f"switching gradient vanishes on surface {i}")
-    lo, hi = _adjacent_cells(F, x, i, tol)
-    alpha = float(n @ F.cell_value(lo, x))
-    beta = float(n @ F.cell_value(hi, x))
+    _, _, alpha, beta = _sides(F, x, i, tol)
     if abs(alpha) <= tol or abs(beta) <= tol:
         kind = TANGENT
     elif alpha * beta > 0:
@@ -231,14 +226,7 @@ def sliding_field(F: PiecewiseField, x, i: int, tol: float | None = None) -> Sli
     """
     x = np.asarray(x, dtype=float)
     tol = default_active_tol(x) if tol is None else tol
-    n = F.switches[i].grad(x)
-    if np.linalg.norm(n) <= tol:
-        raise DegenerateSurfaceError(f"switching gradient vanishes on surface {i}")
-    lo, hi = _adjacent_cells(F, x, i, tol)
-    x_minus = F.cell_value(lo, x)
-    x_plus = F.cell_value(hi, x)
-    alpha = float(n @ x_minus)
-    beta = float(n @ x_plus)
+    x_minus, x_plus, alpha, beta = _sides(F, x, i, tol)
     scale = tol * (1.0 + abs(alpha) + abs(beta))
     if abs(alpha) <= scale and abs(beta) <= scale:
         # Both one-sided fields are already tangent; any weight works.

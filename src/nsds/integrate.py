@@ -14,13 +14,13 @@ coefficient leaves the unit interval; a vanishing least-norm selection stops
 the trajectory (an inclusion equilibrium).
 
 Determinism: one run is single-threaded and fully determined by its inputs
-and config. Batch fan-out lives in :mod:`nsds.scenarios`.
+and config.
 """
 
 from __future__ import annotations
 
+import functools
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -153,6 +153,8 @@ class Trajectory:
     @classmethod
     def from_csv(cls, text: str) -> "Trajectory":
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines or not lines[0].startswith("t,"):
+            raise ValueError("trajectory CSV needs a header line t,x1,...,mode,event")
         header = lines[0].split(",")
         d = len(header) - 3
         times, states, modes, events = [], [], [], []
@@ -418,16 +420,10 @@ class _FilippovRun:
             sigma[i] = dest
             self._regular_phase(h, forced_sigma=tuple(sigma), skip_surface=(i,))
         elif cls.kind == REPULSIVE:
-            lo = list(self._strict_sigma(self.b.x))
-            hi = list(lo)
-            lo[i], hi[i] = -1, 1
-            branch = None
-            for cand in sorted([tuple(lo), tuple(hi)]):
-                if cand in self.F.cells:
-                    branch = cand
-                    break
-            if branch is None:
-                raise ModelError("repulsive surface with no declared side")
+            # classify_point found both sides declared; take the minus side.
+            sigma = list(self._strict_sigma(self.b.x))
+            sigma[i] = 0
+            branch = self.F.adjacent_cells(tuple(sigma))[0]
             self.b.event(SURFACE_HIT, f"repulsive branch {sign_string(branch)}")
             self._regular_phase(h, forced_sigma=branch, skip_surface=(i,))
         else:  # tangent: no transversal information, fall back to least-norm
@@ -547,25 +543,12 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
     x = np.asarray(x0, dtype=float)
     _check_start(x, t_end)
 
-    def pick_cell(y, preferred=None) -> tuple[int, ...]:
-        # sign_vector marks the surfaces within the band with 0.
-        base = F.sign_vector(y, default_active_tol(y))
-        free = [i for i, s in enumerate(base) if s == 0]
-        if not free:
-            if base not in F.cells:
-                raise ModelError(f"no declared cell at {y.tolist()}")
-            return base
-        if preferred is not None:
-            return preferred
-        for combo in sorted(itertools.product((-1, 1), repeat=len(free))):
-            sigma = list(base)
-            for i, s in zip(free, combo):
-                sigma[i] = s
-            if tuple(sigma) in F.cells:
-                return tuple(sigma)
-        raise ModelError(f"no declared cell adjacent to {y.tolist()}")
-
-    sigma = pick_cell(x, branch)
+    # sign_vector marks the surfaces within the band with 0.
+    base = F.sign_vector(x, default_active_tol(x))
+    cells = [branch] if branch is not None and 0 in base else F.adjacent_cells(base)
+    if not cells:
+        raise ModelError(f"no declared cell adjacent to {x.tolist()}")
+    sigma = cells[0]
     b = _Builder(0.0, x, regular_mode(sigma))
 
     def step(h: float) -> bool:
@@ -576,7 +559,7 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
             b.event(SURFACE_HIT, f"surface {i}")
             new_sigma = list(sigma)
             new_sigma[i] = -sigma[i]
-            if tuple(new_sigma) in F.cells:
+            if F.adjacent_cells(tuple(new_sigma)):
                 sigma = tuple(new_sigma)
         return False
 
@@ -693,23 +676,31 @@ class ConsensusResult:
 
 def sign_consensus_field(G: Graph) -> PiecewiseField:
     """Piecewise model of the componentwise sign-quantized descent of the
-    disagreement: switching surfaces are the Laplacian rows, each nonempty
-    sign cell carries the constant field -sigma."""
+    disagreement: switching surfaces are the Laplacian rows of the agents
+    with a neighbour, and each nonempty sign cell carries the constant field
+    -sigma on those agents.  An isolated agent has no surface and stays
+    still."""
     n = G.n
     if n > 12:
-        raise ModelError("explicit sign-cell enumeration is limited to 12 agents")
+        raise ModelError("sign consensus is limited to 12 agents: where many switching "
+                         "surfaces meet, runs chatter instead of sliding")
     L = G.laplacian()
-    switches = [SwitchingSurface.affine(L[i], 0.0, name=f"(Lp){i + 1}") for i in range(n)]
-    components = G.components()
-    cells = {}
-    for sigma in itertools.product((-1, 1), repeat=n):
+    agents = [i for i in range(n) if L[i, i] > 0]
+    groups = [[agents.index(a) for a in comp] for comp in G.components() if len(comp) >= 2]
+    switches = [SwitchingSurface.affine(L[a], 0.0, name=f"(Lp){a + 1}") for a in agents]
+
+    @functools.cache
+    def rule(sigma):
         # L p sums to zero over each connected component and is otherwise
-        # free, so {p : sigma_i (L p)_i > 0} is nonempty exactly when every
-        # component takes both signs.
-        if all(len({sigma[i] for i in comp}) == 2 for comp in components):
-            v = -np.array(sigma, dtype=float)
-            cells[sigma] = (lambda vec: (lambda p: vec.copy()))(v)
-    return PiecewiseField(n, switches, cells, name="sign_consensus")
+        # free, so {p : sigma_k (L p)_k > 0} is nonempty exactly when every
+        # component with an edge takes both signs.
+        if any({sigma[k] for k in group} != {-1, 1} for group in groups):
+            return None
+        v = np.zeros(n)
+        v[agents] = -np.array(sigma, dtype=float)
+        return lambda p: v.copy()
+
+    return PiecewiseField(n, switches, rule, name="sign_consensus")
 
 
 def consensus_flow(G: Graph, variant: str, p0, t_end: float,
@@ -763,7 +754,10 @@ class PartitionSchedule:
 
     @classmethod
     def with_diameter(cls, t0: float, t1: float, diam: float) -> "PartitionSchedule":
-        n = max(1, int(math.ceil((t1 - t0) / diam)))
+        span = t1 - t0
+        if not (0 < diam < math.inf and 0 < span < math.inf):
+            raise ValueError(f"diam={diam} and time span={span} must be finite and positive")
+        n = max(1, int(math.ceil(span / diam)))
         return cls.uniform(t0, t1, n)
 
     @property

@@ -81,14 +81,15 @@ class LieInterval:
         return self.lo - tol <= a <= self.hi + tol
 
 
-def set_lie_derivative(Fset: Polytope, grad: Polytope) -> LieInterval:
-    """Interval of values a for which some v in Fset has zeta . v = a for
-    every zeta in the gradient polytope.
+def _lie_extreme(Fset: Polytope, grad: Polytope, sense: float) -> float:
+    """Smallest (sense 1) or largest (sense -1) value zeta . v over the v in
+    Fset with the same value for every zeta in the gradient polytope, with
+    min(empty) = inf and max(empty) = -inf.
 
     The feasible v form the slice of Fset where all gradient differences are
-    orthogonal; the interval endpoints come from two LPs over the slice in
-    convex-combination coordinates.  Duplicated or dependent gradient
-    vertices give redundant equality rows, which the simplex drops.
+    orthogonal; one LP over the slice in convex-combination coordinates
+    gives the extreme.  Duplicated or dependent gradient vertices give
+    redundant equality rows, which the simplex drops.
     """
     if Fset.is_empty or grad.is_empty:
         raise EmptySetError("set_lie_derivative needs nonempty polytopes")
@@ -99,15 +100,21 @@ def set_lie_derivative(Fset: Polytope, grad: Polytope) -> LieInterval:
     A = np.vstack([np.ones(V.shape[0]), (grad.vertices[1:] - zeta0) @ V.T])
     b = np.zeros(A.shape[0])
     b[0] = 1.0
-    w = V @ zeta0
-
-    lo_res = solve_lp(w, A, b)
-    if lo_res.status == INFEASIBLE:
-        return LieInterval.empty()
-    hi_res = solve_lp(-w, A, b)
-    if lo_res.status != OPTIMAL or hi_res.status != OPTIMAL:  # pragma: no cover
+    res = solve_lp(sense * (V @ zeta0), A, b)
+    if res.status == INFEASIBLE:
+        return sense * math.inf
+    if res.status != OPTIMAL:  # pragma: no cover
         raise SolverError("Lie-derivative LP failed")
-    return LieInterval.closed(lo_res.value, -hi_res.value)
+    return 0.0 + sense * res.value  # a zero extreme reads 0.0, not -0.0
+
+
+def set_lie_derivative(Fset: Polytope, grad: Polytope) -> LieInterval:
+    """Interval of values a for which some v in Fset has zeta . v = a for
+    every zeta in the gradient polytope."""
+    lo = _lie_extreme(Fset, grad, 1.0)
+    if lo == math.inf:
+        return LieInterval.empty()
+    return LieInterval.closed(lo, _lie_extreme(Fset, grad, -1.0))
 
 
 def lower_upper_lie(Fset: Polytope, prox) -> tuple[LieInterval, LieInterval]:
@@ -252,7 +259,7 @@ def _lie_sup(lie_set: str, f: NsFunction, F: FieldSource, x: np.ndarray) -> floa
         gr = f.gradient(x)
         if not gr.exact:
             return "gradient-inexact"
-        return set_lie_derivative(F(x), gr.polytope).max_value()
+        return _lie_extreme(F(x), gr.polytope, -1.0)
     prox = f.proximal(x)
     if prox is UNSUPPORTED or prox is ALL_SPACE:
         return "proximal-unavailable"

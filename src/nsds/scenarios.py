@@ -1,4 +1,4 @@
-"""Packaged scenario catalog and batch driver.
+"""Packaged scenario catalog.
 
 Each scenario bundles a builder for its dynamic model, default constants, a
 default candidate Lyapunov function from the nonsmooth catalog, and a short
@@ -8,9 +8,8 @@ constructors.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -376,36 +375,3 @@ def get_scenario(name: str) -> Scenario:
         return SCENARIOS[name]
     except KeyError:
         raise ModelError(f"unknown scenario {name!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# Parallel batch driver with per-run isolation.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    scenario: str
-    x0: tuple[float, ...]
-    t_end: float
-    constants: dict = field(default_factory=dict)
-    dt_max: float | None = None
-
-
-def _run_one(spec: RunSpec) -> Trajectory:
-    cfg = IntegratorConfig() if spec.dt_max is None else IntegratorConfig(dt_max=spec.dt_max)
-    scenario = get_scenario(spec.scenario)
-    return scenario.simulate(np.array(spec.x0), spec.t_end, cfg,
-                             overrides=dict(spec.constants))
-
-
-def run_batch(specs: list[RunSpec], max_workers: int | None = None) -> list[Trajectory]:
-    """Run scenario simulations concurrently; every run is isolated in its
-    own process and fully determined by its spec."""
-    if len(specs) <= 1:
-        return [_run_one(s) for s in specs]
-    try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_run_one, specs))
-    except OSError:  # no process pool here; a crashed worker propagates
-        return [_run_one(s) for s in specs]

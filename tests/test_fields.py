@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -23,6 +24,8 @@ from nsds.fields import (
     transversality_test,
 )
 from nsds.geometry import Polytope, affine_image, hausdorff_distance, minkowski_sum
+from nsds.integrate import sign_consensus_field
+from nsds.nonsmooth import Graph
 from nsds.scenarios import get_scenario, move_away_square_field
 
 from helpers import filippov_ball_oracle
@@ -34,6 +37,12 @@ def neg_sign_field():
         [SwitchingSurface.coordinate(0, 1)],
         {(-1,): lambda x: np.array([1.0]), (1,): lambda x: np.array([-1.0])},
     )
+
+
+def declared_cells(F):
+    """Every declared cell of F with its field, looked up through the face
+    on which all switches are active."""
+    return {k: F.cell(k) for k in F.adjacent_cells((0,) * F.n_switches)}
 
 
 def sign_field():
@@ -90,7 +99,7 @@ class TestFilippovSet:
                     continue
                 sigma = F.sign_vector(x)
                 assert 0 not in sigma
-                assert tuple(sigma) in F.cells
+                assert F.cell(tuple(sigma)) is not None
                 checked += 1
 
     def test_ball_sampling_oracle_one_dimensional(self):
@@ -144,7 +153,7 @@ class TestFilippovSet:
             Z = rng.standard_normal((2, 2))
             composed = PiecewiseField(
                 2, F.switches,
-                {k: (lambda fn: (lambda y: Z @ fn(y)))(fn) for k, fn in F.cells.items()},
+                {k: (lambda fn: (lambda y: Z @ fn(y)))(fn) for k, fn in declared_cells(F).items()},
             )
             lhs = filippov_set(composed, x)
             rhs = affine_image(filippov_set(F, x), Z)
@@ -155,7 +164,8 @@ class TestFilippovSet:
         smooth = lambda x: np.array([0.5 * x[0] + 2.0])
         total = PiecewiseField(
             1, F.switches,
-            {k: (lambda fn: (lambda y: fn(y) + smooth(y)))(fn) for k, fn in F.cells.items()},
+            {k: (lambda fn: (lambda y: fn(y) + smooth(y)))(fn)
+             for k, fn in declared_cells(F).items()},
         )
         for x in ([0.0], [0.3], [-1.2]):
             lhs = filippov_set(total, x)
@@ -168,14 +178,48 @@ class TestFilippovSet:
         F1, F2 = sign_field(), neg_sign_field()
         total = PiecewiseField(
             1, F1.switches,
-            {k: (lambda f, g: (lambda y: f(y) + g(y)))(F1.cells[k], F2.cells[k])
-             for k in F1.cells},
+            {k: (lambda f, g: (lambda y: f(y) + g(y)))(F1.cell(k), F2.cell(k))
+             for k in declared_cells(F1)},
         )
         lhs = filippov_set(total, [0.0])
         rhs = minkowski_sum(filippov_set(F1, [0.0]), filippov_set(F2, [0.0]))
         assert lhs.n_vertices >= 1
         assert max(abs(v) for v in lhs.vertices.ravel()) <= 1e-12
         assert sorted(set(rhs.vertices.ravel())) == [-2.0, 0.0, 2.0]
+
+
+def brute_adjacent(declared, sigma):
+    """Declared sign vectors that agree with sigma on its nonzero entries,
+    sorted."""
+    return sorted(s for s in declared if all(a == b for a, b in zip(s, sigma) if b != 0))
+
+
+class TestAdjacentCells:
+    def check(self, F, declared):
+        for sigma in itertools.product((-1, 0, 1), repeat=F.n_switches):
+            assert F.adjacent_cells(sigma) == brute_adjacent(declared, sigma), sigma
+
+    def test_catalog_fields(self):
+        for F in (get_scenario("brick").build(), get_scenario("oscillator").build(),
+                  get_scenario("oscillator_dissipative").build(), move_away_square_field(),
+                  sign_consensus_field(Graph.path(3)),
+                  sign_consensus_field(Graph(4, ((0, 1), (2, 3))))):
+            m = F.n_switches
+            declared = [s for s in itertools.product((-1, 1), repeat=m) if F.cell(s) is not None]
+            self.check(F, declared)
+
+    def test_random_sparse_tables_as_mapping_and_rule(self):
+        rng = np.random.default_rng(11)
+        for m in range(1, 5):
+            signs = list(itertools.product((-1, 1), repeat=m))
+            for _ in range(8):
+                keep = rng.random(len(signs)) < 0.4
+                keep[rng.integers(len(signs))] = True
+                table = {s: (lambda v: (lambda x: v.copy()))(rng.standard_normal(m))
+                         for s, k in zip(signs, keep) if k}
+                switches = [SwitchingSurface.coordinate(i, m) for i in range(m)]
+                for cells in (table, table.get):
+                    self.check(PiecewiseField(m, switches, cells), list(table))
 
 
 class TestClassification:

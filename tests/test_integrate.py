@@ -282,28 +282,34 @@ class TestConsensus:
 
     def test_sign_field_cells_exclude_impossible_signs(self):
         F = sign_consensus_field(Graph.path(3))
-        assert (1, 1, 1) not in F.cells
-        assert (-1, -1, -1) not in F.cells
-        assert len(F.cells) == 6
+        assert F.cell((1, 1, 1)) is None
+        assert F.cell((-1, -1, -1)) is None
+        assert len(F.adjacent_cells((0, 0, 0))) == 6
 
     def test_sign_cells_against_external_lp(self):
         # Every graph on at most 4 vertices, plus path, complete and
-        # two-component graphs on 6.  A graph with an isolated agent has no
-        # nonempty cell and so no piecewise model.
+        # two-component graphs on 6.  An isolated agent has no switching
+        # surface, so the oracle sees the rows of the other agents only.
         graphs = [Graph.path(6), Graph.complete(6), Graph(6, ((0, 1), (1, 2), (3, 4), (4, 5)))]
         for n in range(1, 5):
             pairs = list(itertools.combinations(range(n), 2))
             for mask in range(2 ** len(pairs)):
                 graphs.append(Graph(n, tuple(e for k, e in enumerate(pairs) if mask >> k & 1)))
         for G in graphs:
-            L = G.laplacian()
-            expected = {s for s in itertools.product((-1, 1), repeat=G.n)
-                        if sign_cell_lp_oracle(L, s)}
-            if not expected:
-                with pytest.raises(ModelError):
-                    sign_consensus_field(G)
-                continue
-            assert set(sign_consensus_field(G).cells) == expected, G
+            agents = [i for i in range(G.n) if any(i in e for e in G.edges)]
+            L = G.laplacian()[np.ix_(agents, agents)]
+            expected = {s for s in itertools.product((-1, 1), repeat=len(agents))
+                        if not agents or sign_cell_lp_oracle(L, s)}
+            F = sign_consensus_field(G)
+            assert F.n_switches == len(agents), G
+            assert set(F.adjacent_cells((0,) * len(agents))) == expected, G
+
+    def test_isolated_agent_stays_still(self):
+        res = consensus_flow(Graph(3, ((0, 1),)), "sign", [0.0, 1.0, 5.0], 1.0)
+        tr = res.trajectory
+        assert np.allclose(tr.final_state, [0.5, 0.5, 5.0], atol=1e-6)
+        assert np.all(tr.states[:, 2] == 5.0)
+        assert any(e.kind == "Converged" for e in tr.events)
 
 
 class TestSampleAndHold:

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import subprocess
 import sys
@@ -6,14 +5,13 @@ import sys
 import numpy as np
 import pytest
 
-import nsds.scenarios as scenarios
 from nsds.cli import emit_plot_data, main
 from nsds.errors import ModelError, UnsupportedError
 from nsds.fields import ControlField, PiecewiseField
 from nsds.geometry import ConvexPolygon
 from nsds.integrate import IntegratorConfig, Trajectory
 from nsds.nonsmooth import Graph, hsp, make_function
-from nsds.scenarios import SCENARIOS, MoveAwayLaw, RunSpec, get_scenario, run_batch
+from nsds.scenarios import SCENARIOS, MoveAwayLaw, get_scenario
 
 
 EXPECTED_CATALOG = {
@@ -66,56 +64,6 @@ class TestCatalog:
                              "--x0", ",".join(map(str, x0)), "--out", str(out))
         assert code == 0
         assert len(json.loads(text)["final_state"]) == len(x0)
-
-
-class TestBatch:
-    def test_parallel_runs_match_serial(self):
-        specs = [
-            RunSpec("brick", (1.0,), 0.6),
-            RunSpec("oscillator", (1.0, 0.0), 3.0, dt_max=5e-3),
-            RunSpec("move_away_1", (0.5, 0.5), 1.5),
-        ]
-        parallel = run_batch(specs, max_workers=3)
-        serial = [run_batch([s])[0] for s in specs]
-        for a, b in zip(parallel, serial):
-            assert np.array_equal(a.states, b.states)
-            assert np.array_equal(a.times, b.times)
-
-    SPECS = [RunSpec("brick", (1.0,), 0.1), RunSpec("oscillator", (1.0, 0.0), 0.1)]
-
-    def test_crashed_worker_propagates(self, monkeypatch):
-        class BrokenPool:
-            def __init__(self, max_workers=None):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, specs):
-                raise concurrent.futures.process.BrokenProcessPool("worker died")
-
-        serial = []
-        run_one = scenarios._run_one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
-        monkeypatch.setattr(scenarios, "_run_one",
-                            lambda spec: serial.append(spec) or run_one(spec))
-        with pytest.raises(concurrent.futures.process.BrokenProcessPool):
-            run_batch(self.SPECS)
-        assert not serial
-
-    def test_unavailable_pool_runs_serially(self, monkeypatch):
-        def no_pool(max_workers=None):
-            raise PermissionError("no semaphores")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        got = run_batch(self.SPECS)
-        for spec, tr in zip(self.SPECS, got):
-            expected = scenarios._run_one(spec)
-            assert np.array_equal(tr.states, expected.states)
-            assert np.array_equal(tr.times, expected.times)
 
 
 class TestCli:
@@ -254,6 +202,22 @@ class TestCli:
         assert "Model" in capsys.readouterr().err
         code = main(["gradient", "--function", "smq", "--point", "5,5,5"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sample-hold", "--scenario", "cart", "--x0", "0.6,0.3", "--diam", "0", "--t-end", "1"],
+        ["sample-hold", "--scenario", "cart", "--x0", "0.6,0.3", "--diam", "-0.5",
+         "--t-end", "1"],
+        ["sample-hold", "--scenario", "cart", "--x0", "0.6,0.3", "--diam", "0.1",
+         "--t-end", "inf"],
+        ["plot-data", "--traj", "EMPTY", "--kind", "time", "--out", "OUT"],
+    ], ids=["zero-diam", "negative-diam", "infinite-t-end", "empty-csv"])
+    def test_bad_schedule_or_trajectory_file_exits_1(self, argv, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        argv = [{"EMPTY": str(empty), "OUT": str(tmp_path / "o.dat")}.get(a, a) for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError:") and "Traceback" not in err
 
     def test_simulate_rejects_removed_settings(self, tmp_path, capsys):
         # Neither a run-config key nor a flag outside the integrator's
