@@ -51,14 +51,13 @@ def _parse_consts(items) -> dict:
     return out
 
 
-def _parse_graph(text: str) -> Graph:
+def _parse_graph(text: str, n: int) -> Graph:
+    """Graph on n agents from 1-indexed "i-j" pairs; agents in no pair are
+    isolated."""
     edges = []
-    n = 0
     for part in text.split(","):
         a, b = part.strip().split("-")
-        i, j = int(a) - 1, int(b) - 1
-        n = max(n, i + 1, j + 1)
-        edges.append((i, j))
+        edges.append((int(a) - 1, int(b) - 1))
     return Graph(n, tuple(edges))
 
 
@@ -253,8 +252,8 @@ def _cmd_lyapunov(args) -> int:
 
 
 def _cmd_consensus(args) -> int:
-    graph = _parse_graph(args.graph)
     p0 = _parse_point(args.p0)
+    graph = _parse_graph(args.graph, len(p0))
     cfg = _config_from_args(args)
     res = consensus_flow(graph, args.variant, p0, args.t_end, cfg,
                          spread_tol=args.spread_tol)

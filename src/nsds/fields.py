@@ -339,6 +339,10 @@ def one_sided_lipschitz_test(
     return OneSidedLipschitzVerdict(False)
 
 
+# Normal speed a one-sided field needs to count as pushing across a surface.
+_TRANSVERSAL_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class TransversalityResult:
     point: np.ndarray
@@ -347,9 +351,7 @@ class TransversalityResult:
     beta: float
 
 
-def transversality_test(
-    F: PiecewiseField, points, tol: float = 1e-9
-) -> list[TransversalityResult]:
+def transversality_test(F: PiecewiseField, points) -> list[TransversalityResult]:
     """Check, point by point, that at least one one-sided field pushes
     strictly into the opposite cell (the transversality hypothesis that
     grants unique solutions through codimension-one surfaces)."""
@@ -360,7 +362,7 @@ def transversality_test(
         if len(active) != 1:
             raise ModelError(f"point {p.tolist()} is not on exactly one surface")
         cls = classify_point(F, p)
-        holds = cls.alpha > tol or cls.beta < -tol
+        holds = cls.alpha > _TRANSVERSAL_TOL or cls.beta < -_TRANSVERSAL_TOL
         out.append(TransversalityResult(p, holds, cls.alpha, cls.beta))
     return out
 

@@ -21,6 +21,9 @@ from .errors import DimensionMismatchError, EmptySetError, SolverError
 MEMBERSHIP_TOL = 1e-9
 
 _LP_TOL = 1e-10
+# Wolfe's algorithm: relative optimality tolerance, cap on major and minor cycles.
+_WOLFE_TOL = 1e-12
+_WOLFE_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ class LPResult:
     value: float
 
 
-def solve_lp(c, A, b, *, tol: float = _LP_TOL, max_iter: int = 5000) -> LPResult:
+def solve_lp(c, A, b, *, max_iter: int = 5000) -> LPResult:
     """Solve min c@x subject to A@x = b, x >= 0.
 
     Two-phase tableau simplex.  Bland's rule is used in both phases, so the
@@ -134,16 +137,16 @@ def solve_lp(c, A, b, *, tol: float = _LP_TOL, max_iter: int = 5000) -> LPResult
     T[m, :n] = -A.sum(axis=0)
     T[m, -1] = -b.sum()
 
-    status = _simplex_iterate(T, basis, n + m, tol, max_iter)
+    status = _simplex_iterate(T, basis, n + m, max_iter)
     if status == UNBOUNDED:  # pragma: no cover - phase 1 objective is bounded
         return LPResult(INFEASIBLE, None, np.inf)
-    if -T[m, -1] > np.sqrt(tol):
+    if -T[m, -1] > np.sqrt(_LP_TOL):
         return LPResult(INFEASIBLE, None, np.inf)
 
     # Drive lingering artificials out of the basis where possible.
     for i in range(m):
         if basis[i] >= n:
-            piv = np.flatnonzero(np.abs(T[i, :n]) > tol)
+            piv = np.flatnonzero(np.abs(T[i, :n]) > _LP_TOL)
             if piv.size:
                 _pivot(T, basis, i, int(piv[0]))
 
@@ -160,7 +163,7 @@ def solve_lp(c, A, b, *, tol: float = _LP_TOL, max_iter: int = 5000) -> LPResult
         if abs(T2[-1, bi]) > 0:
             T2[-1, :] -= T2[-1, bi] * T2[i, :]
 
-    status = _simplex_iterate(T2, basis2, n, tol, max_iter)
+    status = _simplex_iterate(T2, basis2, n, max_iter)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, -np.inf)
 
@@ -178,26 +181,26 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _simplex_iterate(T, basis, n_vars, tol, max_iter) -> str:
+def _simplex_iterate(T, basis, n_vars, max_iter) -> str:
     """Pivot until optimal or unbounded; more than max_iter pivots raise."""
     m = len(basis)
     pivots = 0
     while True:
         entering = -1
         for j in range(n_vars):  # Bland: smallest eligible index
-            if T[m, j] < -tol:
+            if T[m, j] < -_LP_TOL:
                 entering = j
                 break
         if entering < 0:
             return OPTIMAL
         ratios = []
         for i in range(m):
-            if T[i, entering] > tol:
+            if T[i, entering] > _LP_TOL:
                 ratios.append((T[i, -1] / T[i, entering], basis[i], i))
         if not ratios:
             return UNBOUNDED
         best = min(r for r, _, _ in ratios)
-        leaving = min(i for r, bi, i in ratios if r <= best + tol)
+        leaving = min(i for r, bi, i in ratios if r <= best + _LP_TOL)
         if pivots == max_iter:
             raise SolverError("simplex iteration limit reached")
         _pivot(T, basis, leaving, entering)
@@ -229,7 +232,7 @@ def _affine_minimizer(V: np.ndarray) -> np.ndarray:
     return sol[:k]
 
 
-def least_norm(P: Polytope, *, tol: float = 1e-12, max_iter: int = 1000) -> LeastNormResult:
+def least_norm(P: Polytope) -> LeastNormResult:
     """Unique minimum-norm point of the hull, with its convex coefficients.
 
     The returned coefficients certify hull membership: they are nonnegative
@@ -253,13 +256,13 @@ def least_norm(P: Polytope, *, tol: float = 1e-12, max_iter: int = 1000) -> Leas
         coeffs = np.array([1.0 - t, t])
         return LeastNormResult(point=coeffs @ V, coefficients=coeffs)
     scale = max(1.0, float(np.max(np.abs(V))))
-    eps = tol * scale * scale
+    eps = _WOLFE_TOL * scale * scale
 
     start = int(np.argmin(np.einsum("ij,ij->i", V, V)))
     corral = [start]
     lam = np.array([1.0])
 
-    for _ in range(max_iter):
+    for _ in range(_WOLFE_MAX_ITER):
         x = lam @ V[corral]
         xx = float(x @ x)
         scores = V @ x
@@ -271,7 +274,7 @@ def least_norm(P: Polytope, *, tol: float = 1e-12, max_iter: int = 1000) -> Leas
         corral.append(j)
         lam = np.append(lam, 0.0)
         # Minor cycle: pull the affine minimizer back into the convex hull.
-        for _ in range(max_iter):
+        for _ in range(_WOLFE_MAX_ITER):
             alpha = _affine_minimizer(V[corral])
             if np.all(alpha > -1e-14):
                 lam = np.clip(alpha, 0.0, None)

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ModelError, NotSlidingError
+from .errors import DimensionMismatchError, ModelError, NotSlidingError
 from .fields import (
     CROSSING,
     REPULSIVE,
@@ -152,20 +152,21 @@ class Trajectory:
 
     @classmethod
     def from_csv(cls, text: str) -> "Trajectory":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("t,"):
+        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        if not lines or not lines[0][1].startswith("t,"):
             raise ValueError("trajectory CSV needs a header line t,x1,...,mode,event")
-        header = lines[0].split(",")
-        d = len(header) - 3
+        d = len(lines[0][1].split(",")) - 3
         times, states, modes, events = [], [], [], []
-        for ln in lines[1:]:
-            parts = ln.split(",")
+        for n, ln in lines[1:]:
+            parts = ln.split(",")  # a mode such as S:0,1 spans several fields
+            if len(parts) < d + 3:
+                raise ValueError(f"trajectory CSV line {n} needs {d + 3} or more fields: {ln!r}")
             t = float(parts[0])
             times.append(t)
             states.append([float(v) for v in parts[1 : 1 + d]])
-            modes.append(parts[1 + d])
-            if parts[2 + d]:
-                for kind in parts[2 + d].split(";"):
+            modes.append(",".join(parts[1 + d : -1]))
+            if parts[-1]:
+                for kind in parts[-1].split(";"):
                     events.append(Event(t, kind))
         return cls(times, states, modes, events)
 
@@ -242,8 +243,10 @@ def rk4_step(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float,
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_start(x: np.ndarray, t_end: float):
-    """Reject a run that could only produce NaN states or no step at all."""
+def _check_start(x: np.ndarray, t_end: float, dim: int | None = None):
+    """Reject a run that could only fail, produce NaN states or take no step."""
+    if dim is not None and x.shape != (dim,):
+        raise DimensionMismatchError(f"initial state of shape {x.shape}, model dimension {dim}")
     if not np.all(np.isfinite(x)):
         raise ModelError("initial state must be finite")
     if not (math.isfinite(t_end) and t_end > 0.0):
@@ -284,19 +287,20 @@ def _drive(b: _Builder, t_end: float, cfg: IntegratorConfig,
     return b.finish()
 
 
-def _first_crossing(flow, g_fns, start_vals, refine_tol, skip=()):
+def _first_crossing(flow, switches, start_vals, refine_tol, skip):
     """Earliest surface crossing within one step, located by bisection.
 
-    flow(s) must return the state after advancing a fraction s of the step.
-    Returns (s, index, state) for the first crossing, or (1.0, None, flow(1.0))
-    when no surface outside ``skip`` changes sign.
+    flow(s) must return the state after advancing a fraction s of the step,
+    and ``start_vals`` are the switch values at its start.  Returns
+    (s, index, state, end_vals) for the first crossing, or
+    (1.0, None, flow(1.0), end_vals) when no surface outside ``skip`` changes
+    sign; ``end_vals`` maps each watched surface to its value at flow(1.0).
     """
     x_end = flow(1.0)
+    end_vals = {i: s.value(x_end) for i, s in enumerate(switches) if i not in skip}
     best = (1.0, None, x_end)
-    for i, g in enumerate(g_fns):
-        if i in skip:
-            continue
-        g0, g1 = start_vals[i], g(x_end)
+    for i, g1 in end_vals.items():
+        g0, g = start_vals[i], switches[i].value
         if g0 == 0.0 or g0 * g1 >= 0.0:
             continue
         lo, hi = 0.0, 1.0
@@ -318,32 +322,35 @@ def _first_crossing(flow, g_fns, start_vals, refine_tol, skip=()):
                 break
         if best[1] is None or hi < best[0]:
             best = (hi, i, x_hi)
-    return best
+    return (*best, end_vals)
 
 
-def _cell_step(F: PiecewiseField, sigma, x: np.ndarray, h: float, refine_tol: float,
-               skip=()):
-    """One RK4 step of cell sigma's field from x, cut at the first crossing.
+def _cell_step(F: PiecewiseField, sigma, x: np.ndarray, g: np.ndarray, h: float,
+               refine_tol: float, skip=()):
+    """One RK4 step of cell sigma's field from x, whose switch values are g,
+    cut at the first crossing (see :func:`_first_crossing`).
 
     Surfaces in ``skip``, and those within ``refine_tol`` of x (a surface the
-    step starts on cannot be crossed meaningfully), are not watched.  Returns
-    the crossing as (s, index, state), index None when the whole step is
-    taken, and the set of surfaces that were not watched.  The field at x is
-    evaluated once and shared by every trial fraction of the step.
+    step starts on cannot be crossed meaningfully), are not watched.  The
+    field at x is evaluated once and shared by every trial fraction of the
+    step.
     """
-    g_fns = [s.value for s in F.switches]
-    start_vals = [g(x) for g in g_fns]
-    skip = set(skip) | {i for i, v in enumerate(start_vals) if abs(v) <= refine_tol}
+    skip = set(skip) | {i for i, v in enumerate(g) if abs(v) <= refine_tol}
     fcell = lambda y: F.cell_value(sigma, y)
     k1 = fcell(x)
     flow = lambda s: rk4_step(fcell, x, s * h, k1)
-    return _first_crossing(flow, g_fns, start_vals, refine_tol, skip), skip
+    return _first_crossing(flow, F.switches, g, refine_tol, skip)
+
+
+def _strict_signs(g) -> tuple[int, ...]:
+    return tuple(1 if v > 0 else -1 for v in g)
 
 
 class _FilippovRun:
     """The step function of a Filippov run: one regular, crossing, sliding
     or least-norm step per call, with ``sliding`` the index of the surface
-    being slid along (None off surfaces)."""
+    being slid along (None off surfaces).  A step reads the switch values at
+    its start once, for its phase, cell and crossing search."""
 
     def __init__(self, F: PiecewiseField, x0: np.ndarray, t_end: float,
                  cfg: IntegratorConfig):
@@ -364,17 +371,10 @@ class _FilippovRun:
             return sliding_mode(active)
         return regular_mode(self.F.sign_vector(x, self._act_tol(x)))
 
-    def _strict_sigma(self, x) -> tuple[int, ...]:
-        g = self.F.switch_values(x)
-        return tuple(1 if v > 0 else -1 for v in g)
-
-    def _landed_on(self, x, skip) -> int | None:
-        """First surface outside ``skip`` that x lies on."""
+    def _landed_on(self, x, end_vals) -> int | None:
+        """First watched surface that x, the end of a full step, lies on."""
         tol = self._act_tol(x)
-        for j, s in enumerate(self.F.switches):
-            if j not in skip and abs(s.value(x)) <= tol:
-                return j
-        return None
+        return next((j for j, v in end_vals.items() if abs(v) <= tol), None)
 
     # -- phases -----------------------------------------------------------
 
@@ -385,11 +385,13 @@ class _FilippovRun:
             self._slide_step(self.sliding, h)
         else:
             x = self.b.x
-            active = self.F.active_set(x, self._act_tol(x))
+            g = self.F.switch_values(x)
+            tol = self._act_tol(x)
+            active = [j for j, v in enumerate(g) if abs(v) <= tol]
             if not active:
-                self._regular_phase(h)
+                self._regular_phase(h, g, _strict_signs(g))
             elif len(active) == 1:
-                stopped = self._surface_phase(active[0], h)
+                stopped = self._surface_phase(active[0], h, g)
             else:
                 stopped = self._least_norm_phase(active)
         if not stopped and self.b.stalled(STALL_WINDOW, cfg.conv_tol):
@@ -398,34 +400,30 @@ class _FilippovRun:
             stopped = True
         return stopped
 
-    def _regular_phase(self, h: float, forced_sigma=None, skip_surface=()):
+    def _regular_phase(self, h: float, g, sigma, skip=()):
         x = self.b.x
-        sigma = forced_sigma if forced_sigma is not None else self._strict_sigma(x)
-        (s_star, i, x_new), skip = _cell_step(self.F, sigma, x, h,
-                                              self.cfg.event_refine_tol, skip_surface)
+        s_star, i, x_new, end_vals = _cell_step(self.F, sigma, x, g, h,
+                                                self.cfg.event_refine_tol, skip)
         self.b.append(self.b.t + s_star * h, x_new, regular_mode(sigma))
         if i is None:
-            i = self._landed_on(x_new, skip)
+            i = self._landed_on(x_new, end_vals)
         if i is not None:
             self.b.event(SURFACE_HIT, f"surface {i}")
 
-    def _surface_phase(self, i: int, h: float) -> bool:
+    def _surface_phase(self, i: int, h: float, g) -> bool:
         cls = classify_point(self.F, self.b.x, self._act_tol(self.b.x))
+        sigma = list(_strict_signs(g))
         if cls.kind == SLIDING:
             self.b.event(SLIDE_ENTER, f"surface {i}")
             self.sliding = i
         elif cls.kind == CROSSING:
-            dest = 1 if cls.alpha > 0 else -1
-            sigma = list(self._strict_sigma(self.b.x))
-            sigma[i] = dest
-            self._regular_phase(h, forced_sigma=tuple(sigma), skip_surface=(i,))
+            sigma[i] = 1 if cls.alpha > 0 else -1
+            self._regular_phase(h, g, tuple(sigma), skip=(i,))
         elif cls.kind == REPULSIVE:
             # classify_point found both sides declared; take the minus side.
-            sigma = list(self._strict_sigma(self.b.x))
-            sigma[i] = 0
-            branch = self.F.adjacent_cells(tuple(sigma))[0]
-            self.b.event(SURFACE_HIT, f"repulsive branch {sign_string(branch)}")
-            self._regular_phase(h, forced_sigma=branch, skip_surface=(i,))
+            sigma[i] = -1
+            self.b.event(SURFACE_HIT, f"repulsive branch {sign_string(sigma)}")
+            self._regular_phase(h, g, tuple(sigma), skip=(i,))
         else:  # tangent: no transversal information, fall back to least-norm
             return self._least_norm_phase([i])
         return False
@@ -452,12 +450,13 @@ class _FilippovRun:
         except NotSlidingError:
             self._exit_slide(i, "tangency lost")
             return
+        g = self.F.switch_values(x)
         lam = res.lam
         if lam <= SLIDING_EXIT_MARGIN or lam >= 1.0 - SLIDING_EXIT_MARGIN:
             self._exit_slide(i, f"lambda={lam:.3g}")
-            sigma = list(self._strict_sigma(x))
+            sigma = list(_strict_signs(g))
             sigma[i] = -1 if lam <= SLIDING_EXIT_MARGIN else 1
-            self._regular_phase(h, forced_sigma=tuple(sigma), skip_surface=(i,))
+            self._regular_phase(h, g, tuple(sigma), skip=(i,))
             return
         # Clamp the step to land just before the first predicted crossing
         # of any other surface: the sliding vector jumps there, and an RK4
@@ -466,27 +465,25 @@ class _FilippovRun:
         for j, s in enumerate(self.F.switches):
             if j == i:
                 continue
-            gj = s.value(x)
             rate = float(s.grad(x) @ res.vector)
-            if abs(gj) > cfg.event_refine_tol and abs(rate) > 1e-14:
-                tau = -gj / rate
+            if abs(g[j]) > cfg.event_refine_tol and abs(rate) > 1e-14:
+                tau = -g[j] / rate
                 if 0.0 < tau < 1.5 * h:
                     h = min(h, max(0.9999 * tau, tau - 1e-12))
         if h <= 1e-15:
             h = 1e-15
         slide_vec = lambda y: sliding_field(self.F, y, i).vector
         flow = lambda s: self._project(i, rk4_step(slide_vec, x, s * h, res.vector))
-        g_fns = [s.value for s in self.F.switches]
         try:
-            s_star, j, x_new = _first_crossing(
-                flow, g_fns, [g(x) for g in g_fns], cfg.event_refine_tol, skip={i}
+            s_star, j, x_new, end_vals = _first_crossing(
+                flow, self.F.switches, g, cfg.event_refine_tol, skip={i}
             )
         except NotSlidingError:
             self._exit_slide(i, "tangency lost")
             return
         self.b.append(self.b.t + s_star * h, x_new, sliding_mode([i]))
         if j is None:
-            j = self._landed_on(x_new, {i})
+            j = self._landed_on(x_new, end_vals)
         if j is not None:
             self.b.event(SURFACE_HIT, f"surface {j} while sliding on {i}")
             self.sliding = None
@@ -519,7 +516,7 @@ def integrate_filippov(F: PiecewiseField, x0, t_end: float,
     """Event-driven integration of the convexified dynamics of F."""
     cfg = cfg or IntegratorConfig()
     x0 = np.asarray(x0, dtype=float)
-    _check_start(x0, t_end)
+    _check_start(x0, t_end, F.dim)
     run = _FilippovRun(F, x0, float(t_end), cfg)
     return _drive(run.b, run.t_end, cfg, run.step)
 
@@ -541,7 +538,7 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
     """
     cfg = cfg or IntegratorConfig()
     x = np.asarray(x0, dtype=float)
-    _check_start(x, t_end)
+    _check_start(x, t_end, F.dim)
 
     # sign_vector marks the surfaces within the band with 0.
     base = F.sign_vector(x, default_active_tol(x))
@@ -553,7 +550,8 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
 
     def step(h: float) -> bool:
         nonlocal sigma
-        (s_star, i, x_new), _ = _cell_step(F, sigma, b.x, h, cfg.event_refine_tol)
+        s_star, i, x_new, _ = _cell_step(F, sigma, b.x, F.switch_values(b.x), h,
+                                         cfg.event_refine_tol)
         b.append(b.t + s_star * h, x_new, regular_mode(sigma))
         if i is not None:
             b.event(SURFACE_HIT, f"surface {i}")
@@ -772,8 +770,8 @@ def sample_and_hold(C: ControlField, feedback: Callable[[float, np.ndarray], np.
     resulting smooth dynamics with RK4 substeps."""
     cfg = cfg or IntegratorConfig()
     x = np.asarray(x0, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ModelError("initial state must be finite")
+    # The schedule's span is finite and positive by construction.
+    _check_start(x, float(np.ptp(schedule.breakpoints)), C.dim)
     b = _Builder(float(schedule.breakpoints[0]), x, "R:")
     for s_prev, s_next in zip(schedule.breakpoints[:-1], schedule.breakpoints[1:]):
         u = np.asarray(feedback(float(s_prev), b.x), dtype=float)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    ModelError,
     SingularityError,
     UnsupportedError,
 )
@@ -31,7 +32,6 @@ from .geometry import (
     MEMBERSHIP_TOL,
     ConvexPolygon,
     Polytope,
-    contains,
     least_norm,
     minkowski_sum,
 )
@@ -334,6 +334,14 @@ class Quotient(NsFunction):
         return GradientResult(poly, exact=exact)
 
 
+def _require_active(f: NsFunction, x, active: list[int]) -> list[int]:
+    """The active children of a max or min; none are active only when a
+    child's value is NaN."""
+    if not active:
+        raise ModelError(f"no active child of {f.name} at {np.asarray(x).tolist()}")
+    return active
+
+
 class MaxOf(NsFunction):
     """Pointwise maximum; the gradient is the hull over the active children."""
 
@@ -355,13 +363,13 @@ class MaxOf(NsFunction):
         vals = [f.value(x) for f in self.children]
         top = max(vals)
         tol = tie_tolerance(top)
-        return [i for i, v in enumerate(vals) if v >= top - tol], top
+        return _require_active(self, x, [i for i, v in enumerate(vals) if v >= top - tol])
 
     def value(self, x):
         return max(f.value(x) for f in self.children)
 
     def gradient(self, x):
-        active, _ = self._active(x)
+        active = self._active(x)
         results = [self.children[i].gradient(x) for i in active]
         verts = np.vstack([r.polytope.vertices for r in results])
         exact = all(r.exact for r in results)
@@ -390,13 +398,13 @@ class MinOf(NsFunction):
         vals = [f.value(x) for f in self.children]
         bottom = min(vals)
         tol = tie_tolerance(bottom)
-        return [i for i, v in enumerate(vals) if v <= bottom + tol], bottom
+        return _require_active(self, x, [i for i, v in enumerate(vals) if v <= bottom + tol])
 
     def value(self, x):
         return min(f.value(x) for f in self.children)
 
     def gradient(self, x):
-        active, _ = self._active(x)
+        active = self._active(x)
         results = [self.children[i].gradient(x) for i in active]
         verts = np.vstack([r.polytope.vertices for r in results])
         exact = all(r.exact for r in results)
@@ -534,9 +542,10 @@ def descent_direction(f: NsFunction, x, tol: float = MEMBERSHIP_TOL) -> DescentD
     gr = f.gradient(np.asarray(x, dtype=float))
     if not f.regular or not gr.exact:
         raise UnsupportedError("descent direction needs a regular function with exact gradient")
-    if contains(gr.polytope, np.zeros(f.dim), tol):
-        return DescentDirection(np.zeros(f.dim), critical=True)
+    # The norm of the least-norm point is the distance from 0 to the hull.
     ln = least_norm(gr.polytope).point
+    if float(np.linalg.norm(ln)) <= tol:
+        return DescentDirection(np.zeros(f.dim), critical=True)
     return DescentDirection(-ln, critical=False)
 
 
@@ -549,10 +558,9 @@ class DescentCheck:
 def descent_inequality_check(f: NsFunction, x, steps) -> DescentCheck:
     """Check f(x - t*LN) <= f(x) - (t/2)*||LN||^2 at each supplied step."""
     x = np.asarray(x, dtype=float)
-    gr = f.gradient(x)
-    if contains(gr.polytope, np.zeros(f.dim), MEMBERSHIP_TOL):
+    ln = least_norm(f.gradient(x).polytope).point
+    if float(np.linalg.norm(ln)) <= MEMBERSHIP_TOL:
         raise ValueError("descent inequality is only defined at noncritical points")
-    ln = least_norm(gr.polytope).point
     fx = f.value(x)
     nn = float(ln @ ln)
     for t in steps:
@@ -755,14 +763,13 @@ def hsp_function(Q: ConvexPolygon, n: int) -> MinOf:
 # ---------------------------------------------------------------------------
 
 
-def make_function(name: str, dim: int | None = None, *, polygon: ConvexPolygon | None = None,
-                  graph: Graph | None = None) -> NsFunction:
+def make_function(name: str, dim: int | None = None) -> NsFunction:
     """Build a catalog function by name.
 
-    ``dim`` is needed for size-generic entries (abs_sum, disagreement, hsp);
-    ``polygon`` and ``graph`` override the defaults (unit square, path graph).
+    ``dim`` is needed for size-generic entries (abs_sum, disagreement on the
+    path graph, hsp); the polygon entries use the unit square.
     """
-    poly = polygon or ConvexPolygon.square(1.0)
+    poly = ConvexPolygon.square(1.0)
     if name == "abs":
         return abs_of(coordinate_atom(0, 1), name="|x|")
     if name == "neg_abs":
@@ -782,11 +789,9 @@ def make_function(name: str, dim: int | None = None, *, polygon: ConvexPolygon |
     if name == "neg_smq":
         return neg_smq_function(poly)
     if name == "disagreement":
-        if graph is None:
-            if dim is None:
-                raise ValueError("disagreement needs a dimension or a graph")
-            graph = Graph.path(dim)
-        return disagreement_function(graph)
+        if dim is None:
+            raise ValueError("disagreement needs a dimension")
+        return disagreement_function(Graph.path(dim))
     if name == "cart_lyapunov":
         return CartLyapunov()
     if name == "hsp":

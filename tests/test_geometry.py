@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsds.errors import DimensionMismatchError, EmptySetError, SolverError
+from nsds.fields import transversality_test
 from nsds.geometry import (
     ConvexPolygon,
     Polytope,
@@ -19,6 +21,7 @@ from nsds.geometry import (
     solve_lp,
     support,
 )
+from nsds.nonsmooth import make_function
 
 from helpers import (
     grid_projection_oracle,
@@ -280,6 +283,15 @@ def test_lp_iteration_limit_counts_pivots():
     res = solve_lp([1.0, 1.0], np.eye(2), [1.0, 1.0], max_iter=2)
     assert res.status == "optimal"
     assert res.value == pytest.approx(2.0)
+
+
+def test_fixed_tolerances_are_not_keywords():
+    # Only the simplex iteration limit stays settable; no caller set the rest.
+    params = lambda fn: list(inspect.signature(fn).parameters)
+    assert params(least_norm) == ["P"]
+    assert params(solve_lp) == ["c", "A", "b", "max_iter"]
+    assert params(transversality_test) == ["F", "points"]
+    assert params(make_function) == ["name", "dim"]
 
 
 def test_convex_polygon_validation():

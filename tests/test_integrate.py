@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nsds.errors import ModelError
+from nsds.errors import DimensionMismatchError, ModelError
 from nsds.fields import PiecewiseField, SwitchingSurface, filippov_set
 from nsds.geometry import ConvexPolygon, Polytope, contains, least_norm
 from nsds.integrate import (
@@ -55,10 +55,15 @@ class TestTrajectoryType:
             Trajectory([0.0, 1.0], [[1.0], [1.0]], ["R:"])
 
     def test_csv_roundtrip_is_byte_identical(self):
-        tr = integrate_filippov(neg_sign_field(), [2.0], 3.0)
-        text = tr.to_csv()
-        again = Trajectory.from_csv(text).to_csv()
-        assert text == again
+        # The corner start writes the mode S:0,1, whose comma the reader must
+        # keep inside the mode, and a Converged event on that row.
+        for tr in (integrate_filippov(neg_sign_field(), [2.0], 3.0),
+                   get_scenario("move_away_1").simulate([0.0, 0.0], 0.01)):
+            text = tr.to_csv()
+            again = Trajectory.from_csv(text)
+            assert again.to_csv() == text
+            assert again.modes == tr.modes
+            assert [e.kind for e in again.events] == [e.kind for e in tr.events]
 
     def test_json_roundtrip(self):
         tr = integrate_filippov(neg_sign_field(), [0.5], 1.0)
@@ -467,6 +472,25 @@ class TestFixedStepLoops:
                 run()
         assert not calls
 
+    @pytest.mark.parametrize("run", ["filippov", "caratheodory", "sample_and_hold"])
+    def test_start_of_wrong_length_is_rejected_before_any_field_call(self, run):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return np.zeros(2)
+
+        F = PiecewiseField(2, [SwitchingSurface.coordinate(0, 2)], {(-1,): counted, (1,): counted})
+        C = ControlField(2, 1, counted, Polytope([[-1.0], [1.0]]))
+        with pytest.raises(DimensionMismatchError):
+            {"filippov": lambda: integrate_filippov(F, [1.0], 1.0),
+             "caratheodory": lambda: integrate_caratheodory(F, [1.0, 0.0, 0.0], 1.0),
+             "sample_and_hold": lambda: sample_and_hold(
+                 C, lambda t, x: calls.append(1) or np.zeros(1),
+                 PartitionSchedule.uniform(0.0, 1.0, 4), [1.0]),
+             }[run]()
+        assert not calls
+
     def test_sample_and_hold_rejects_non_finite_start(self):
         calls = []
         C = ControlField(1, 1, lambda x, u: calls.append(1) or u.copy(),
@@ -625,6 +649,27 @@ class TestSteppingLoop:
         tr = integrate_filippov(F, [1.0, 0.0], 1.25, IntegratorConfig(dt_max=0.125))
         assert len(tr.times) == 11 and not tr.events
         assert len(calls) == 10 * 4
+
+    def test_regular_step_reads_the_switches_once_per_end(self):
+        # Each step reads g at its start (active set, sign vector, crossing
+        # search) and at its end (crossing and landing checks).
+        reads = []
+
+        def g(x):
+            reads.append(1)
+            return float(x[0])
+
+        up = lambda x: np.array([0.0, 1.0])
+        F = PiecewiseField(2, [SwitchingSurface(g, lambda x: np.array([1.0, 0.0]))],
+                           {(-1,): up, (1,): up})
+        cfg = IntegratorConfig(dt_max=0.125)
+        tr = integrate_filippov(F, [1.0, 0.0], 1.25, cfg)
+        assert len(tr.times) == 11 and not tr.events
+        assert len(reads) <= 2 + 2 * 10
+        reads.clear()
+        tr = integrate_caratheodory(F, [1.0, 0.0], 1.25, cfg)
+        assert len(tr.times) == 11 and not tr.events
+        assert len(reads) == 1 + 2 * 10
 
     def test_crossing_step_evaluates_the_start_field_once(self, monkeypatch):
         # Every bisection midpoint reuses the field value at the step start,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nsds.errors import SingularityError, UnsupportedError
+from nsds.errors import ModelError, SingularityError, UnsupportedError
 from nsds.geometry import ConvexPolygon, Polytope, contains, hausdorff_distance, least_norm
 from nsds.nonsmooth import (
     ALL_SPACE,
@@ -248,6 +248,21 @@ class TestDescent:
         with pytest.raises(ValueError):
             descent_inequality_check(make_function("abs"), [0.0], [0.1])
 
+    def test_one_least_norm_solve_per_call(self, monkeypatch):
+        # Criticality is read from the norm of the one least-norm point.
+        import nsds.geometry as geometry
+        import nsds.nonsmooth as nonsmooth
+
+        calls = []
+        counted = lambda P: calls.append(1) or least_norm(P)
+        monkeypatch.setattr(geometry, "least_norm", counted)
+        monkeypatch.setattr(nonsmooth, "least_norm", counted)
+        f = make_function("abs_sum", 2)
+        assert descent_direction(f, [0.0, 0.0]).critical
+        assert not descent_direction(f, [1.0, 0.0]).critical
+        assert descent_inequality_check(f, [1.0, 0.0], [0.1]).ok
+        assert len(calls) == 3
+
 
 class TestBoundaryDistance:
     def test_center_values(self):
@@ -333,6 +348,16 @@ class TestGraphsAndPacking:
         gr = f.gradient(x)
         assert gr.exact
         assert gr.polytope.n_vertices == 3
+
+
+@pytest.mark.parametrize("f, x", [
+    (make_function("abs_sum", 2), [0.0, math.nan]),
+    (make_function("abs"), [math.nan]),
+    (MinOf([affine_atom([1.0], 0.0), affine_atom([-1.0], 0.0)]), [math.nan]),
+], ids=["abs_sum", "abs", "min"])
+def test_nan_point_leaves_no_active_child(f, x):
+    with pytest.raises(ModelError, match="no active child"):
+        f.gradient(np.array(x))
 
 
 class TestFlags:

@@ -107,6 +107,29 @@ class TestCli:
         assert abs(payload["consensus_value"] - 2.5) <= 1e-3
         assert payload["consensus_time"] <= 10.0
 
+    def test_consensus_graph_is_sized_from_p0(self, capsys):
+        # Agent 3 is in no edge: it is isolated and holds its value.
+        code, out = run_cli("consensus", "--graph", "1-2", "--variant", "sign",
+                            "--p0", "0,1,5", "--t-end", "1")
+        assert code == 0
+        assert np.allclose(json.loads(out)["final_state"], [0.5, 0.5, 5.0], atol=1e-9)
+        code, _ = run_cli("consensus", "--graph", "1-4", "--variant", "sign",
+                          "--p0", "0,1,5", "--t-end", "1")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ValueError: bad edge")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["sample-hold", "--scenario", "cart", "--x0", "1", "--diam", "0.1", "--t-end", "1"],
+         "DimensionMismatch:"),
+        (["simulate", "--scenario", "oscillator", "--x0", "1", "--t-end", "1",
+          "--out", "OUT"], "DimensionMismatch:"),
+        (["gradient", "--function", "abs", "--point", "nan"], "Model:"),
+    ], ids=["sample-hold-short-x0", "simulate-short-x0", "gradient-nan"])
+    def test_bad_point_exits_1_with_a_typed_error(self, argv, err, tmp_path, capsys):
+        argv = [str(tmp_path / "never.csv") if a == "OUT" else a for a in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(err)
+
     def test_simulate_round_trips_csv(self, tmp_path):
         out_file = tmp_path / "tr.csv"
         code, out = run_cli("simulate", "--scenario", "brick", "--x0", "1",
@@ -210,11 +233,15 @@ class TestCli:
         ["sample-hold", "--scenario", "cart", "--x0", "0.6,0.3", "--diam", "0.1",
          "--t-end", "inf"],
         ["plot-data", "--traj", "EMPTY", "--kind", "time", "--out", "OUT"],
-    ], ids=["zero-diam", "negative-diam", "infinite-t-end", "empty-csv"])
+        ["plot-data", "--traj", "SHORT", "--kind", "time", "--out", "OUT"],
+    ], ids=["zero-diam", "negative-diam", "infinite-t-end", "empty-csv", "short-row"])
     def test_bad_schedule_or_trajectory_file_exits_1(self, argv, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
-        argv = [{"EMPTY": str(empty), "OUT": str(tmp_path / "o.dat")}.get(a, a) for a in argv]
+        short = tmp_path / "short.csv"
+        short.write_text("t,x1,mode,event\n0.0,1.0\n")
+        files = {"EMPTY": str(empty), "SHORT": str(short), "OUT": str(tmp_path / "o.dat")}
+        argv = [files.get(a, a) for a in argv]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("ValueError:") and "Traceback" not in err
