@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -167,19 +167,31 @@ def filippov_set(F: PiecewiseField, x, tol: float | None = None) -> Polytope:
     return Polytope(np.array([F.cell_value(sigma, x) for sigma in cells]))
 
 
-def _sides(F: PiecewiseField, x: np.ndarray, i: int, tol: float):
-    """Values of the minus and plus cells separated by surface i at x, and
-    their components alpha, beta along the surface gradient."""
+def _face(g, surfaces) -> tuple[int, ...]:
+    """Strict signs of g with 0 on ``surfaces``, whose adjacent cells meet there."""
+    return tuple(0 if j in surfaces else (1 if v > 0 else -1) for j, v in enumerate(g))
+
+
+def _sides(F: PiecewiseField, x: np.ndarray, i: int, g, tol: float):
+    """Normal of surface i at x and the rows of the minus and plus cell
+    values there, with the other surfaces' sides fixed by their values g."""
     n = F.switches[i].grad(x)
     if np.linalg.norm(n) <= tol:
         raise DegenerateSurfaceError(f"switching gradient vanishes on surface {i}")
-    sigma = [1 if gj > 0 else -1 for gj in F.switch_values(x)]
-    sigma[i] = 0
-    cells = F.adjacent_cells(tuple(sigma))
+    cells = F.adjacent_cells(_face(g, (i,)))
     if len(cells) != 2:
         raise ModelError(f"surface {i} does not separate two declared cells at {x.tolist()}")
-    x_minus, x_plus = F.cell_value(cells[0], x), F.cell_value(cells[1], x)
-    return x_minus, x_plus, float(n @ x_minus), float(n @ x_plus)
+    return n, np.array([F.cell_value(c, x) for c in cells])
+
+
+def _normal_kind(n: np.ndarray, sides: np.ndarray, tol: float) -> tuple[str, float, float]:
+    """Kind of a point on one surface and the normal parts alpha, beta of its two side fields."""
+    alpha, beta = float(n @ sides[0]), float(n @ sides[1])
+    if abs(alpha) <= tol or abs(beta) <= tol:
+        return TANGENT, alpha, beta
+    if alpha * beta > 0:
+        return CROSSING, alpha, beta
+    return (SLIDING if alpha > 0 else REPULSIVE), alpha, beta
 
 
 def classify_point(F: PiecewiseField, x, tol: float | None = None) -> SurfaceClassification:
@@ -195,20 +207,10 @@ def classify_point(F: PiecewiseField, x, tol: float | None = None) -> SurfaceCla
     tol = default_active_tol(x) if tol is None else tol
     active = F.active_set(x, tol)
     witness = filippov_set(F, x, tol)
-    if not active:
-        return SurfaceClassification(CONTINUITY, (), witness)
-    if len(active) >= 2:
-        return SurfaceClassification(TANGENT, tuple(active), witness)
+    if len(active) != 1:
+        return SurfaceClassification(TANGENT if active else CONTINUITY, tuple(active), witness)
     i = active[0]
-    _, _, alpha, beta = _sides(F, x, i, tol)
-    if abs(alpha) <= tol or abs(beta) <= tol:
-        kind = TANGENT
-    elif alpha * beta > 0:
-        kind = CROSSING
-    elif alpha > 0 and beta < 0:
-        kind = SLIDING
-    else:
-        kind = REPULSIVE
+    kind, alpha, beta = _normal_kind(*_sides(F, x, i, F.switch_values(x), tol), tol)
     return SurfaceClassification(kind, (i,), witness, alpha=alpha, beta=beta)
 
 
@@ -216,6 +218,59 @@ def classify_point(F: PiecewiseField, x, tol: float | None = None) -> SurfaceCla
 class SlidingResult:
     vector: np.ndarray
     lam: float  # weight on the plus-side field (the cell the gradient points into)
+
+
+def _cell_weights(lam, m: int = -1) -> np.ndarray:
+    """Multilinear weights of the 2^k cells around k surfaces in
+    ``adjacent_cells`` order, lam_l on the plus side of surface l and
+    1 - lam_l on its minus side; or their derivative in lam_m."""
+    w = np.ones(1)
+    for l, lam_l in enumerate(lam):
+        w = np.outer(w, (-1.0, 1.0) if l == m else (1.0 - lam_l, lam_l)).ravel()
+    return w
+
+
+def _tangent_combination(values: np.ndarray, normals: np.ndarray, tol: float,
+                         lam: np.ndarray | None = None) -> tuple[np.ndarray, Sequence[float]]:
+    """(vector, lam): the combination of the 2^k cell ``values`` around k
+    surfaces with weights lam in [0, 1]^k that is tangent to all of them.
+    One surface has the closed form lam = alpha / (alpha - beta); several
+    the multilinear one of Dieci & Lopez (Numer. Math. 117, 2011), with lam
+    by Newton from ``lam`` (default 1/2), where no surface may repel given
+    the other weights.  Raises NotSlidingError when there is none."""
+    k = normals.shape[0]
+    if values.shape[0] != 2**k:
+        raise NotSlidingError("a cell around the sliding surfaces is not declared")
+    if k == 1:
+        x_minus, x_plus = values
+        alpha, beta = float(normals[0] @ x_minus), float(normals[0] @ x_plus)
+        scale = tol * (1.0 + abs(alpha) + abs(beta))
+        if abs(alpha) <= scale and abs(beta) <= scale:
+            # Both one-sided fields are already tangent; any weight works.
+            return 0.5 * (x_plus + x_minus), (0.5,)
+        if abs(alpha - beta) <= scale:
+            raise NotSlidingError("equal nonzero normal components admit no tangent combination")
+        lam = (alpha / (alpha - beta),)
+    else:
+        parts = normals @ values.T
+        scale = tol * (1.0 + float(np.max(np.abs(parts))))
+        jac = lambda lam: parts @ np.transpose([_cell_weights(lam, m) for m in range(k)])
+        lam = np.full(k, 0.5) if lam is None else lam
+        for _ in range(30):
+            residual = parts @ _cell_weights(lam)
+            if np.max(np.abs(residual)) <= 1e-6 * scale:
+                break
+            lam = lam - np.linalg.lstsq(jac(lam), residual, rcond=None)[0]
+        repels = np.diag(jac(lam)) > scale  # surface m's own part grows from - to + side
+        if not np.max(np.abs(parts @ _cell_weights(lam))) <= scale or np.any(repels):
+            raise NotSlidingError("no tangent combination that every surface attracts")
+    if min(lam) < -1e-9 or max(lam) > 1 + 1e-9:
+        raise NotSlidingError(f"tangency coefficients {lam} outside [0, 1]")
+    if k == 1:
+        lam = (min(max(lam[0], 0.0), 1.0),)
+        return lam[0] * x_plus + (1.0 - lam[0]) * x_minus, lam
+    lam = np.clip(lam, 0.0, 1.0)
+    return _cell_weights(lam) @ values, lam
 
 
 def sliding_field(F: PiecewiseField, x, i: int, tol: float | None = None) -> SlidingResult:
@@ -226,18 +281,9 @@ def sliding_field(F: PiecewiseField, x, i: int, tol: float | None = None) -> Sli
     """
     x = np.asarray(x, dtype=float)
     tol = default_active_tol(x) if tol is None else tol
-    x_minus, x_plus, alpha, beta = _sides(F, x, i, tol)
-    scale = tol * (1.0 + abs(alpha) + abs(beta))
-    if abs(alpha) <= scale and abs(beta) <= scale:
-        # Both one-sided fields are already tangent; any weight works.
-        return SlidingResult(vector=0.5 * (x_plus + x_minus), lam=0.5)
-    if abs(alpha - beta) <= scale:
-        raise NotSlidingError("equal nonzero normal components admit no tangent combination")
-    lam = alpha / (alpha - beta)
-    if lam < -1e-9 or lam > 1 + 1e-9:
-        raise NotSlidingError(f"tangency coefficient {lam} outside [0, 1]")
-    lam = min(max(lam, 0.0), 1.0)
-    return SlidingResult(vector=lam * x_plus + (1.0 - lam) * x_minus, lam=lam)
+    n, sides = _sides(F, x, i, F.switch_values(x), tol)
+    vector, lam = _tangent_combination(sides, n[None, :], tol)
+    return SlidingResult(vector=vector, lam=float(lam[0]))
 
 
 # ---------------------------------------------------------------------------

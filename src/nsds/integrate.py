@@ -7,11 +7,11 @@ The Filippov, Caratheodory and pointwise integrators share one stepping loop,
 a stopped state to ``t_end``.  Each integrator supplies one step function.
 
 The Filippov step runs fixed-step RK4 inside cells, localizes surface hits by
-bisection on the step fraction, classifies the hit, and then either crosses,
-slides along the surface with per-step projection, or follows the least-norm
-selection of the convexified field. Sliding ends when the tangency
-coefficient leaves the unit interval; a vanishing least-norm selection stops
-the trajectory (an inclusion equilibrium).
+bisection on the step fraction, classifies the hit, and then either crosses
+or slides, with per-step projection, on the active set S of one surface or
+of several that meet (the tangent multilinear combination of the 2^|S| cells
+around S).  A point where the least-norm selection of the convexified field
+vanishes stops the trajectory (an inclusion equilibrium).
 
 Determinism: one run is single-threaded and fully determined by its inputs
 and config.
@@ -32,15 +32,17 @@ from .fields import (
     CROSSING,
     REPULSIVE,
     SLIDING,
+    TANGENT,
     ControlField,
     PiecewiseField,
     SwitchingSurface,
-    classify_point,
+    _face,
+    _normal_kind,
+    _sides,
+    _tangent_combination,
     default_active_tol,
-    filippov_set,
-    sliding_field,
 )
-from .geometry import least_norm
+from .geometry import Polytope, least_norm
 from .nonsmooth import Graph, NsFunction, disagreement_function
 
 SURFACE_HIT = "SurfaceHit"
@@ -56,7 +58,7 @@ NO_PROGRESS_STEPS = 100
 # Stall detection: Converged is declared once the average speed over this
 # many consecutive steps drops below conv_tol.
 STALL_WINDOW = 20
-# A slide ends once its tangency coefficient comes this close to 0 or 1.
+# A slide on one surface ends once its weight comes this close to 0 or 1.
 SLIDING_EXIT_MARGIN = 1e-6
 
 MODE_STOP = "STOP"
@@ -342,25 +344,18 @@ def _cell_step(F: PiecewiseField, sigma, x: np.ndarray, g: np.ndarray, h: float,
     return _first_crossing(flow, F.switches, g, refine_tol, skip)
 
 
-def _strict_signs(g) -> tuple[int, ...]:
-    return tuple(1 if v > 0 else -1 for v in g)
-
-
 class _FilippovRun:
-    """The step function of a Filippov run: one regular, crossing, sliding
-    or least-norm step per call, with ``sliding`` the index of the surface
-    being slid along (None off surfaces).  A step reads the switch values at
-    its start once, for its phase, cell and crossing search."""
+    """The step function of a Filippov run: one regular, surface, corner or
+    sliding step per call, with ``S`` the surfaces slid along (empty off
+    surfaces) and ``lam`` the weights of their tangent combination.  A step
+    reads the switch values at its start once, for its phase and cells."""
 
-    def __init__(self, F: PiecewiseField, x0: np.ndarray, t_end: float,
-                 cfg: IntegratorConfig):
+    def __init__(self, F: PiecewiseField, x0: np.ndarray, cfg: IntegratorConfig):
         self.F = F
         self.cfg = cfg
-        self.t_end = t_end
         self.b = _Builder(0.0, x0, self._label(x0))
-        self.sliding: int | None = None
-
-    # -- helpers ----------------------------------------------------------
+        self.S: tuple[int, ...] = ()
+        self.lam = np.empty(0)
 
     def _act_tol(self, x) -> float:
         return max(default_active_tol(x), self.cfg.event_refine_tol)
@@ -376,27 +371,22 @@ class _FilippovRun:
         tol = self._act_tol(x)
         return next((j for j, v in end_vals.items() if abs(v) <= tol), None)
 
-    # -- phases -----------------------------------------------------------
-
     def step(self, h: float) -> bool:
-        cfg = self.cfg
+        x = self.b.x
+        g = self.F.switch_values(x)
+        tol = self._act_tol(x)
+        active = [j for j, v in enumerate(g) if abs(v) <= tol]
         stopped = False
-        if self.sliding is not None:
-            self._slide_step(self.sliding, h)
+        if self.S:
+            stopped = self._slide_step(h, g)
+        elif not active:
+            self._regular_phase(h, g, _face(g, ()))
+        elif len(active) == 1:
+            stopped = self._surface_phase(active[0], h, g, tol)
         else:
-            x = self.b.x
-            g = self.F.switch_values(x)
-            tol = self._act_tol(x)
-            active = [j for j, v in enumerate(g) if abs(v) <= tol]
-            if not active:
-                self._regular_phase(h, g, _strict_signs(g))
-            elif len(active) == 1:
-                stopped = self._surface_phase(active[0], h, g)
-            else:
-                stopped = self._least_norm_phase(active)
-        if not stopped and self.b.stalled(STALL_WINDOW, cfg.conv_tol):
-            detail = "stall window" if self.sliding is None else "sliding stall"
-            self.b.event(CONVERGED, detail)
+            stopped = self._corner_phase(active, h, g)
+        if not stopped and self.b.stalled(STALL_WINDOW, self.cfg.conv_tol):
+            self.b.event(CONVERGED, "sliding stall" if self.S else "stall window")
             stopped = True
         return stopped
 
@@ -410,104 +400,112 @@ class _FilippovRun:
         if i is not None:
             self.b.event(SURFACE_HIT, f"surface {i}")
 
-    def _surface_phase(self, i: int, h: float, g) -> bool:
-        cls = classify_point(self.F, self.b.x, self._act_tol(self.b.x))
-        sigma = list(_strict_signs(g))
-        if cls.kind == SLIDING:
+    def _surface_phase(self, i: int, h: float, g, tol: float) -> bool:
+        kind, alpha, _ = _normal_kind(*_sides(self.F, self.b.x, i, g, tol), tol)
+        if kind == SLIDING:
             self.b.event(SLIDE_ENTER, f"surface {i}")
-            self.sliding = i
-        elif cls.kind == CROSSING:
-            sigma[i] = 1 if cls.alpha > 0 else -1
-            self._regular_phase(h, g, tuple(sigma), skip=(i,))
-        elif cls.kind == REPULSIVE:
-            # classify_point found both sides declared; take the minus side.
-            sigma[i] = -1
+            self.S = (i,)
+            return False
+        if kind == TANGENT:  # no transversal information
+            return self._corner_phase([i], h, g)
+        sigma = list(_face(g, ()))
+        sigma[i] = 1 if kind == CROSSING and alpha > 0 else -1
+        if kind == REPULSIVE:  # both sides are declared and push away: take the minus side
             self.b.event(SURFACE_HIT, f"repulsive branch {sign_string(sigma)}")
-            self._regular_phase(h, g, tuple(sigma), skip=(i,))
-        else:  # tangent: no transversal information, fall back to least-norm
-            return self._least_norm_phase([i])
+        self._regular_phase(h, g, tuple(sigma), skip=(i,))
         return False
 
-    def _exit_slide(self, i: int, why: str):
-        self.b.event(SLIDE_EXIT, f"surface {i}: {why}")
-        self.sliding = None
+    def _corner_phase(self, active: list[int], h: float, g, slide: bool = True) -> bool:
+        """On the surfaces ``active``: stop where the least-norm selection of
+        the Filippov set vanishes; else, if ``slide``, slide on several that
+        admit a tangent combination; else take one regular step into the
+        cell that the selection points into."""
+        x = self.b.x
+        cells = self.F.adjacent_cells(_face(g, active))
+        if not cells:
+            raise ModelError(f"no declared cell adjacent to x={x.tolist()}")
+        values = np.array([self.F.cell_value(c, x) for c in cells])
+        v = least_norm(Polytope(values)).point
+        if float(np.linalg.norm(v)) <= max(self.cfg.conv_tol, 1e-12):
+            self.b.event(CONVERGED, "least-norm selection vanished")
+            return True
+        normals = np.array([self.F.switches[j].grad(x) for j in active])
+        if slide and len(active) > 1:
+            try:
+                _, self.lam = _tangent_combination(values, normals, default_active_tol(x))
+                self.S = tuple(active)
+                self.b.event(SLIDE_ENTER, f"surface {','.join(map(str, active))}")
+                return False
+            except NotSlidingError:
+                pass
+        sigma = list(_face(g, ()))
+        for j, rate in zip(active, normals @ v):
+            sigma[j] = 1 if rate > 0 else -1
+        self._regular_phase(h, g, tuple(sigma), skip=active)
+        return False
 
-    def _project(self, i: int, y: np.ndarray) -> np.ndarray:
-        surface = self.F.switches[i]
+    def _project(self, y: np.ndarray) -> np.ndarray:
+        """Gauss-Newton projection of y onto the intersection of S."""
+        surfaces = [self.F.switches[j] for j in self.S]
         for _ in range(12):
-            gv = surface.value(y)
-            if abs(gv) <= self.cfg.event_refine_tol:
+            gv = [s.value(y) for s in surfaces]
+            if max(map(abs, gv)) <= self.cfg.event_refine_tol:
                 break
-            grad = surface.grad(y)
-            y = y - gv * grad / float(grad @ grad)
+            if len(gv) == 1:
+                grad = surfaces[0].grad(y)
+                y = y - gv[0] * grad / float(grad @ grad)
+            else:
+                y = y - np.linalg.lstsq(np.array([s.grad(y) for s in surfaces]), gv,
+                                        rcond=None)[0]
         return y
 
-    def _slide_step(self, i: int, h: float):
-        cfg = self.cfg
-        x = self.b.x
+    def _slide_step(self, h: float, g) -> bool:
+        """One RK4 step of the tangent combination on S, each stage projected
+        onto S, cut at the first crossing of another surface."""
+        cfg, S, x = self.cfg, self.S, self.b.x
+        cells = self.F.adjacent_cells(_face(g, S))
+        def combination(y):  # Newton starts from the weights at x
+            values = np.array([self.F.cell_value(c, y) for c in cells])
+            normals = np.array([self.F.switches[j].grad(y) for j in S])
+            return _tangent_combination(values, normals, default_active_tol(y), self.lam)
         try:
-            res = sliding_field(self.F, x, i)
-        except NotSlidingError:
-            self._exit_slide(i, "tangency lost")
-            return
-        g = self.F.switch_values(x)
-        lam = res.lam
-        if lam <= SLIDING_EXIT_MARGIN or lam >= 1.0 - SLIDING_EXIT_MARGIN:
-            self._exit_slide(i, f"lambda={lam:.3g}")
-            sigma = list(_strict_signs(g))
-            sigma[i] = -1 if lam <= SLIDING_EXIT_MARGIN else 1
-            self._regular_phase(h, g, tuple(sigma), skip=(i,))
-            return
-        # Clamp the step to land just before the first predicted crossing
-        # of any other surface: the sliding vector jumps there, and an RK4
-        # stage straddling the jump corrupts the step.  The regular phases
-        # take over once the surface becomes active.
-        for j, s in enumerate(self.F.switches):
-            if j == i:
-                continue
-            rate = float(s.grad(x) @ res.vector)
-            if abs(g[j]) > cfg.event_refine_tol and abs(rate) > 1e-14:
-                tau = -g[j] / rate
-                if 0.0 < tau < 1.5 * h:
-                    h = min(h, max(0.9999 * tau, tau - 1e-12))
-        if h <= 1e-15:
-            h = 1e-15
-        slide_vec = lambda y: sliding_field(self.F, y, i).vector
-        flow = lambda s: self._project(i, rk4_step(slide_vec, x, s * h, res.vector))
-        try:
+            v, self.lam = combination(x)
+            lam = self.lam[0]
+            if len(S) == 1 and (lam <= SLIDING_EXIT_MARGIN or lam >= 1.0 - SLIDING_EXIT_MARGIN):
+                self.b.event(SLIDE_EXIT, f"surface {S[0]}: lambda={lam:.3g}")
+                self.S = ()
+                sigma = list(_face(g, ()))
+                sigma[S[0]] = -1 if lam <= SLIDING_EXIT_MARGIN else 1
+                self._regular_phase(h, g, tuple(sigma), skip=S)
+                return False
+            # Clamp the step to land just before the first predicted crossing
+            # of any other surface: the sliding vector jumps there, and an RK4
+            # stage straddling the jump corrupts the step.
+            for j, s in enumerate(self.F.switches):
+                if j in S:
+                    continue
+                rate = float(s.grad(x) @ v)
+                if abs(g[j]) > cfg.event_refine_tol and abs(rate) > 1e-14:
+                    tau = -g[j] / rate
+                    if 0.0 < tau < 1.5 * h:
+                        h = min(h, max(0.9999 * tau, tau - 1e-12))
+            h = max(h, 1e-15)
+            slide_vec = lambda y: combination(y)[0]
+            flow = lambda s: self._project(rk4_step(slide_vec, x, s * h, v))
             s_star, j, x_new, end_vals = _first_crossing(
-                flow, self.F.switches, g, cfg.event_refine_tol, skip={i}
-            )
+                flow, self.F.switches, g, cfg.event_refine_tol, skip=set(S))
         except NotSlidingError:
-            self._exit_slide(i, "tangency lost")
-            return
-        self.b.append(self.b.t + s_star * h, x_new, sliding_mode([i]))
+            self.b.event(SLIDE_EXIT, f"surface {','.join(map(str, S))}: tangency lost")
+            self.S = ()
+            # Several surfaces: leave now, or the slide could re-enter here.
+            return len(S) > 1 and self._corner_phase(list(S), h, g, slide=False)
+        self.b.append(self.b.t + s_star * h, x_new, sliding_mode(S))
         if j is None:
             j = self._landed_on(x_new, end_vals)
         if j is not None:
-            self.b.event(SURFACE_HIT, f"surface {j} while sliding on {i}")
-            self.sliding = None
-
-    def _least_norm_phase(self, active: list[int]) -> bool:
-        cfg = self.cfg
-        x = self.b.x
-        P = filippov_set(self.F, x, self._act_tol(x))
-        v = least_norm(P).point
-        if float(np.linalg.norm(v)) <= max(cfg.conv_tol, 1e-12):
-            self.b.event(CONVERGED, "least-norm selection vanished")
-            return True
-        h_sub = cfg.dt_max / 10.0
-        t_used = 0.0
-        while t_used < cfg.dt_max and self.b.t + t_used < self.t_end - 1e-12:
-            x = x + h_sub * v
-            t_used += h_sub
-            if len(self.F.active_set(x, self._act_tol(x))) <= 1:
-                break
-            P = filippov_set(self.F, x, self._act_tol(x))
-            v = least_norm(P).point
-            if float(np.linalg.norm(v)) <= max(cfg.conv_tol, 1e-12):
-                break
-        self.b.append(self.b.t + t_used, x, sliding_mode(active))
+            # The next step, on S and j, stops, slides on all, or leaves.
+            self.b.event(SURFACE_HIT, f"surface {j} while sliding on {','.join(map(str, S))}")
+            self.S = ()
         return False
 
 
@@ -517,8 +515,8 @@ def integrate_filippov(F: PiecewiseField, x0, t_end: float,
     cfg = cfg or IntegratorConfig()
     x0 = np.asarray(x0, dtype=float)
     _check_start(x0, t_end, F.dim)
-    run = _FilippovRun(F, x0, float(t_end), cfg)
-    return _drive(run.b, run.t_end, cfg, run.step)
+    run = _FilippovRun(F, x0, cfg)
+    return _drive(run.b, float(t_end), cfg, run.step)
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +678,8 @@ def sign_consensus_field(G: Graph) -> PiecewiseField:
     still."""
     n = G.n
     if n > 12:
-        raise ModelError("sign consensus is limited to 12 agents: where many switching "
-                         "surfaces meet, runs chatter instead of sliding")
+        raise ModelError("sign consensus is limited to 12 agents: a slide on the intersection "
+                         "of |S| switching surfaces evaluates 2^|S| cells per RK4 stage")
     L = G.laplacian()
     agents = [i for i in range(n) if L[i, i] > 0]
     groups = [[agents.index(a) for a in comp] for comp in G.components() if len(comp) >= 2]

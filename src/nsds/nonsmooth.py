@@ -799,17 +799,3 @@ def make_function(name: str, dim: int | None = None) -> NsFunction:
             raise ValueError("hsp needs an even dimension (stacked planar agents)")
         return hsp_function(poly, dim // 2)
     raise KeyError(f"unknown catalog function {name!r}")
-
-
-CATALOG_NAMES = (
-    "abs",
-    "neg_abs",
-    "sqrt_abs",
-    "abs_sum",
-    "energy_oscillator",
-    "smq",
-    "neg_smq",
-    "disagreement",
-    "cart_lyapunov",
-    "hsp",
-)

@@ -188,6 +188,52 @@ class TestFilippovIntegrator:
                 err = abs(tr.final_state[0] - 0.0)
                 assert err <= 1.05 * dt * 1e-3
 
+    @staticmethod
+    def quadrant_field(value):
+        """Switches on x1 and x2 of a 3-D state; value(sigma, x) is the field
+        of each of the four quadrant cells."""
+        switches = [SwitchingSurface.coordinate(0, 3), SwitchingSurface.coordinate(1, 3)]
+        cells = {s: (lambda s: lambda x: np.array(value(s, x), dtype=float))(s)
+                 for s in itertools.product((-1, 1), repeat=2)}
+        return PiecewiseField(3, switches, cells)
+
+    def test_slide_on_two_surfaces_holds_them_and_ends_at_t_end(self):
+        # Both surfaces attract; after the second is reached at t = 0.3 the
+        # state slides along their intersection, drifting in x3 only.
+        F = self.quadrant_field(lambda s, x: (-s[0], -s[1], 1.0))
+        tr = integrate_filippov(F, [0.3, 0.2, 0.0], 1.0, IntegratorConfig(dt_max=0.01))
+        assert tr.final_time == 1.0
+        assert ("SlideEnter", "surface 0,1") in [(e.kind, e.detail) for e in tr.events]
+        late = tr.times > 0.3 + 1e-6
+        assert np.count_nonzero(late) >= 60
+        assert {tr.modes[k] for k in np.flatnonzero(late)} == {"S:0,1"}
+        assert np.max(np.abs(tr.states[late, :2])) <= 1e-10
+        assert abs(tr.final_state[2] - 1.0) <= 1e-9
+
+    def test_slide_on_two_surfaces_ends_when_one_repels(self):
+        # x2 = 0 attracts until x3 = 1.5 and repels after it; the slide on
+        # both surfaces ends there and the run slides on x1 = 0 alone, while
+        # x2 grows as (t - 1.5)^2 / 2.
+        F = self.quadrant_field(lambda s, x: (-s[0], x[2] - 0.5 - s[1], 1.0))
+        tr = integrate_filippov(F, [0.1, 0.1, 0.0], 2.5, IntegratorConfig(dt_max=0.01))
+        events = [(e.kind, e.detail) for e in tr.events]
+        assert ("SlideEnter", "surface 0,1") in events
+        exits = [e for e in tr.events if e.kind == "SlideExit"]
+        assert len(exits) == 1 and exits[0].detail == "surface 0,1: tangency lost"
+        assert abs(exits[0].time - 1.5) <= 0.01
+        assert "NoProgress" not in [k for k, _ in events] and tr.final_time == 2.5
+        assert tr.modes[-1] == "S:0" and abs(tr.final_state[0]) <= 1e-9
+        assert abs(tr.final_state[1] - 0.5) <= 0.02
+
+    def test_transversal_corner_is_crossed(self):
+        F = PiecewiseField(2, [SwitchingSurface.coordinate(0, 2), SwitchingSurface.coordinate(1, 2)],
+                           {s: (lambda x: np.array([1.0, 1.0]))
+                            for s in itertools.product((-1, 1), repeat=2)})
+        tr = integrate_filippov(F, [-0.5, -0.5], 1.0, IntegratorConfig(dt_max=0.01))
+        assert "SlideEnter" not in [e.kind for e in tr.events]
+        assert tr.final_time == 1.0
+        assert np.max(np.abs(tr.final_state - [0.5, 0.5])) <= 1e-9
+
 
 class TestCaratheodory:
     def test_smooth_linear_field(self):
@@ -315,6 +361,26 @@ class TestConsensus:
         assert np.allclose(tr.final_state, [0.5, 0.5, 5.0], atol=1e-6)
         assert np.all(tr.states[:, 2] == 5.0)
         assert any(e.kind == "Converged" for e in tr.events)
+
+    @pytest.mark.parametrize("G, p0", [
+        (Graph.path(6), (0.9554, 0.4047, 0.0615, 0.0248, 1.2199, 1.3691)),
+        (Graph.path(8), tuple(np.random.default_rng(0).random(8))),
+        (Graph.path(8), tuple(np.random.default_rng(1).random(8))),
+        (Graph.complete(5), (0.0, 0.3, 0.35, 0.9, 1.0)),
+    ], ids=["path6", "path8-seed0", "path8-seed1", "complete5"])
+    def test_sign_flow_slides_on_intersections_to_consensus(self, G, p0):
+        # Clusters of agents slide on the intersection of their surfaces
+        # instead of chattering across them, so consensus comes in finite
+        # time after a handful of surface hits.
+        res = consensus_flow(G, "sign", p0, 2.0)
+        kinds = [e.kind for e in res.trajectory.events]
+        assert kinds.count("Converged") == 1
+        assert next(e.time for e in res.trajectory.events if e.kind == "Converged") < 2.0
+        assert kinds.count("SurfaceHit") <= 50
+        assert res.final_spread <= 1e-8
+        if G.n == 6:
+            midrange = 0.5 * (min(p0) + max(p0))
+            assert np.max(np.abs(res.trajectory.final_state - midrange)) <= 1e-8
 
 
 class TestSampleAndHold:
@@ -671,6 +737,22 @@ class TestSteppingLoop:
         assert len(tr.times) == 11 and not tr.events
         assert len(reads) == 1 + 2 * 10
 
+    def test_surface_step_classifies_from_its_own_switch_values(self):
+        # The run's label reads g once at x0 and the surface step once more;
+        # the crossing it takes does not watch the surface it starts on.
+        reads = []
+
+        def g(x):
+            reads.append(1)
+            return float(x[0])
+
+        right = lambda x: np.array([1.0, 0.0])
+        F = PiecewiseField(2, [SwitchingSurface(g, lambda x: np.array([1.0, 0.0]))],
+                           {(-1,): right, (1,): right})
+        tr = integrate_filippov(F, [0.0, 0.0], 0.125, IntegratorConfig(dt_max=0.125))
+        assert tr.final_time == 0.125 and tr.modes[-1] == "R:+"
+        assert len(reads) <= 2
+
     def test_crossing_step_evaluates_the_start_field_once(self, monkeypatch):
         # Every bisection midpoint reuses the field value at the step start,
         # so a step costs 1 + 3 evaluations per trial fraction.
@@ -692,14 +774,14 @@ class TestSteppingLoop:
         assert len(calls) == steps + 3 * len(trials)
 
     def test_slide_step_reuses_the_sliding_vector(self, monkeypatch):
-        # One sliding_field call decides the step and serves as RK4's k1.
-        import nsds.integrate as integrate
-        from nsds.fields import sliding_field
-
+        # The surface step reads the two cells once to classify; the slide
+        # step reads them once at its start, and that sliding vector serves
+        # as RK4's k1, so its three later stages read them three more times.
         calls = []
-        monkeypatch.setattr(integrate, "sliding_field",
-                            lambda *a: calls.append(1) or sliding_field(*a))
+        cell_value = PiecewiseField.cell_value
+        monkeypatch.setattr(PiecewiseField, "cell_value",
+                            lambda *a: calls.append(1) or cell_value(*a))
         tr = get_scenario("move_away_1").simulate([0.05, 0.05], 1e-3)
         assert [e.kind for e in tr.events] == ["SlideEnter"]
         assert len(tr.times) == 2
-        assert len(calls) == 4
+        assert len(calls) == 2 + 2 * 4
