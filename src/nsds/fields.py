@@ -158,10 +158,20 @@ def filippov_set(F: PiecewiseField, x, tol: float | None = None) -> Polytope:
     cells, so redefining the field on the surfaces themselves cannot change
     it.
     """
+    x = _point(F, x)
+    return _hull_at(F, x, F.sign_vector(x, tol))
+
+
+def _point(F: PiecewiseField, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[0] != F.dim:
         raise DimensionMismatchError("point dimension mismatch")
-    cells = F.adjacent_cells(F.sign_vector(x, tol))
+    return x
+
+
+def _hull_at(F: PiecewiseField, x: np.ndarray, face: SignVector) -> Polytope:
+    """Hull of the values at x of the declared cells adjacent to ``face``."""
+    cells = F.adjacent_cells(face)
     if not cells:
         raise ModelError(f"no declared cell adjacent to x={x.tolist()}")
     return Polytope(np.array([F.cell_value(sigma, x) for sigma in cells]))
@@ -203,15 +213,15 @@ def classify_point(F: PiecewiseField, x, tol: float | None = None) -> SurfaceCla
     two or more active surfaces the kind is ``tangent`` and the Filippov
     polytope is returned as witness.
     """
-    x = np.asarray(x, dtype=float)
+    x = _point(F, x)
     tol = default_active_tol(x) if tol is None else tol
-    active = F.active_set(x, tol)
-    witness = filippov_set(F, x, tol)
+    g = F.switch_values(x)
+    active = tuple(j for j, v in enumerate(g) if abs(v) <= tol)
+    witness = _hull_at(F, x, _face(g, active))
     if len(active) != 1:
-        return SurfaceClassification(TANGENT if active else CONTINUITY, tuple(active), witness)
-    i = active[0]
-    kind, alpha, beta = _normal_kind(*_sides(F, x, i, F.switch_values(x), tol), tol)
-    return SurfaceClassification(kind, (i,), witness, alpha=alpha, beta=beta)
+        return SurfaceClassification(TANGENT if active else CONTINUITY, active, witness)
+    kind, alpha, beta = _normal_kind(*_sides(F, x, active[0], g, tol), tol)
+    return SurfaceClassification(kind, active, witness, alpha=alpha, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -404,10 +414,9 @@ def transversality_test(F: PiecewiseField, points) -> list[TransversalityResult]
     out = []
     for p in points:
         p = np.asarray(p, dtype=float)
-        active = F.active_set(p)
-        if len(active) != 1:
-            raise ModelError(f"point {p.tolist()} is not on exactly one surface")
         cls = classify_point(F, p)
+        if len(cls.active_surfaces) != 1:
+            raise ModelError(f"point {p.tolist()} is not on exactly one surface")
         holds = cls.alpha > _TRANSVERSAL_TOL or cls.beta < -_TRANSVERSAL_TOL
         out.append(TransversalityResult(p, holds, cls.alpha, cls.beta))
     return out

@@ -336,14 +336,20 @@ def maximin_value(A: Polytope, B: Polytope) -> float:
     """sup over zeta in A of min over v in B of zeta . v.
 
     The inner minimum over the hull of B is attained at a vertex, so this is
-    the value of the matrix game with payoff M[i, j] = a_i . b_j, computed by
-    a single LP on the vertex representations.
+    the value of the matrix game with payoff M[i, j] = a_i . b_j.  A side
+    with one vertex leaves the other player a single choice, so the value is
+    the least entry of M when A is one vertex and the largest when B is;
+    otherwise a single LP on the vertex representations computes it.
     """
     if A.is_empty or B.is_empty:
         raise EmptySetError("maximin_value needs nonempty polytopes")
     if A.dim != B.dim:
         raise DimensionMismatchError("maximin_value dimension mismatch")
     M = A.vertices @ B.vertices.T  # (na, nb)
+    if A.n_vertices == 1:
+        return float(M.min())
+    if B.n_vertices == 1:
+        return float(M.max())
     na, nb = M.shape
     # Variables: lambda (na), t+, t-, slack (nb).
     # Rows: sum(lambda) = 1;  M^T lambda - t+ + t- - s_j = 0 for each j.

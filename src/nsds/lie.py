@@ -5,11 +5,11 @@ side is a closed real interval, possibly empty.  The empty set follows the
 conventions max(empty) = sup(empty) = -inf, so monotonicity checks pass
 vacuously exactly where the theory says they should.
 
-Certification here is sample-based: a Certified verdict means every grid
-point passed, never that a proof was produced.  The grid parameters are
-recorded in the report for reproducibility.  Everything in this module is a
-pure function of its inputs, so grid sweeps may be fanned out concurrently
-by the caller.
+Certification here is sample-based: a Certified verdict means at least one
+grid point was checked and every one passed, never that a proof was
+produced.  The grid parameters are recorded in the report for
+reproducibility.  Everything in this module is a pure function of its
+inputs, so grid sweeps may be fanned out concurrently by the caller.
 """
 
 from __future__ import annotations
@@ -87,9 +87,11 @@ def _lie_extreme(Fset: Polytope, grad: Polytope, sense: float) -> float:
     min(empty) = inf and max(empty) = -inf.
 
     The feasible v form the slice of Fset where all gradient differences are
-    orthogonal; one LP over the slice in convex-combination coordinates
-    gives the extreme.  Duplicated or dependent gradient vertices give
-    redundant equality rows, which the simplex drops.
+    orthogonal.  A one-vertex gradient constrains nothing, so the slice is
+    all of Fset and the extreme is the least or largest vertex value, in
+    closed form.  Otherwise one LP over the slice in convex-combination
+    coordinates gives the extreme; duplicated or dependent gradient vertices
+    give redundant equality rows, which the simplex drops.
     """
     if Fset.is_empty or grad.is_empty:
         raise EmptySetError("set_lie_derivative needs nonempty polytopes")
@@ -97,6 +99,9 @@ def _lie_extreme(Fset: Polytope, grad: Polytope, sense: float) -> float:
         raise DimensionMismatchError("field and gradient dimensions differ")
     V = Fset.vertices
     zeta0 = grad.vertices[0]
+    if grad.n_vertices == 1:
+        values = V @ zeta0
+        return 0.0 + float(values.min() if sense > 0 else values.max())
     A = np.vstack([np.ones(V.shape[0]), (grad.vertices[1:] - zeta0) @ V.T])
     b = np.zeros(A.shape[0])
     b[0] = 1.0
@@ -156,15 +161,27 @@ class GridSpec:
     counts: tuple[int, ...]
     exclude: Callable[[np.ndarray], bool] | None = None
 
+    def __post_init__(self):
+        if not self.lows or not len(self.lows) == len(self.highs) == len(self.counts):
+            raise ValueError("a grid needs one low, high and count per axis, and at least one axis")
+        for axis, (lo, hi, n) in enumerate(zip(self.lows, self.highs, self.counts)):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"grid axis {axis}: bounds {lo}, {hi} are not finite")
+            if not isinstance(n, (int, np.integer)) or n < 1:
+                raise ValueError(f"grid axis {axis}: count {n} is not a positive integer")
+
     @classmethod
     def parse(cls, text: str, exclude=None) -> "GridSpec":
         """Parse ``lo:hi:n,lo:hi:n,...``."""
         lows, highs, counts = [], [], []
-        for part in text.split(","):
-            lo, hi, n = part.split(":")
-            lows.append(float(lo))
-            highs.append(float(hi))
-            counts.append(int(n))
+        for axis, part in enumerate(text.split(",")):
+            try:
+                lo, hi, n = part.split(":")
+                lows.append(float(lo))
+                highs.append(float(hi))
+                counts.append(int(n))
+            except ValueError:
+                raise ValueError(f"grid axis {axis}: {part!r} is not lo:hi:n") from None
         return cls(tuple(lows), tuple(highs), tuple(counts), exclude)
 
     @property
@@ -298,6 +315,9 @@ def _sweep(theorem: str, f: NsFunction, F: FieldSource, region: GridSpec, *,
             return stop(FALSIFIED, bound_clause, value=val)
         if val > worst:
             worst, worst_at = val, x.tolist()
+    if checked == 0:  # a sweep that checks nothing certifies nothing
+        return StabilityReport(INCONCLUSIVE, theorem, 0, failed_clause="empty-grid",
+                               grid=grid, details=details)
     return StabilityReport(CERTIFIED, theorem, checked, grid=grid, details={
         **details, "max_value": None if worst_at is None else worst, "max_point": worst_at})
 

@@ -355,6 +355,53 @@ class TestUniquenessChecks:
         assert not res[0].holds
 
 
+class TestSwitchReads:
+    """classify_point reads each switching function once per call, and
+    transversality_test once per point, with unchanged classifications."""
+
+    @staticmethod
+    def counted_field():
+        reads = [0, 0]
+
+        def surface(k):
+            def value(x):
+                reads[k] += 1
+                return float(x[k])
+            grad = np.eye(2)[k]
+            return SwitchingSurface(value, lambda x: grad.copy())
+
+        cells = {s: (lambda x, s=s: np.array([-s[0], 1.0 + 0.5 * s[1]]))
+                 for s in itertools.product((-1, 1), repeat=2)}
+        return PiecewiseField(2, [surface(0), surface(1)], cells), reads
+
+    @pytest.mark.parametrize("x, kind, active, alpha, beta, witness", [
+        ([0.3, 0.4], "continuity", (), None, None, [[-1.0, 1.5]]),
+        ([0.0, 0.4], "sliding", (0,), 1.0, -1.0, [[1.0, 1.5], [-1.0, 1.5]]),
+        ([0.3, 0.0], "crossing", (1,), 0.5, 1.5, [[-1.0, 0.5], [-1.0, 1.5]]),
+        ([0.0, 0.0], "tangent", (0, 1), None, None,
+         [[1.0, 0.5], [1.0, 1.5], [-1.0, 0.5], [-1.0, 1.5]]),
+    ])
+    def test_classify_point_reads_each_switch_once(self, x, kind, active, alpha, beta, witness):
+        F, reads = self.counted_field()
+        cls = classify_point(F, x)
+        assert reads == [1, 1]
+        assert (cls.kind, cls.active_surfaces, cls.alpha, cls.beta) == (kind, active, alpha, beta)
+        assert cls.witness.vertices.tolist() == witness
+
+    def test_transversality_test_reads_each_switch_once_per_point(self):
+        F, reads = self.counted_field()
+        res = transversality_test(F, [[0.0, 0.4], [0.3, 0.0], [0.0, -2.0]])
+        assert reads == [3, 3]
+        assert [(r.holds, r.alpha, r.beta) for r in res] == [
+            (True, 1.0, -1.0), (True, 0.5, 1.5), (True, 1.0, -1.0)]
+
+    @pytest.mark.parametrize("x", [[0.3, 0.4], [0.0, 0.0]])
+    def test_transversality_needs_exactly_one_surface(self, x):
+        F, _ = self.counted_field()
+        with pytest.raises(ModelError, match="not on exactly one surface"):
+            transversality_test(F, [x])
+
+
 def test_field_from_config_roundtrip(tmp_path):
     config = {
         "dim": 2,

@@ -199,6 +199,31 @@ class TestMaximin:
             B = Polytope(2 * rng.random((rng.integers(1, 7), d)) - 1)
             assert maximin_value(A, B) == pytest.approx(maximin_lp_oracle(A, B), abs=1e-8)
 
+    def test_one_vertex_sides_against_external_solver(self):
+        # A 1 x n or n x 1 game has the value of its single row or column,
+        # in closed form; duplicated and collinear vertices included.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 9))
+            many = rng.uniform(-1, 1, d) + np.outer(rng.uniform(-1, 1, n), rng.uniform(-1, 1, d))
+            if rng.random() < 0.5:
+                many = rng.uniform(-1, 1, (n, d))
+            many = Polytope(np.vstack([many, many[rng.integers(n)]]))
+            one = Polytope([rng.uniform(-1, 1, d)])
+            for A, B in ((one, many), (many, one)):
+                assert abs(maximin_value(A, B) - maximin_lp_oracle(A, B)) <= 1e-12
+
+    def test_one_vertex_sides_solve_no_lp(self, monkeypatch):
+        from nsds import geometry
+
+        calls = []
+        monkeypatch.setattr(geometry, "solve_lp", lambda *a, **k: calls.append(1))
+        row, col = Polytope([[1.0, -2.0]]), Polytope([[0.5, 0.0], [0.0, 1.0], [-1.0, 1.0]])
+        assert maximin_value(row, col) == -3.0
+        assert maximin_value(col, row) == 0.5
+        assert calls == []
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             maximin_value(Polytope([[1.0]]), Polytope([[1.0, 0.0]]))

@@ -105,6 +105,25 @@ class TestSetLieDerivative:
                 assert iv.hi == pytest.approx(ref[1], abs=1e-8)
         assert 50 <= nonempty <= 250  # both outcomes are exercised
 
+    def test_one_vertex_gradient_closed_form_against_external_lp(self):
+        # A one-vertex gradient leaves the whole field polytope feasible; the
+        # closed form must match HiGHS on polytopes with duplicated and
+        # affinely dependent vertices.
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 9))
+            r = int(rng.integers(0, d + 1))  # affine dimension of the field set
+            rows = rng.uniform(-1, 1, d) + rng.uniform(-1, 1, (n, r)) @ rng.uniform(-1, 1, (r, d))
+            if rng.random() < 0.5:
+                rows = rng.permutation(np.vstack([rows, rows[rng.integers(n)]]))
+            Fset, grad = Polytope(rows), Polytope([rng.uniform(-1, 1, d)])
+            iv = set_lie_derivative(Fset, grad)
+            ref = set_lie_lp_oracle(Fset, grad)
+            assert ref is not None and not iv.is_empty
+            assert abs(iv.lo - ref[0]) <= 1e-12
+            assert abs(iv.hi - ref[1]) <= 1e-12
+
 
 class TestLowerUpperLie:
     def test_cart_spot_values(self):
@@ -178,6 +197,40 @@ class TestGridSpec:
         assert len(pts) == 9
         assert np.allclose(pts[0], [-1.0, 0.0])
 
+    @pytest.mark.parametrize("lows, highs, counts, axis", [
+        ((-1, -1), (1, 1), (0, 5), 0),
+        ((-1, -1), (1, 1), (5, -2), 1),
+        ((-1, -1), (1, 1), (5, 2.5), 1),
+        ((-1, -1), (1, 1), (5.0, 5), 0),
+        ((-1, -1), (1, 1), (5, math.nan), 1),
+        ((-1, math.nan), (1, 1), (5, 5), 1),
+        ((-math.inf, -1), (1, 1), (5, 5), 0),
+        ((-1, -1), (1, math.inf), (5, 5), 1),
+    ])
+    def test_constructor_names_the_bad_axis(self, lows, highs, counts, axis):
+        with pytest.raises(ValueError, match=f"grid axis {axis}:"):
+            GridSpec(lows, highs, counts)
+
+    def test_constructor_rejects_ragged_or_axisless_grids(self):
+        for lows, highs, counts in [((), (), ()), ((-1, -1), (1,), (3, 3))]:
+            with pytest.raises(ValueError, match="per axis"):
+                GridSpec(lows, highs, counts)
+
+    @pytest.mark.parametrize("text, axis", [
+        ("-1:1:0,-1:1:3", 0),
+        ("-1:1:3,-1:1:-1", 1),
+        ("-1:1:3,nan:1:3", 1),
+        ("-1:inf:3", 0),
+        ("-1:1,-1:1:3", 0),
+        ("-1:1:3,-1:1:3:4", 1),
+        ("-1:1:3,a:1:3", 1),
+        ("-1:1:2.5", 0),
+        ("", 0),
+    ])
+    def test_parse_names_the_bad_axis(self, text, axis):
+        with pytest.raises(ValueError, match=f"grid axis {axis}:"):
+            GridSpec.parse(text)
+
     def test_exclusion_band(self):
         grid = GridSpec.parse("-1:1:21,-1:1:21", exclude=exclude_band(1e-6, axes=(0,)))
         pts = np.array(list(grid.points()))
@@ -203,6 +256,14 @@ class TestMonotonicity:
         rep = monotonicity_verdict("weak", f, source, GridSpec.parse("0:0:1,-1:1:5"))
         assert (rep.verdict, rep.checked_points) == ("certified", 5)
         assert rep.details == {"max_value": None, "max_point": None}
+
+    def test_fully_excluded_grid_is_inconclusive(self):
+        f = make_function("cart_lyapunov")
+        source = lambda x: Polytope([-cart_input_field(x), cart_input_field(x)])
+        grid = GridSpec.parse("-1:1:5,-1:1:5", exclude=exclude_band(10))
+        rep = monotonicity_verdict("weak", f, source, grid)
+        assert (rep.verdict, rep.checked_points) == ("inconclusive", 0)
+        assert (rep.failed_clause, rep.witness) == ("empty-grid", None)
 
     def test_oscillator_energy_strong_certified_off_axis(self):
         osc = get_scenario("oscillator").build()
@@ -256,6 +317,23 @@ class TestLyapunovCertify:
         assert rep.verdict == "certified"
         assert rep.details["max_value"] == worst <= rep.details["tol"]
         assert rep.details["max_point"] == at
+
+    def test_grid_with_an_empty_axis_is_rejected(self):
+        osc = get_scenario("oscillator").build()
+        f = make_function("energy_oscillator")
+        with pytest.raises(ValueError, match="grid axis 0:"):
+            lyapunov_certify("thm1", f, lambda x: filippov_set(osc, x), [0.0, 0.0],
+                             GridSpec((-1.0, -1.0), (1.0, 1.0), (0, 5)))
+
+    def test_fully_excluded_grid_is_inconclusive(self):
+        osc = get_scenario("oscillator").build()
+        f = make_function("energy_oscillator")
+        grid = GridSpec.parse("-1:1:5,-1:1:5", exclude=exclude_band(10))
+        rep = lyapunov_certify("thm1", f, lambda x: filippov_set(osc, x), [0.0, 0.0], grid)
+        assert (rep.verdict, rep.checked_points) == ("inconclusive", 0)
+        assert (rep.failed_clause, rep.witness) == ("empty-grid", None)
+        assert rep.grid == grid.describe()
+        assert rep.details == {"offset": 0.0, "tol": 1e-9, "margin": 1e-6}
 
     def test_dissipative_thm1p_off_axes(self):
         dis = get_scenario("oscillator_dissipative").build()
@@ -404,3 +482,42 @@ class TestInvarianceCandidates:
         for p in cand:
             assert np.max(p) - np.min(p) <= 1e-9
         assert cand.shape[0] == 3  # the three diagonal grid points
+
+
+def _count_lps(monkeypatch) -> list:
+    """Count solve_lp calls under the names lie and geometry look it up by."""
+    from nsds import geometry, lie
+
+    calls = []
+    real = geometry.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lie, "solve_lp", counted)
+    monkeypatch.setattr(geometry, "solve_lp", counted)
+    return calls
+
+
+class TestLpCounts:
+    """One-vertex sides are answered in closed form; only the 2x2 shapes on
+    the kink column x1 = 0 need a linear program."""
+
+    def test_oscillator_thm1_solves_lps_only_on_the_kink_column(self, monkeypatch):
+        calls = _count_lps(monkeypatch)
+        osc = get_scenario("oscillator").build()
+        f = make_function("energy_oscillator")
+        rep = lyapunov_certify("thm1", f, lambda x: filippov_set(osc, x),
+                               [0.0, 0.0], GridSpec.parse("-1:1:21,-1:1:21"))
+        assert (rep.verdict, rep.checked_points) == ("certified", 441)
+        assert len(calls) == 21
+
+    def test_cart_prop13w_off_the_axis_solves_no_lp(self, monkeypatch):
+        calls = _count_lps(monkeypatch)
+        f = make_function("cart_lyapunov")
+        source = lambda x: Polytope([-cart_input_field(x), cart_input_field(x)])
+        grid = GridSpec.parse("-1:1:21,-1:1:21", exclude=exclude_band(1e-6, axes=(0,)))
+        rep = monotonicity_verdict("weak", f, source, grid)
+        assert (rep.verdict, rep.checked_points) == ("certified", 420)
+        assert len(calls) == 0

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +170,25 @@ class TestCli:
         assert payload["verdict"] == "certified"
         assert payload["checked_points"] == 441
         assert payload["schema"] == 1
+
+    @pytest.mark.parametrize("grid, axis", [
+        ("-1:1:0,-1:1:3", 0), ("-1:1:3,-1:nan:3", 1), ("-1:1:3,-1:1", 1)])
+    def test_lyapunov_rejects_a_bad_grid_axis(self, grid, axis, capsys):
+        code = main(["lyapunov", "--scenario", "oscillator", "--function",
+                     "energy_oscillator", "--theorem", "thm1", f"--grid={grid}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ValueError: grid axis {axis}:")
+
+    def test_lyapunov_fully_excluded_grid_is_inconclusive(self):
+        code, out = run_cli("lyapunov", "--scenario", "oscillator",
+                            "--function", "energy_oscillator", "--theorem", "thm1",
+                            "--grid=-1:1:5,-1:1:5", "--exclude-band", "10")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["verdict"], payload["checked_points"]) == ("inconclusive", 0)
+        assert payload["failed_clause"] == "empty-grid"
 
     def test_lyapunov_prop13w_cart(self):
         code, out = run_cli("lyapunov", "--scenario", "cart",
@@ -340,10 +361,15 @@ def test_every_scenario_through_the_cli(name, tmp_path, capsys):
 
 
 def test_cli_entrypoint_subprocess():
+    # The child does not see pytest's pythonpath setting, so it is handed the
+    # source tree and runs from a checkout without an installed package.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + inherited if inherited else src}
     out = subprocess.run(
         [sys.executable, "-m", "nsds.cli", "gradient", "--function", "abs",
          "--point", "2"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["vertices"] == [[1.0]]
