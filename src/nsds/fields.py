@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -166,6 +167,8 @@ def _point(F: PiecewiseField, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[0] != F.dim:
         raise DimensionMismatchError("point dimension mismatch")
+    if not all(map(math.isfinite, x.ravel().tolist())):  # cheaper than np.isfinite on short x
+        raise ModelError(f"point must be finite, got {x.tolist()}")
     return x
 
 
@@ -289,7 +292,7 @@ def sliding_field(F: PiecewiseField, x, i: int, tol: float | None = None) -> Sli
     Returns v = lam * X_plus + (1 - lam) * X_minus with lam in [0, 1] chosen
     so the result is tangent to the surface.  lam weights the plus-side cell.
     """
-    x = np.asarray(x, dtype=float)
+    x = _point(F, x)
     tol = default_active_tol(x) if tol is None else tol
     n, sides = _sides(F, x, i, F.switch_values(x), tol)
     vector, lam = _tangent_combination(sides, n[None, :], tol)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptySetError, SolverError
+from .errors import DimensionMismatchError, EmptySetError, ModelError, SolverError
 
 # Default tolerance for geometric membership queries, reported in results.
 MEMBERSHIP_TOL = 1e-9
@@ -424,7 +424,12 @@ def hausdorff_distance(P: Polytope, Q: Polytope) -> float:
 
 @dataclass(frozen=True)
 class ConvexPolygon:
-    """Convex polygon with counterclockwise vertices, at least three of them."""
+    """Convex polygon with counterclockwise vertices, at least three of them.
+
+    ``edge_offsets`` is the one point-to-edge distance kernel: the boundary
+    distance, containment and the packing code all read it, or the cached
+    ``edge_vectors`` and ``inward_normals`` beside it.
+    """
 
     vertices: np.ndarray  # (n, 2)
 
@@ -432,21 +437,19 @@ class ConvexPolygon:
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
         if verts.shape[0] < 3 or verts.shape[1] != 2:
             raise ValueError("a polygon needs at least three 2-D vertices")
-        n = verts.shape[0]
-        for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            c = verts[(i + 2) % n]
-            cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-            if np.linalg.norm(b - a) < 1e-12:
-                from .errors import ModelError
-
-                raise ModelError("degenerate polygon: zero-length edge")
-            if cross < -1e-12:
-                raise ValueError("polygon vertices must be counterclockwise and convex")
         verts = verts.copy()
         verts.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
+        # Edge i must have length and turn left into edge i + 1; the first
+        # edge that fails decides the error.
+        t = self.edge_vectors
+        u = np.roll(t, -1, axis=0)
+        short = np.linalg.norm(t, axis=1) < 1e-12
+        bad = np.flatnonzero(short | (t[:, 0] * u[:, 1] - t[:, 1] * u[:, 0] < -1e-12))
+        if bad.size and short[bad[0]]:
+            raise ModelError("degenerate polygon: zero-length edge")
+        if bad.size:
+            raise ValueError("polygon vertices must be counterclockwise and convex")
 
     @classmethod
     def square(cls, half_width: float = 1.0) -> "ConvexPolygon":
@@ -457,33 +460,21 @@ class ConvexPolygon:
     def n_edges(self) -> int:
         return self.vertices.shape[0]
 
-    def edges(self):
-        n = self.n_edges
-        for i in range(n):
-            yield self.vertices[i], self.vertices[(i + 1) % n]
-
-    def inward_normal(self, i: int) -> np.ndarray:
-        a = self.vertices[i]
-        b = self.vertices[(i + 1) % self.n_edges]
-        t = b - a
-        n = np.array([-t[1], t[0]])  # ccw order makes this the inward normal
-        return n / np.linalg.norm(n)
-
-    def edge_distance(self, p, i: int) -> float:
-        """Euclidean distance from p to edge segment i."""
-        a = self.vertices[i]
-        b = self.vertices[(i + 1) % self.n_edges]
-        p = np.asarray(p, dtype=float)
-        t = b - a
-        s = float(np.clip((p - a) @ t / (t @ t), 0.0, 1.0))
-        return float(np.linalg.norm(p - (a + s * t)))
-
     @functools.cached_property
     def edge_vectors(self) -> np.ndarray:
         """Edge i as the vector from vertex i to vertex i + 1, shape (n_edges, 2)."""
         t = np.roll(self.vertices, -1, axis=0) - self.vertices
         t.flags.writeable = False
         return t
+
+    @functools.cached_property
+    def inward_normals(self) -> np.ndarray:
+        """Unit inward normal of every edge, shape (n_edges, 2)."""
+        t = self.edge_vectors
+        n = np.stack([-t[:, 1], t[:, 0]], axis=1)  # ccw order makes these inward
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        n.flags.writeable = False
+        return n
 
     def edge_offsets(self, points) -> np.ndarray:
         """Offsets p - q from the nearest point q of every edge segment to
@@ -496,11 +487,11 @@ class ConvexPolygon:
 
     def contains_point(self, p, tol: float = 0.0) -> bool:
         p = np.asarray(p, dtype=float)
-        return all((p - a) @ self.inward_normal(i) >= -tol for i, (a, _) in enumerate(self.edges()))
+        return bool(np.all(((p - self.vertices) * self.inward_normals).sum(axis=1) >= -tol))
 
     def boundary_distance(self, p) -> float:
         """Distance to the boundary, negated outside the polygon."""
-        d = min(self.edge_distance(p, i) for i in range(self.n_edges))
+        d = float(np.linalg.norm(self.edge_offsets(p)[0], axis=1).min())
         return d if self.contains_point(p, tol=1e-12) else -d
 
 

@@ -811,22 +811,7 @@ def limit_set_estimate(tr: Trajectory, tail_fraction: float,
     if tail.shape[0] > LIMIT_SET_POINTS:
         idx = np.linspace(0, tail.shape[0] - 1, LIMIT_SET_POINTS).astype(int)
         tail = tail[idx]
-    m = tail.shape[0]
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.linalg.norm(tail[i] - tail[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    clusters: dict[int, list[int]] = {}
-    for i in range(m):
-        clusters.setdefault(find(i), []).append(i)
-    return np.array([tail[members].mean(axis=0) for members in clusters.values()])
+    near = np.array([np.linalg.norm(tail - p, axis=1) <= radius for p in tail])
+    edges = tuple(zip(*np.nonzero(np.triu(near, 1))))
+    clusters = Graph(tail.shape[0], edges).components()
+    return np.array([tail[sorted(members)].mean(axis=0) for members in clusters])

@@ -34,7 +34,6 @@ from .nonsmooth import ALL_SPACE, UNSUPPORTED, NsFunction
 
 EMPTY = "empty"
 INTERVAL = "interval"
-UNBOUNDED_BELOW = "unbounded_below"
 
 
 @dataclass(frozen=True)
@@ -57,10 +56,6 @@ class LieInterval:
     @classmethod
     def point(cls, a: float) -> "LieInterval":
         return cls.closed(a, a)
-
-    @classmethod
-    def unbounded_below(cls, hi: float) -> "LieInterval":
-        return cls(UNBOUNDED_BELOW, -math.inf, float(hi))
 
     @property
     def is_empty(self) -> bool:

@@ -585,12 +585,9 @@ def smq(Q: ConvexPolygon, p) -> float:
 
 def smq_gradient(Q: ConvexPolygon, p) -> Polytope:
     """Hull of the inward unit normals of the edges nearest to p."""
-    p = np.asarray(p, dtype=float)
-    dists = [Q.edge_distance(p, i) for i in range(Q.n_edges)]
-    low = min(dists)
-    tol = tie_tolerance(low)
-    normals = [Q.inward_normal(i) for i, d in enumerate(dists) if d <= low + tol]
-    return Polytope(np.array(normals))
+    dists = np.linalg.norm(Q.edge_offsets(p)[0], axis=1)
+    low = float(dists.min())
+    return Polytope(Q.inward_normals[dists <= low + tie_tolerance(low)])
 
 
 def neg_smq_function(Q: ConvexPolygon) -> MaxOf:
@@ -599,10 +596,9 @@ def neg_smq_function(Q: ConvexPolygon) -> MaxOf:
     Uses perpendicular distances to the edge lines, which agree with the
     boundary distance on the polygon itself.
     """
-    atoms = []
-    for i, (a, _) in enumerate(Q.edges()):
-        n = Q.inward_normal(i)
-        atoms.append(affine_atom(-n, float(n @ a), name=f"-edge{i}"))
+    offsets = (Q.inward_normals * Q.vertices).sum(axis=1)
+    atoms = [affine_atom(-n, float(c), name=f"-edge{i}")
+             for i, (n, c) in enumerate(zip(Q.inward_normals, offsets))]
     return MaxOf(atoms, name="-sm_Q")
 
 
@@ -708,35 +704,25 @@ def hsp(Q: ConvexPolygon, points) -> float:
     return float(min(half.min(initial=np.inf), edge.min()))
 
 
-class _HalfPairDistance(NsFunction):
-    """Half the distance between agents i and j of a stacked planar state."""
+def _half_pair_distance(n: int, i: int, j: int) -> SmoothAtom:
+    """Half the distance between agents i and j of a stacked planar state;
+    c2 away from coincidence, where the gradient raises."""
 
-    def __init__(self, n: int, i: int, j: int):
-        self.dim = 2 * n
-        self.i, self.j = i, j
-        self.smooth = True
-        self.c2 = True  # away from coincidence, which is rejected at evaluation
-        self.regular = True
-        self.convex = True
-        self.nonneg = True
-        self.name = f"|p{i + 1}-p{j + 1}|/2"
+    def diff(x):
+        return x[2 * i : 2 * i + 2] - x[2 * j : 2 * j + 2]
 
-    def _diff(self, x):
-        x = self._check(x)
-        return x[2 * self.i : 2 * self.i + 2] - x[2 * self.j : 2 * self.j + 2]
-
-    def value(self, x):
-        return 0.5 * float(np.linalg.norm(self._diff(x)))
-
-    def gradient(self, x):
-        d = self._diff(x)
+    def grad(x):
+        d = diff(x)
         r = float(np.linalg.norm(d))
         if r <= 1e-12:
             raise UnsupportedError("pair distance is not smooth at coincident agents")
-        g = np.zeros(self.dim)
-        g[2 * self.i : 2 * self.i + 2] = 0.5 * d / r
-        g[2 * self.j : 2 * self.j + 2] = -0.5 * d / r
-        return GradientResult(Polytope([g]), exact=True)
+        g = np.zeros(2 * n)
+        g[2 * i : 2 * i + 2] = 0.5 * d / r
+        g[2 * j : 2 * j + 2] = -0.5 * d / r
+        return g
+
+    return SmoothAtom(2 * n, lambda x: 0.5 * float(np.linalg.norm(diff(x))), grad,
+                      c2=True, convex=True, nonneg=True, name=f"|p{i + 1}-p{j + 1}|/2")
 
 
 def hsp_function(Q: ConvexPolygon, n: int) -> MinOf:
@@ -745,16 +731,15 @@ def hsp_function(Q: ConvexPolygon, n: int) -> MinOf:
     Edge terms use perpendicular line distances, which agree with the
     segment distances for configurations inside the polygon.
     """
-    children: list[NsFunction] = []
+    children: list[NsFunction] = [
+        _half_pair_distance(n, i, j) for i in range(n) for j in range(i + 1, n)
+    ]
+    offsets = (Q.inward_normals * Q.vertices).sum(axis=1)
     for i in range(n):
-        for j in range(i + 1, n):
-            children.append(_HalfPairDistance(n, i, j))
-    for i in range(n):
-        for e, (a, _) in enumerate(Q.edges()):
-            normal = Q.inward_normal(e)
+        for e, normal in enumerate(Q.inward_normals):
             coeff = np.zeros(2 * n)
             coeff[2 * i : 2 * i + 2] = normal
-            children.append(affine_atom(coeff, -float(normal @ a), name=f"p{i + 1}-edge{e}"))
+            children.append(affine_atom(coeff, -float(offsets[e]), name=f"p{i + 1}-edge{e}"))
     return MinOf(children, name="packing_radius")
 
 

@@ -24,7 +24,7 @@ from .integrate import (
     integrate_filippov,
     integrate_pointwise,
 )
-from .nonsmooth import Graph
+from .nonsmooth import Graph, hsp
 
 
 @dataclass(frozen=True)
@@ -183,17 +183,12 @@ class MoveAwayLaw:
         return out.ravel()
 
     def packing_radius(self, p_flat: np.ndarray) -> float:
-        from .nonsmooth import hsp
-
         return hsp(self.polygon, p_flat.reshape(self.n, 2))
 
     def min_pairwise(self, p_flat: np.ndarray) -> float:
         pts = p_flat.reshape(self.n, 2)
-        best = math.inf
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                best = min(best, float(np.linalg.norm(pts[i] - pts[j])))
-        return best
+        i, j = np.triu_indices(self.n, 1)
+        return float(np.linalg.norm(pts[i] - pts[j], axis=1).min(initial=np.inf))
 
     def random_interior_points(self, seed: int, margin: float = 0.05) -> np.ndarray:
         """Seeded initial configuration, rejection-sampled to keep agents

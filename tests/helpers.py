@@ -210,8 +210,16 @@ def hsp_loop(Q: ConvexPolygon, points) -> float:
         for j in range(i + 1, n):
             terms.append(0.5 * float(np.linalg.norm(pts[i] - pts[j])))
         for e in range(Q.n_edges):
-            terms.append(Q.edge_distance(pts[i], e))
+            terms.append(float(np.linalg.norm(_segment_offset(Q, e, pts[i]))))
     return min(terms)
+
+
+def _segment_offset(polygon: ConvexPolygon, e: int, p) -> np.ndarray:
+    """p minus its nearest point on edge e, from the vertex list alone."""
+    a = polygon.vertices[e]
+    t = polygon.vertices[(e + 1) % polygon.n_edges] - a
+    s = float(np.clip((p - a) @ t / (t @ t), 0.0, 1.0))
+    return p - (a + s * t)
 
 
 def move_away_direction_loop(polygon: ConvexPolygon, n: int, tie_band: float, p_flat,
@@ -234,10 +242,7 @@ def move_away_direction_loop(polygon: ConvexPolygon, n: int, tie_band: float, p_
             dists.append(0.5 * r)
             dirs.append(diff / r)
         for e in range(polygon.n_edges):
-            a = polygon.vertices[e]
-            t = polygon.vertices[(e + 1) % polygon.n_edges] - a
-            s = float(np.clip((pts[i] - a) @ t / (t @ t), 0.0, 1.0))
-            diff = pts[i] - (a + s * t)
+            diff = _segment_offset(polygon, e, pts[i])
             r = float(np.linalg.norm(diff))
             if r <= 1e-12:
                 raise ModelError("agent sits on the boundary")

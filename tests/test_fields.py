@@ -429,3 +429,10 @@ def test_smooth_field_no_switches():
     F = PiecewiseField(1, [], {(): lambda x: np.array([-x[0]])})
     assert filippov_set(F, [2.0]).n_vertices == 1
     assert classify_point(F, [2.0]).kind == "continuity"
+
+
+def test_non_finite_point_is_a_model_error():
+    F = get_scenario("brick").build()
+    for query in (filippov_set, classify_point, lambda F, x: sliding_field(F, x, 0)):
+        with pytest.raises(ModelError):
+            query(F, [math.nan])

@@ -44,12 +44,6 @@ class TestLieInterval:
         assert iv.contains(0.0)
         assert LieInterval.point(3.0).max_value() == 3.0
 
-    def test_unbounded_below(self):
-        iv = LieInterval.unbounded_below(1.5)
-        assert iv.max_value() == 1.5
-        assert iv.contains(-1e9)
-        assert not iv.contains(2.0)
-
 
 class TestSetLieDerivative:
     def test_oscillator_on_axis_is_empty(self):

@@ -126,7 +126,8 @@ class TestCli:
         (["simulate", "--scenario", "oscillator", "--x0", "1", "--t-end", "1",
           "--out", "OUT"], "DimensionMismatch:"),
         (["gradient", "--function", "abs", "--point", "nan"], "Model:"),
-    ], ids=["sample-hold-short-x0", "simulate-short-x0", "gradient-nan"])
+        (["filippov-set", "--scenario", "brick", "--point", "nan"], "Model:"),
+    ], ids=["sample-hold-short-x0", "simulate-short-x0", "gradient-nan", "filippov-set-nan"])
     def test_bad_point_exits_1_with_a_typed_error(self, argv, err, tmp_path, capsys):
         argv = [str(tmp_path / "never.csv") if a == "OUT" else a for a in argv]
         assert main(argv) == 1
@@ -360,16 +361,28 @@ def test_every_scenario_through_the_cli(name, tmp_path, capsys):
             assert err.startswith("Unsupported:"), err
 
 
-def test_cli_entrypoint_subprocess():
-    # The child does not see pytest's pythonpath setting, so it is handed the
+def _src_env() -> dict:
+    # A child does not see pytest's pythonpath setting, so it is handed the
     # source tree and runs from a checkout without an installed package.
     src = str(Path(__file__).resolve().parents[1] / "src")
     inherited = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + inherited if inherited else src}
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + inherited if inherited else src}
+
+
+def test_cli_entrypoint_subprocess():
     out = subprocess.run(
         [sys.executable, "-m", "nsds.cli", "gradient", "--function", "abs",
          "--point", "2"],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=_src_env(),
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["vertices"] == [[1.0]]
+
+
+def test_package_and_cli_never_import_scipy():
+    code = ("import sys, nsds, nsds.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env=_src_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
