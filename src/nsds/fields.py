@@ -104,7 +104,14 @@ class PiecewiseField:
         return len(self.switches)
 
     def switch_values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([s.value(x) for s in self.switches])
+        """Every switching function at x; a non-finite value raises ModelError
+        naming its surface, since no sign or activity can be read from it."""
+        g = [s.value(x) for s in self.switches]
+        if not all(map(math.isfinite, g)):  # cheaper than np.isfinite on a few values
+            i = next(i for i, v in enumerate(g) if not math.isfinite(v))
+            raise ModelError(f"switching function {self.switches[i].name or i} is "
+                             f"{g[i]} at x={np.asarray(x).tolist()}")
+        return np.array(g)
 
     def active_set(self, x: np.ndarray, tol: float | None = None) -> list[int]:
         tol = default_active_tol(x) if tol is None else tol

@@ -345,12 +345,17 @@ def maximin_value(A: Polytope, B: Polytope) -> float:
         raise EmptySetError("maximin_value needs nonempty polytopes")
     if A.dim != B.dim:
         raise DimensionMismatchError("maximin_value dimension mismatch")
-    M = A.vertices @ B.vertices.T  # (na, nb)
-    if A.n_vertices == 1:
-        return float(M.min())
-    if B.n_vertices == 1:
-        return float(M.max())
+    return _maximin_rows(A.vertices, B.vertices)
+
+
+def _maximin_rows(A: np.ndarray, B: np.ndarray) -> float:
+    """maximin_value on nonempty vertex rows of one dimension."""
+    M = A @ B.T  # (na, nb)
     na, nb = M.shape
+    if na == 1:
+        return float(M.min())
+    if nb == 1:
+        return float(M.max())
     # Variables: lambda (na), t+, t-, slack (nb).
     # Rows: sum(lambda) = 1;  M^T lambda - t+ + t- - s_j = 0 for each j.
     n = na + 2 + nb
@@ -394,10 +399,15 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     """Hull of all pairwise vertex sums (the Minkowski sum of the hulls)."""
     if P.dim != Q.dim:
         raise DimensionMismatchError("minkowski_sum dimension mismatch")
-    if P.is_empty or Q.is_empty:
-        return Polytope.empty(P.dim)
-    sums = P.vertices[:, None, :] + Q.vertices[None, :, :]
-    return Polytope(sums.reshape(-1, P.dim), P.dim)
+    return Polytope(_minkowski_rows(P.vertices, Q.vertices), P.dim)
+
+
+def _minkowski_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Every pairwise sum a_i + b_j of two vertex-row arrays, with i major;
+    no row when either side has none."""
+    if A.shape[0] == 1 or B.shape[0] == 1:
+        return A + B
+    return (A[:, None, :] + B[None, :, :]).reshape(-1, A.shape[1])
 
 
 def hausdorff_distance(P: Polytope, Q: Polytope) -> float:

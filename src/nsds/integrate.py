@@ -43,7 +43,7 @@ from .fields import (
     default_active_tol,
 )
 from .geometry import Polytope, least_norm
-from .nonsmooth import Graph, NsFunction, disagreement_function
+from .nonsmooth import Graph, NsFunction, _least_norm_point, disagreement_function
 
 SURFACE_HIT = "SurfaceHit"
 SLIDE_ENTER = "SlideEnter"
@@ -621,21 +621,23 @@ def gradient_flow(f: NsFunction, variant: str, x0, t_end: float,
     cfg = cfg or IntegratorConfig()
     if variant not in ("natural", "normalized", "signed"):
         raise ValueError("variant must be natural, normalized, or signed")
+    # The flow keeps x0's shape, so one check covers every state.
+    x0 = f._check(x0)
 
     if variant == "natural":
         if not f.regular:
             raise ModelError("natural descent flow needs a regular function")
 
         def v_fn(x):
-            gr = f.gradient(x)
-            if not gr.exact:
+            rows, exact = f._rows(x)
+            if not exact:
                 raise ModelError("natural descent flow needs exact gradients")
-            return -least_norm(gr.polytope).point
+            return -_least_norm_point(rows)
 
         return integrate_pointwise(v_fn, x0, t_end, cfg, method="euler")
 
     def grad_vec(x):
-        return least_norm(f.gradient(x).polytope).point
+        return _least_norm_point(f._rows(x)[0])
 
     if variant == "normalized":
 

@@ -26,9 +26,9 @@ from .geometry import (
     INFEASIBLE,
     OPTIMAL,
     Polytope,
+    _maximin_rows,
     maximin_value,
     solve_lp,
-    support,
 )
 from .nonsmooth import ALL_SPACE, UNSUPPORTED, NsFunction
 
@@ -76,28 +76,33 @@ class LieInterval:
         return self.lo - tol <= a <= self.hi + tol
 
 
-def _lie_extreme(Fset: Polytope, grad: Polytope, sense: float) -> float:
-    """Smallest (sense 1) or largest (sense -1) value zeta . v over the v in
-    Fset with the same value for every zeta in the gradient polytope, with
-    min(empty) = inf and max(empty) = -inf.
-
-    The feasible v form the slice of Fset where all gradient differences are
-    orthogonal.  A one-vertex gradient constrains nothing, so the slice is
-    all of Fset and the extreme is the least or largest vertex value, in
-    closed form.  Otherwise one LP over the slice in convex-combination
-    coordinates gives the extreme; duplicated or dependent gradient vertices
-    give redundant equality rows, which the simplex drops.
-    """
-    if Fset.is_empty or grad.is_empty:
-        raise EmptySetError("set_lie_derivative needs nonempty polytopes")
-    if Fset.dim != grad.dim:
+def _require_pair(V: np.ndarray, Z: np.ndarray) -> None:
+    """Field rows V and gradient rows Z must be nonempty and share a dimension."""
+    if V.shape[0] == 0 or Z.shape[0] == 0:
+        raise EmptySetError("a Lie derivative needs nonempty field and gradient sets")
+    if V.shape[1] != Z.shape[1]:
         raise DimensionMismatchError("field and gradient dimensions differ")
-    V = Fset.vertices
-    zeta0 = grad.vertices[0]
-    if grad.n_vertices == 1:
+
+
+def _lie_extreme(V: np.ndarray, G: np.ndarray, sense: float) -> float:
+    """Smallest (sense 1) or largest (sense -1) value zeta . v over the v in
+    the hull of the field rows V with the same value for every zeta in the
+    hull of the gradient rows G, with min(empty) = inf and max(empty) = -inf.
+
+    The feasible v form the slice of the field set where all gradient
+    differences are orthogonal.  A one-row gradient constrains nothing, so
+    the slice is the whole field set and the extreme is the least or largest
+    vertex value, in closed form.  Otherwise one LP over the slice in
+    convex-combination coordinates gives the extreme; duplicated or
+    dependent gradient rows give redundant equality rows, which the simplex
+    drops.
+    """
+    _require_pair(V, G)
+    zeta0 = G[0]
+    if G.shape[0] == 1:
         values = V @ zeta0
         return 0.0 + float(values.min() if sense > 0 else values.max())
-    A = np.vstack([np.ones(V.shape[0]), (grad.vertices[1:] - zeta0) @ V.T])
+    A = np.vstack([np.ones(V.shape[0]), (G[1:] - zeta0) @ V.T])
     b = np.zeros(A.shape[0])
     b[0] = 1.0
     res = solve_lp(sense * (V @ zeta0), A, b)
@@ -108,13 +113,17 @@ def _lie_extreme(Fset: Polytope, grad: Polytope, sense: float) -> float:
     return 0.0 + sense * res.value  # a zero extreme reads 0.0, not -0.0
 
 
+def _lie_interval(V: np.ndarray, G: np.ndarray) -> LieInterval:
+    lo = _lie_extreme(V, G, 1.0)
+    if lo == math.inf:
+        return LieInterval.empty()
+    return LieInterval.closed(lo, _lie_extreme(V, G, -1.0))
+
+
 def set_lie_derivative(Fset: Polytope, grad: Polytope) -> LieInterval:
     """Interval of values a for which some v in Fset has zeta . v = a for
     every zeta in the gradient polytope."""
-    lo = _lie_extreme(Fset, grad, 1.0)
-    if lo == math.inf:
-        return LieInterval.empty()
-    return LieInterval.closed(lo, _lie_extreme(Fset, grad, -1.0))
+    return _lie_interval(Fset.vertices, grad.vertices)
 
 
 def lower_upper_lie(Fset: Polytope, prox) -> tuple[LieInterval, LieInterval]:
@@ -264,23 +273,35 @@ _CHECKS = {
 }
 
 
+def _grid_points(f: NsFunction, region: GridSpec) -> Iterable[np.ndarray]:
+    """The grid's points, which the row methods of f take unchecked once the
+    grid has f's dimension."""
+    if region.dim != f.dim:
+        raise DimensionMismatchError(
+            f"grid has dimension {region.dim}, function {f.name or type(f).__name__} {f.dim}")
+    return region.points()
+
+
 def _lie_sup(lie_set: str, f: NsFunction, F: FieldSource, x: np.ndarray) -> float | str:
     """Supremum of the Lie set at x, or the name of the clause that blocks
-    it.  An empty proximal subdifferential gives sup(empty) = -inf."""
+    it.  An empty proximal subdifferential gives sup(empty) = -inf.  The
+    gradient sets are read as vertex rows; the field set is the only
+    polytope built here."""
     if lie_set == "gradient":
-        gr = f.gradient(x)
-        if not gr.exact:
+        G, exact = f._rows(x)
+        if not exact:
             return "gradient-inexact"
-        return _lie_extreme(F(x), gr.polytope, -1.0)
-    prox = f.proximal(x)
+        return _lie_extreme(F(x).vertices, G, -1.0)
+    prox = f._prox(x)
     if prox is UNSUPPORTED or prox is ALL_SPACE:
         return "proximal-unavailable"
-    if prox.is_empty:
+    if prox.shape[0] == 0:
         return -math.inf
-    Fset = F(x)
+    V = F(x).vertices
+    _require_pair(V, prox)
     if lie_set == "lower":
-        return maximin_value(prox, Fset)
-    return max(support(Fset, zeta) for zeta in prox.vertices)
+        return _maximin_rows(prox, V)
+    return max(float(np.max(V @ zeta)) for zeta in prox)
 
 
 def _sweep(theorem: str, f: NsFunction, F: FieldSource, region: GridSpec, *,
@@ -298,10 +319,10 @@ def _sweep(theorem: str, f: NsFunction, F: FieldSource, region: GridSpec, *,
         return StabilityReport(verdict, theorem, checked, witness=x.tolist(),
                                failed_clause=clause, grid=grid, details={**details, **extra})
 
-    for x in region.points():
+    for x in _grid_points(f, region):
         checked += 1
         at_equilibrium = x_e is not None and bool(np.linalg.norm(x - x_e) <= 1e-12)
-        if positivity and not at_equilibrium and f.value(x) - f0 <= 0:
+        if positivity and not at_equilibrium and f._val(x) - f0 <= 0:
             return stop(FALSIFIED, "positivity")
         val = _lie_sup(lie_set, f, F, x)
         if isinstance(val, str):
@@ -390,9 +411,9 @@ def invariance_candidate_set(
     trajectory limit sets should be intersected with it by the caller.
     """
     hits = []
-    for x in region.points():
-        gr = f.gradient(x)
-        if gr.exact and set_lie_derivative(F(x), gr.polytope).contains(0.0, tol):
+    for x in _grid_points(f, region):
+        G, exact = f._rows(x)
+        if exact and _lie_interval(F(x).vertices, G).contains(0.0, tol):
             hits.append(x)
     if not hits:
         return np.zeros((0, region.dim))

@@ -13,6 +13,13 @@ the proximal subdifferential from a closed-form catalog (twice
 differentiable nodes, convex nodes, positive dilations, sums with a twice
 differentiable term, and a few special one-dimensional shapes); everything
 else reports the unsupported sentinel rather than an outer bound.
+
+Inside the tree, gradient sets travel as vertex rows, an array of shape
+(k, dim): a sum adds its children's rows by broadcasting, a dilation scales
+them, a max or min passes a single active child through and stacks rows at
+a tie, and a smooth atom gives its one gradient row.  The public
+``value``, ``gradient`` and ``proximal`` check the point once and build the
+one ``Polytope`` of the call at the root.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ from .geometry import (
     MEMBERSHIP_TOL,
     ConvexPolygon,
     Polytope,
+    _minkowski_rows,
     least_norm,
-    minkowski_sum,
 )
 
 
@@ -66,6 +73,13 @@ def tie_tolerance(reference: float) -> float:
     return 1e-9 * (1.0 + abs(reference))
 
 
+def _least_norm_point(rows: np.ndarray) -> np.ndarray:
+    """Least-norm point of the hull of the rows; a single row is its own."""
+    if rows.shape[0] == 1:
+        return rows[0]
+    return least_norm(Polytope(rows, rows.shape[1])).point
+
+
 class NsFunction:
     """Base node of the expression tree.
 
@@ -75,6 +89,12 @@ class NsFunction:
     - ``c2``: twice continuously differentiable likewise.
     - ``regular``: right and generalized directional derivatives agree.
     - ``convex`` / ``affine`` / ``nonneg``: the usual meanings.
+
+    Nodes implement ``_val(x)``, ``_rows(x) -> (rows, exact)`` and
+    ``_prox(x) -> rows | ALL_SPACE | UNSUPPORTED`` on a point that is
+    already checked.  A subclass that defines only the public ``value``,
+    ``gradient`` (and ``proximal``) works as a node too: the row methods
+    fall back to them.
     """
 
     dim: int
@@ -86,24 +106,26 @@ class NsFunction:
     nonneg = False
     name = ""
 
-    def value(self, x: np.ndarray) -> float:
-        raise NotImplementedError
+    def value(self, x) -> float:
+        return self._val(self._check(x))
 
-    def gradient(self, x: np.ndarray) -> GradientResult:
-        raise NotImplementedError
+    def gradient(self, x) -> GradientResult:
+        rows, exact = self._rows(self._check(x))
+        return GradientResult(Polytope(rows, self.dim), exact=exact)
 
-    def proximal(self, x: np.ndarray):
-        """Default catalog entry: the convex bridge, else unsupported."""
-        if self.convex:
-            gr = self.gradient(x)
-            if gr.exact:
-                return gr.polytope
-        return UNSUPPORTED
+    def proximal(self, x):
+        """A Polytope (possibly empty), ALL_SPACE or UNSUPPORTED."""
+        x = self._check(x)
+        if type(self).proximal is NsFunction.proximal:
+            p = self._prox(x)
+        else:  # reached through super() from an override: the default entry
+            p = self._convex_bridge(x)
+        return p if p is UNSUPPORTED or p is ALL_SPACE else Polytope(p, self.dim)
 
     def __call__(self, x) -> float:
-        return self.value(np.asarray(x, dtype=float))
+        return self.value(x)
 
-    def _check(self, x: np.ndarray) -> np.ndarray:
+    def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()
         if x.shape[0] != self.dim:
             raise DimensionMismatchError(
@@ -111,6 +133,32 @@ class NsFunction:
                 f"{x.shape[0]}, expected {self.dim}"
             )
         return x
+
+    def _val(self, x: np.ndarray) -> float:
+        if type(self).value is NsFunction.value:
+            raise NotImplementedError(f"{type(self).__name__} defines no value")
+        return self.value(x)
+
+    def _rows(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
+        if type(self).gradient is NsFunction.gradient:
+            raise NotImplementedError(f"{type(self).__name__} defines no gradient")
+        gr = self.gradient(x)
+        return gr.polytope.vertices, gr.exact
+
+    def _prox(self, x: np.ndarray):
+        if type(self).proximal is NsFunction.proximal:
+            return self._convex_bridge(x)
+        p = self.proximal(x)
+        return p if p is UNSUPPORTED or p is ALL_SPACE else p.vertices
+
+    def _convex_bridge(self, x: np.ndarray):
+        """Default catalog entry: the exact gradient of a convex node, else
+        unsupported."""
+        if self.convex:
+            rows, exact = self._rows(x)
+            if exact:
+                return rows
+        return UNSUPPORTED
 
 
 class SmoothAtom(NsFunction):
@@ -129,17 +177,22 @@ class SmoothAtom(NsFunction):
         self.nonneg = nonneg
         self.name = name
 
-    def value(self, x):
-        return float(self._value(self._check(x)))
+    def _val(self, x):
+        return float(self._value(x))
 
-    def gradient(self, x):
-        x = self._check(x)
-        return GradientResult(Polytope([np.asarray(self._grad(x), dtype=float)]), exact=True)
+    def _row(self, x) -> np.ndarray:
+        g = np.asarray(self._grad(x), dtype=float)
+        if g.shape != (self.dim,):
+            raise DimensionMismatchError(
+                f"{self.name}: gradient of shape {g.shape}, expected ({self.dim},)")
+        return g.reshape(1, self.dim)
 
-    def proximal(self, x):
-        x = self._check(x)
+    def _rows(self, x):
+        return self._row(x), True
+
+    def _prox(self, x):
         if self.c2 or self.convex:
-            return Polytope([np.asarray(self._grad(x), dtype=float)])
+            return self._row(x)
         return UNSUPPORTED
 
 
@@ -195,22 +248,22 @@ class Dilation(NsFunction):
         self.nonneg = f.nonneg and self.s >= 0
         self.name = f"{s}*{f.name}"
 
-    def value(self, x):
-        return self.s * self.f.value(x)
+    def _val(self, x):
+        return self.s * self.f._val(x)
 
-    def gradient(self, x):
-        child = self.f.gradient(x)
-        return GradientResult(child.polytope.scaled(self.s), exact=child.exact)
+    def _rows(self, x):
+        rows, exact = self.f._rows(x)
+        return self.s * rows, exact
 
-    def proximal(self, x):
+    def _prox(self, x):
         if self.s > 0:
-            child = self.f.proximal(x)
+            child = self.f._prox(x)
             if child is UNSUPPORTED or child is ALL_SPACE:
                 return child
-            return child.scaled(self.s)
+            return self.s * child
         if self.s == 0:
-            return Polytope([np.zeros(self.dim)])
-        return super().proximal(x)
+            return np.zeros((1, self.dim))
+        return self._convex_bridge(x)
 
 
 class Sum(NsFunction):
@@ -235,41 +288,36 @@ class Sum(NsFunction):
         self.nonneg = all(f.nonneg and c >= 0 for c, f in terms)
         self.name = name or " + ".join(f"{c}*{f.name}" for c, f in terms)
 
-    def value(self, x):
-        return sum(c * f.value(x) for c, f in self.terms)
+    def _val(self, x):
+        return sum(c * f._val(x) for c, f in self.terms)
 
-    def gradient(self, x):
-        acc = Polytope([np.zeros(self.dim)])
-        exact = self.smooth or (
-            all(f.regular for _, f in self.terms)
-            and all(c >= 0 for c, _ in self.terms)
-        )
+    def _rows(self, x):
+        acc = np.zeros((1, self.dim))  # 0 + c * rows, so a -0.0 entry reads 0.0
+        exact = self.regular  # smooth, or regular terms with c >= 0
         for c, f in self.terms:
-            child = f.gradient(x)
-            exact = exact and child.exact
-            acc = minkowski_sum(acc, child.polytope.scaled(c))
-        return GradientResult(acc, exact=exact)
+            rows, child_exact = f._rows(x)
+            exact = exact and child_exact
+            acc = _minkowski_rows(acc, c * rows)
+        return acc, exact
 
-    def proximal(self, x):
+    def _prox(self, x):
         if self.c2:
-            return self.gradient(x).polytope
+            return self._rows(x)[0]
         rough = [(c, f) for c, f in self.terms if not f.c2]
         if len(rough) == 1:
             c, f = rough[0]
             if c > 0:
-                child = f.proximal(x)
+                child = f._prox(x)
                 if child is UNSUPPORTED:
-                    return super().proximal(x)
+                    return self._convex_bridge(x)
                 smooth_grad = np.zeros(self.dim)
                 for ci, fi in self.terms:
                     if fi.c2:
-                        smooth_grad += ci * fi.gradient(x).polytope.vertices[0]
-                if child is ALL_SPACE:
-                    return ALL_SPACE
-                if child.is_empty:
+                        smooth_grad += ci * fi._rows(x)[0][0]
+                if child is ALL_SPACE or child.shape[0] == 0:
                     return child
-                return child.scaled(c).translated(smooth_grad)
-        return super().proximal(x)
+                return c * child + smooth_grad
+        return self._convex_bridge(x)
 
 
 class Product(NsFunction):
@@ -286,18 +334,17 @@ class Product(NsFunction):
         self.nonneg = f1.nonneg and f2.nonneg
         self.name = f"({f1.name})*({f2.name})"
 
-    def value(self, x):
-        return self.f1.value(x) * self.f2.value(x)
+    def _val(self, x):
+        return self.f1._val(x) * self.f2._val(x)
 
-    def gradient(self, x):
-        v1, v2 = self.f1.value(x), self.f2.value(x)
-        g1, g2 = self.f1.gradient(x), self.f2.gradient(x)
-        poly = minkowski_sum(g1.polytope.scaled(v2), g2.polytope.scaled(v1))
-        exact = g1.exact and g2.exact and (
+    def _rows(self, x):
+        v1, v2 = self.f1._val(x), self.f2._val(x)
+        (g1, e1), (g2, e2) = self.f1._rows(x), self.f2._rows(x)
+        exact = e1 and e2 and (
             self.smooth
             or (self.f1.regular and self.f2.regular and v1 >= 0 and v2 >= 0)
         )
-        return GradientResult(poly, exact=exact)
+        return _minkowski_rows(v2 * g1, v1 * g2), exact
 
 
 class Quotient(NsFunction):
@@ -312,26 +359,23 @@ class Quotient(NsFunction):
         self.name = f"({f1.name})/({f2.name})"
 
     def _denominator(self, x) -> float:
-        v2 = self.f2.value(x)
+        v2 = self.f2._val(x)
         if abs(v2) <= 1e-12:
             raise SingularityError(f"denominator of {self.name} vanishes at {np.asarray(x).tolist()}")
         return v2
 
-    def value(self, x):
-        return self.f1.value(x) / self._denominator(x)
+    def _val(self, x):
+        return self.f1._val(x) / self._denominator(x)
 
-    def gradient(self, x):
+    def _rows(self, x):
         v2 = self._denominator(x)
-        v1 = self.f1.value(x)
-        g1, g2 = self.f1.gradient(x), self.f2.gradient(x)
-        poly = minkowski_sum(
-            g1.polytope.scaled(1.0 / v2), g2.polytope.scaled(-v1 / (v2 * v2))
-        )
-        exact = g1.exact and g2.exact and (
+        v1 = self.f1._val(x)
+        (g1, e1), (g2, e2) = self.f1._rows(x), self.f2._rows(x)
+        exact = e1 and e2 and (
             self.smooth
             or (self.f1.regular and self.f2.smooth and v1 >= 0 and v2 > 0)
         )
-        return GradientResult(poly, exact=exact)
+        return _minkowski_rows((1.0 / v2) * g1, (-v1 / (v2 * v2)) * g2), exact
 
 
 def _require_active(f: NsFunction, x, active: list[int]) -> list[int]:
@@ -340,6 +384,18 @@ def _require_active(f: NsFunction, x, active: list[int]) -> list[int]:
     if not active:
         raise ModelError(f"no active child of {f.name} at {np.asarray(x).tolist()}")
     return active
+
+
+def _active_rows(children: list[NsFunction], active: list[int], x,
+                 tie_flag: str) -> tuple[np.ndarray, bool]:
+    """Gradient rows of a max or min: a single active child passes through;
+    a tie stacks the children's rows and is exact only when every active
+    child carries ``tie_flag``."""
+    if len(active) == 1:
+        return children[active[0]]._rows(x)
+    results = [children[i]._rows(x) for i in active]
+    exact = all(e for _, e in results) and all(getattr(children[i], tie_flag) for i in active)
+    return np.vstack([rows for rows, _ in results]), exact
 
 
 class MaxOf(NsFunction):
@@ -360,22 +416,16 @@ class MaxOf(NsFunction):
         self.name = name or "max(" + ", ".join(f.name for f in children) + ")"
 
     def _active(self, x):
-        vals = [f.value(x) for f in self.children]
+        vals = [f._val(x) for f in self.children]
         top = max(vals)
         tol = tie_tolerance(top)
         return _require_active(self, x, [i for i, v in enumerate(vals) if v >= top - tol])
 
-    def value(self, x):
-        return max(f.value(x) for f in self.children)
+    def _val(self, x):
+        return max(f._val(x) for f in self.children)
 
-    def gradient(self, x):
-        active = self._active(x)
-        results = [self.children[i].gradient(x) for i in active]
-        verts = np.vstack([r.polytope.vertices for r in results])
-        exact = all(r.exact for r in results)
-        if len(active) > 1:
-            exact = exact and all(self.children[i].regular for i in active)
-        return GradientResult(Polytope(verts), exact=exact)
+    def _rows(self, x):
+        return _active_rows(self.children, self._active(x), x, "regular")
 
 
 class MinOf(NsFunction):
@@ -395,22 +445,16 @@ class MinOf(NsFunction):
         self.name = name or "min(" + ", ".join(f.name for f in children) + ")"
 
     def _active(self, x):
-        vals = [f.value(x) for f in self.children]
+        vals = [f._val(x) for f in self.children]
         bottom = min(vals)
         tol = tie_tolerance(bottom)
         return _require_active(self, x, [i for i, v in enumerate(vals) if v <= bottom + tol])
 
-    def value(self, x):
-        return min(f.value(x) for f in self.children)
+    def _val(self, x):
+        return min(f._val(x) for f in self.children)
 
-    def gradient(self, x):
-        active = self._active(x)
-        results = [self.children[i].gradient(x) for i in active]
-        verts = np.vstack([r.polytope.vertices for r in results])
-        exact = all(r.exact for r in results)
-        if len(active) > 1:
-            exact = exact and all(self.children[i].smooth for i in active)
-        return GradientResult(Polytope(verts), exact=exact)
+    def _rows(self, x):
+        return _active_rows(self.children, self._active(x), x, "smooth")
 
 
 def abs_of(f: NsFunction, name: str = "") -> MaxOf:
@@ -429,20 +473,20 @@ class NegAbs(NsFunction):
     dim = 1
     name = "-|x|"
 
-    def value(self, x):
-        return -abs(float(self._check(x)[0]))
+    def _val(self, x):
+        return -abs(float(x[0]))
 
-    def gradient(self, x):
-        t = float(self._check(x)[0])
+    def _rows(self, x):
+        t = float(x[0])
         if abs(t) <= tie_tolerance(0.0):
-            return GradientResult(Polytope.interval(-1.0, 1.0), exact=True)
-        return GradientResult(Polytope([[-np.sign(t)]]), exact=True)
+            return np.array([[-1.0], [1.0]]), True
+        return np.array([[-np.sign(t)]]), True
 
-    def proximal(self, x):
-        t = float(self._check(x)[0])
+    def _prox(self, x):
+        t = float(x[0])
         if abs(t) <= tie_tolerance(0.0):
-            return Polytope.empty(1)
-        return Polytope([[-np.sign(t)]])
+            return np.zeros((0, 1))
+        return np.array([[-np.sign(t)]])
 
 
 class SqrtAbs(NsFunction):
@@ -452,22 +496,20 @@ class SqrtAbs(NsFunction):
     dim = 1
     name = "sqrt|x|"
 
-    def value(self, x):
-        return float(np.sqrt(abs(self._check(x)[0])))
+    def _val(self, x):
+        return float(np.sqrt(abs(x[0])))
 
-    def gradient(self, x):
-        t = float(self._check(x)[0])
+    def _rows(self, x):
+        t = float(x[0])
         if abs(t) <= 1e-12:
             raise UnsupportedError("sqrt|x| is not locally Lipschitz at 0")
-        return GradientResult(
-            Polytope([[np.sign(t) * 0.5 / np.sqrt(abs(t))]]), exact=True
-        )
+        return np.array([[np.sign(t) * 0.5 / np.sqrt(abs(t))]]), True
 
-    def proximal(self, x):
-        t = float(self._check(x)[0])
+    def _prox(self, x):
+        t = float(x[0])
         if abs(t) <= 1e-12:
             return ALL_SPACE
-        return Polytope([[np.sign(t) * 0.5 / np.sqrt(abs(t))]])
+        return np.array([[np.sign(t) * 0.5 / np.sqrt(abs(t))]])
 
 
 class CartLyapunov(NsFunction):
@@ -481,8 +523,7 @@ class CartLyapunov(NsFunction):
     name = "cart_lyapunov"
     nonneg = True
 
-    def value(self, x):
-        x = self._check(x)
+    def _val(self, x):
         s = float(np.hypot(x[0], x[1]))
         if s == 0.0:
             return 0.0
@@ -493,25 +534,21 @@ class CartLyapunov(NsFunction):
         a = abs(x[0])
         z1 = np.sign(x[0]) * (2 * a - s) / (s + a)
         z2 = x[1] * (s + 2 * a) / (s + a) ** 2
-        return np.array([z1, z2])
+        return np.array([[z1, z2]])
 
-    def gradient(self, x):
-        x = self._check(x)
+    def _rows(self, x):
         if abs(x[0]) > 1e-12:
-            return GradientResult(Polytope([self._smooth_grad(x)]), exact=True)
+            return self._smooth_grad(x), True
         if abs(x[1]) > 1e-12:
             sg = np.sign(x[1])
-            return GradientResult(Polytope([[-1.0, sg], [1.0, sg]]), exact=True)
+            return np.array([[-1.0, sg], [1.0, sg]]), True
         # Outer bound at the origin only.
-        return GradientResult(
-            Polytope([[-1, -1], [1, -1], [1, 1], [-1, 1]]), exact=False
-        )
+        return np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]), False
 
-    def proximal(self, x):
-        x = self._check(x)
+    def _prox(self, x):
         if abs(x[0]) > 1e-12:
-            return Polytope([self._smooth_grad(x)])
-        return Polytope.empty(2)
+            return self._smooth_grad(x)
+        return np.zeros((0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +576,11 @@ def descent_direction(f: NsFunction, x, tol: float = MEMBERSHIP_TOL) -> DescentD
     Requires a regular function and an exact gradient; anything weaker
     cannot certify descent.
     """
-    gr = f.gradient(np.asarray(x, dtype=float))
-    if not f.regular or not gr.exact:
+    rows, exact = f._rows(f._check(x))
+    if not f.regular or not exact:
         raise UnsupportedError("descent direction needs a regular function with exact gradient")
     # The norm of the least-norm point is the distance from 0 to the hull.
-    ln = least_norm(gr.polytope).point
+    ln = _least_norm_point(rows)
     if float(np.linalg.norm(ln)) <= tol:
         return DescentDirection(np.zeros(f.dim), critical=True)
     return DescentDirection(-ln, critical=False)
@@ -557,14 +594,14 @@ class DescentCheck:
 
 def descent_inequality_check(f: NsFunction, x, steps) -> DescentCheck:
     """Check f(x - t*LN) <= f(x) - (t/2)*||LN||^2 at each supplied step."""
-    x = np.asarray(x, dtype=float)
-    ln = least_norm(f.gradient(x).polytope).point
+    x = f._check(x)
+    ln = _least_norm_point(f._rows(x)[0])
     if float(np.linalg.norm(ln)) <= MEMBERSHIP_TOL:
         raise ValueError("descent inequality is only defined at noncritical points")
-    fx = f.value(x)
+    fx = f._val(x)
     nn = float(ln @ ln)
     for t in steps:
-        if f.value(x - t * ln) > fx - 0.5 * t * nn + 1e-12:
+        if f._val(x - t * ln) > fx - 0.5 * t * nn + 1e-12:
             return DescentCheck(False, witness_t=float(t))
     return DescentCheck(True)
 

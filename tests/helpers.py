@@ -15,6 +15,19 @@ import scipy.optimize
 
 from nsds.errors import ModelError
 from nsds.geometry import ConvexPolygon, Polytope, least_norm
+from nsds.nonsmooth import (
+    ALL_SPACE,
+    UNSUPPORTED,
+    Dilation,
+    GradientResult,
+    MaxOf,
+    MinOf,
+    NsFunction,
+    Product,
+    Quotient,
+    SmoothAtom,
+    Sum,
+)
 
 
 def grid_projection_oracle(vertices: np.ndarray, resolution: float = 1e-4) -> np.ndarray:
@@ -255,3 +268,129 @@ def move_away_direction_loop(polygon: ConvexPolygon, n: int, tie_band: float, p_
         out[i] = gens[0] if len(gens) == 1 else least_norm(Polytope(np.array(gens))).point
     return out.ravel()
 
+
+
+# ---------------------------------------------------------------------------
+# Polytope-chain reference for the expression-tree calculus.
+# ---------------------------------------------------------------------------
+
+
+def _minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
+    """Hull of all pairwise vertex sums, P's index major, written out here
+    so the reference shares no row arithmetic with the package."""
+    if P.is_empty or Q.is_empty:
+        return Polytope.empty(P.dim)
+    sums = P.vertices[:, None, :] + Q.vertices[None, :, :]
+    return Polytope(sums.reshape(-1, P.dim), P.dim)
+
+
+def chain_gradient(f: NsFunction, x) -> GradientResult:
+    """Generalized gradient with a Polytope at every node and a Minkowski
+    chain for sums and products: the calculus rule by rule, for comparison
+    with the vertex rows the package passes up the tree.  Leaves other than
+    smooth atoms answer through their own public ``gradient``."""
+    x = np.asarray(x, dtype=float).ravel()
+    if isinstance(f, SmoothAtom):
+        return GradientResult(Polytope([np.asarray(f._grad(x), dtype=float)]), exact=True)
+    if isinstance(f, Dilation):
+        child = chain_gradient(f.f, x)
+        return GradientResult(child.polytope.scaled(f.s), exact=child.exact)
+    if isinstance(f, Sum):
+        acc = Polytope([np.zeros(f.dim)])
+        exact = f.smooth or (all(g.regular for _, g in f.terms)
+                             and all(c >= 0 for c, _ in f.terms))
+        for c, g in f.terms:
+            child = chain_gradient(g, x)
+            exact = exact and child.exact
+            acc = _minkowski_sum(acc, child.polytope.scaled(c))
+        return GradientResult(acc, exact=exact)
+    if isinstance(f, Product):
+        v1, v2 = f.f1.value(x), f.f2.value(x)
+        g1, g2 = chain_gradient(f.f1, x), chain_gradient(f.f2, x)
+        poly = _minkowski_sum(g1.polytope.scaled(v2), g2.polytope.scaled(v1))
+        exact = g1.exact and g2.exact and (
+            f.smooth or (f.f1.regular and f.f2.regular and v1 >= 0 and v2 >= 0))
+        return GradientResult(poly, exact=exact)
+    if isinstance(f, Quotient):
+        v1, v2 = f.f1.value(x), f.f2.value(x)
+        g1, g2 = chain_gradient(f.f1, x), chain_gradient(f.f2, x)
+        poly = _minkowski_sum(g1.polytope.scaled(1.0 / v2), g2.polytope.scaled(-v1 / (v2 * v2)))
+        exact = g1.exact and g2.exact and (
+            f.smooth or (f.f1.regular and f.f2.smooth and v1 >= 0 and v2 > 0))
+        return GradientResult(poly, exact=exact)
+    if isinstance(f, (MaxOf, MinOf)):
+        vals = [g.value(x) for g in f.children]
+        if isinstance(f, MaxOf):
+            top = max(vals)
+            active = [i for i, v in enumerate(vals) if v >= top - 1e-9 * (1.0 + abs(top))]
+        else:
+            bottom = min(vals)
+            active = [i for i, v in enumerate(vals) if v <= bottom + 1e-9 * (1.0 + abs(bottom))]
+        results = [chain_gradient(f.children[i], x) for i in active]
+        verts = np.vstack([r.polytope.vertices for r in results])
+        exact = all(r.exact for r in results)
+        if len(active) > 1:
+            flag = "regular" if isinstance(f, MaxOf) else "smooth"
+            exact = exact and all(getattr(f.children[i], flag) for i in active)
+        return GradientResult(Polytope(verts), exact=exact)
+    return f.gradient(x)
+
+
+def _chain_bridge(f: NsFunction, x):
+    if f.convex:
+        gr = chain_gradient(f, x)
+        if gr.exact:
+            return gr.polytope
+    return UNSUPPORTED
+
+
+def chain_proximal(f: NsFunction, x):
+    """Proximal subdifferential by the closed-form catalog with a Polytope at
+    every node (see chain_gradient)."""
+    x = np.asarray(x, dtype=float).ravel()
+    if isinstance(f, SmoothAtom):
+        if f.c2 or f.convex:
+            return Polytope([np.asarray(f._grad(x), dtype=float)])
+        return UNSUPPORTED
+    if isinstance(f, Dilation):
+        if f.s > 0:
+            child = chain_proximal(f.f, x)
+            if child is UNSUPPORTED or child is ALL_SPACE:
+                return child
+            return child.scaled(f.s)
+        if f.s == 0:
+            return Polytope([np.zeros(f.dim)])
+        return _chain_bridge(f, x)
+    if isinstance(f, Sum):
+        if f.c2:
+            return chain_gradient(f, x).polytope
+        rough = [(c, g) for c, g in f.terms if not g.c2]
+        if len(rough) == 1 and rough[0][0] > 0:
+            c, g = rough[0]
+            child = chain_proximal(g, x)
+            if child is UNSUPPORTED:
+                return _chain_bridge(f, x)
+            smooth_grad = np.zeros(f.dim)
+            for ci, gi in f.terms:
+                if gi.c2:
+                    smooth_grad += ci * chain_gradient(gi, x).polytope.vertices[0]
+            if child is ALL_SPACE or child.is_empty:
+                return child
+            return child.scaled(c).translated(smooth_grad)
+        return _chain_bridge(f, x)
+    if isinstance(f, (MaxOf, MinOf, Product, Quotient)):
+        return _chain_bridge(f, x)
+    return f.proximal(x)
+
+
+def count_polytopes(monkeypatch) -> list:
+    """Record one entry per Polytope constructed from now on."""
+    built = []
+    init = Polytope.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polytope, "__init__", counted)
+    return built

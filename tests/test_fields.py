@@ -436,3 +436,30 @@ def test_non_finite_point_is_a_model_error():
     for query in (filippov_set, classify_point, lambda F, x: sliding_field(F, x, 0)):
         with pytest.raises(ModelError):
             query(F, [math.nan])
+
+
+def log_switch_field(cells):
+    """One surface log(x1) = 0 whose switching function is NaN for x1 <= 0."""
+    surface = SwitchingSurface(lambda x: math.log(x[0]) if x[0] > 0 else math.nan,
+                               lambda x: np.array([1.0 / x[0]]), name="log")
+    return PiecewiseField(1, [surface], cells)
+
+
+@pytest.mark.parametrize("query", [filippov_set, classify_point],
+                         ids=["filippov_set", "classify_point"])
+def test_nan_switch_value_at_a_finite_point_is_a_model_error(query):
+    # Mapping the NaN to "on the surface" used to give the two-cell hull
+    # [[-1], [1]] and the kind "continuity".
+    F = log_switch_field({(-1,): lambda x: np.array([1.0]), (1,): lambda x: np.array([-1.0])})
+    with pytest.raises(ModelError, match="switching function log is nan"):
+        query(F, [-1.0])
+
+
+def test_run_that_reaches_a_nan_switch_value_raises():
+    from nsds.integrate import IntegratorConfig, integrate_filippov
+
+    # Both cells move left, so the state crosses x1 = 1 and then reaches
+    # x1 <= 0, where the switching function is NaN.
+    F = log_switch_field({(-1,): lambda x: np.array([-1.0]), (1,): lambda x: np.array([-1.0])})
+    with pytest.raises(ModelError, match="switching function log is nan"):
+        integrate_filippov(F, [2.0], 2.5, IntegratorConfig(dt_max=0.1))

@@ -32,7 +32,7 @@ from nsds.scenarios import (
 )
 from nsds.fields import ControlField
 
-from helpers import move_away_direction_loop, sign_cell_lp_oracle
+from helpers import count_polytopes, move_away_direction_loop, sign_cell_lp_oracle
 
 
 def neg_sign_field():
@@ -361,6 +361,16 @@ class TestConsensus:
         assert np.allclose(tr.final_state, [0.5, 0.5, 5.0], atol=1e-6)
         assert np.all(tr.states[:, 2] == 5.0)
         assert any(e.kind == "Converged" for e in tr.events)
+
+    def test_norm_variant_builds_no_polytope(self, monkeypatch):
+        # The disagreement gradient is one vertex row, so the flow skips
+        # least_norm and never wraps it in a Polytope (1,929 were built
+        # when every stage went through the Polytope gradient).
+        built = count_polytopes(monkeypatch)
+        res = consensus_flow(Graph.path(4), "norm", [0.0, 0.1, 0.02, 0.08], 0.3,
+                             IntegratorConfig(dt_max=2e-4))
+        assert res.consensus_value == pytest.approx(0.05, abs=1e-9)
+        assert len(built) == 0
 
     @pytest.mark.parametrize("G, p0", [
         (Graph.path(6), (0.9554, 0.4047, 0.0615, 0.0248, 1.2199, 1.3691)),

@@ -16,17 +16,20 @@ from nsds.lie import (
     monotonicity_verdict,
     set_lie_derivative,
 )
+from nsds.integrate import IntegratorConfig, gradient_flow
 from nsds.nonsmooth import (
     ALL_SPACE,
     UNSUPPORTED,
+    Dilation,
     GradientResult,
     NsFunction,
+    descent_direction,
     half_square_atom,
     make_function,
 )
 from nsds.scenarios import cart_input_field, get_scenario
 
-from helpers import maximin_lp_oracle, set_lie_lp_oracle
+from helpers import count_polytopes, maximin_lp_oracle, set_lie_lp_oracle
 
 
 class TestLieInterval:
@@ -515,3 +518,86 @@ class TestLpCounts:
         rep = monotonicity_verdict("weak", f, source, grid)
         assert (rep.verdict, rep.checked_points) == ("certified", 420)
         assert len(calls) == 0
+
+
+class TestPolytopeCounts:
+    """Gradient and proximal sets stay vertex rows inside a sweep, so the
+    field set is the one polytope built per point (the Polytope-chain
+    calculus built 4,221 for thm1 and 1,478 for thm3 on these grids)."""
+
+    @pytest.mark.parametrize("theorem, verdict, checked", [
+        ("thm1", "certified", 441),
+        ("thm3", "falsified", 211),
+    ])
+    def test_oscillator_sweep_builds_one_field_set_per_point(self, monkeypatch, theorem,
+                                                             verdict, checked):
+        osc = get_scenario("oscillator").build()
+        f = make_function("energy_oscillator")
+        source = lambda x: filippov_set(osc, x)
+        grid = GridSpec.parse("-1:1:21,-1:1:21")
+        built = count_polytopes(monkeypatch)
+        rep = lyapunov_certify(theorem, f, source, [0.0, 0.0], grid)
+        assert (rep.verdict, rep.checked_points) == (verdict, checked)
+        assert len(built) <= checked
+
+
+class _UserEnergy(NsFunction):
+    """|x1| + x2^2/2 written against the public interface only: the row
+    methods of the tree fall back to value and gradient."""
+
+    dim = 2
+    regular = True
+    nonneg = True
+
+    def value(self, x):
+        return abs(x[0]) + 0.5 * x[1] ** 2
+
+    def gradient(self, x):
+        x = np.asarray(x, dtype=float)
+        if abs(x[0]) <= 1e-9:
+            return GradientResult(Polytope([[1.0, x[1]], [-1.0, x[1]]]), exact=True)
+        return GradientResult(Polytope([[np.sign(x[0]), x[1]]]), exact=True)
+
+
+class TestUserSubclass:
+    """A subclass that defines only value and gradient answers like the
+    catalog function it re-implements, alone and inside a tree."""
+
+    PAIRS = [
+        (_UserEnergy(), make_function("energy_oscillator")),
+        (Dilation(2.0, _UserEnergy()), Dilation(2.0, make_function("energy_oscillator"))),
+    ]
+
+    @pytest.mark.parametrize("user, builtin", PAIRS, ids=["alone", "dilated"])
+    def test_thm1_report(self, user, builtin):
+        osc = get_scenario("oscillator").build()
+        source = lambda x: filippov_set(osc, x)
+        grid = GridSpec.parse("-1:1:21,-1:1:21")
+        got = lyapunov_certify("thm1", user, source, [0.0, 0.0], grid)
+        want = lyapunov_certify("thm1", builtin, source, [0.0, 0.0], grid)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert got.verdict == "certified"
+
+    @pytest.mark.parametrize("user, builtin", PAIRS, ids=["alone", "dilated"])
+    def test_normalized_flow_and_descent_direction(self, user, builtin):
+        cfg = IntegratorConfig(dt_max=1e-2)
+        got = gradient_flow(user, "normalized", [0.5, -0.3], 0.5, cfg)
+        want = gradient_flow(builtin, "normalized", [0.5, -0.3], 0.5, cfg)
+        assert np.array_equal(got.states, want.states)
+        assert [e.kind for e in got.events] == [e.kind for e in want.events]
+        for x in ([0.5, -0.3], [0.0, 0.4], [-0.2, 0.0]):
+            a, b = descent_direction(user, x), descent_direction(builtin, x)
+            assert np.array_equal(a.direction, b.direction) and a.critical == b.critical
+
+    def test_proximal_override_may_defer_to_the_default(self):
+        # super().proximal() from an override is the convex bridge, also when
+        # the subclass sits inside a tree.
+        class Deferring(_UserEnergy):
+            convex = True
+
+            def proximal(self, x):
+                return super().proximal(x)
+
+        f = Deferring()
+        assert f.proximal([0.5, 0.2]).vertices.tolist() == [[1.0, 0.2]]
+        assert Dilation(2.0, f).proximal([0.0, 0.2]).vertices.tolist() == [[2.0, 0.4], [-2.0, 0.4]]

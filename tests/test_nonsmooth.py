@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from nsds.errors import ModelError, SingularityError, UnsupportedError
+from nsds.errors import DimensionMismatchError, ModelError, SingularityError, UnsupportedError
 from nsds.geometry import ConvexPolygon, Polytope, contains, hausdorff_distance, least_norm
 from nsds.nonsmooth import (
     ALL_SPACE,
     UNSUPPORTED,
     CartLyapunov,
     Dilation,
+    GradientResult,
     Graph,
     MaxOf,
     MinOf,
     Product,
     Quotient,
+    SmoothAtom,
     Sum,
     abs_of,
     affine_atom,
@@ -33,7 +35,13 @@ from nsds.nonsmooth import (
     smq_gradient,
 )
 
-from helpers import central_difference_gradient, forward_directional_derivative, hsp_loop
+from helpers import (
+    central_difference_gradient,
+    chain_gradient,
+    chain_proximal,
+    forward_directional_derivative,
+    hsp_loop,
+)
 
 
 SQUARE = ConvexPolygon.square(1.0)
@@ -376,3 +384,91 @@ class TestFlags:
             f = make_function(name, dim=4 if name in ("hsp",) else 3
                               if name in ("abs_sum", "disagreement") else None)
             assert f.dim >= 1
+
+
+# Kink and tie points of the catalog: the kink line x1 = 0, the square's
+# diagonals (several nearest edges), and agents whose half pair distance
+# equals an edge distance.
+_DIAGONALS = [[t, s * t] for t in (-0.7, -0.25, 0.0, 0.4, 0.9) for s in (-1.0, 1.0)]
+_CATALOG = {
+    "abs": (None, [[0.0], [1e-12], [-1e-10]]),
+    "neg_abs": (None, [[0.0], [5e-10]]),
+    "sqrt_abs": (None, [[0.0], [1e-13], [0.3]]),
+    "abs_sum/2": (2, [[0.0, 0.3], [0.4, 0.0], [0.0, 0.0], [0.0, -0.8]]),
+    "abs_sum/3": (3, [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.2, 0.0, -0.2]]),
+    "energy_oscillator": (None, [[0.0, y] for y in (-1.0, -0.3, 0.0, 0.6)]),
+    "smq": (None, _DIAGONALS),
+    "neg_smq": (None, _DIAGONALS),
+    "disagreement/4": (4, [[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]]),
+    "cart_lyapunov": (None, [[0.0, 0.5], [0.0, -0.2], [0.0, 0.0], [1e-13, 0.4]]),
+    "hsp/4": (4, [[-0.5, 0.0, 0.5, 0.0], [-0.5, 0.2, 0.5, 0.2], [-0.6, -0.6, 0.6, 0.6]]),
+    "hsp/6": (6, [[-0.5, 0.0, 0.5, 0.0, 0.0, 0.5], [-0.6, -0.6, 0.0, 0.0, 0.6, 0.6]]),
+}
+
+
+def _outcome(call):
+    """The result of call(), or the type of the package error it raised."""
+    try:
+        return call()
+    except (ModelError, SingularityError, UnsupportedError) as exc:
+        return type(exc)
+
+
+def _assert_same(got, want):
+    if isinstance(want, GradientResult):
+        assert isinstance(got, GradientResult) and got.exact == want.exact
+        got, want = got.polytope, want.polytope
+    if isinstance(want, Polytope):
+        assert isinstance(got, Polytope) and got.dim == want.dim
+        assert got.vertices.shape == want.vertices.shape
+        assert got.vertices.tobytes() == want.vertices.tobytes()  # bit for bit, same order
+    else:  # a sentinel or an error type
+        assert got is want
+
+
+class TestRowsMatchPolytopeChain:
+    """Gradient sets travel as vertex rows inside the tree; the public
+    results must equal the Polytope-chain calculus bit for bit."""
+
+    @pytest.mark.parametrize("entry", sorted(_CATALOG))
+    def test_catalog_function(self, entry):
+        name, _, _ = entry.partition("/")
+        dim, kinks = _CATALOG[entry]
+        f = make_function(name, dim)
+        rng = np.random.default_rng(sorted(_CATALOG).index(entry))
+        points = list(1.2 * (2.0 * rng.random((500, f.dim)) - 1.0)) + kinks
+        for x in points:
+            x = np.asarray(x, dtype=float)
+            _assert_same(_outcome(lambda: f.gradient(x)), _outcome(lambda: chain_gradient(f, x)))
+            _assert_same(_outcome(lambda: f.proximal(x)), _outcome(lambda: chain_proximal(f, x)))
+
+    def test_atom_gradient_of_the_wrong_length_is_a_dimension_error(self):
+        # A one-entry row would broadcast silently across a sum's rows.
+        bad = SmoothAtom(2, lambda x: float(x[0]), lambda x: np.array([1.0]), name="bad")
+        f = Sum([(1.0, bad), (1.0, half_square_atom(1, 2))])
+        with pytest.raises(DimensionMismatchError, match="bad: gradient of shape"):
+            f.gradient([0.5, 0.5])
+
+    def test_composite_trees(self):
+        # Products, quotients and dilations of trees with several gradient
+        # rows, so sums of multi-row sets take the outer-sum branch.
+        x1, x2 = coordinate_atom(0, 2), coordinate_atom(1, 2)
+        osc = make_function("energy_oscillator")
+        trees = [
+            Product(abs_of(x1), Sum([(1.0, abs_of(x2)), (0.5, half_square_atom(0, 2))])),
+            Quotient(make_function("abs_sum", 2), affine_atom([0.1, 0.0], 2.0)),
+            Sum([(2.0, osc), (-1.0, abs_of(x2)), (0.5, make_function("neg_smq"))]),
+            Dilation(2.0, osc),
+            Dilation(0.0, osc),
+            Dilation(-0.5, osc),
+            MinOf([osc, make_function("abs_sum", 2)]),
+            Sum([(1.0, make_function("neg_smq")), (3.0, half_square_atom(1, 2))]),
+        ]
+        rng = np.random.default_rng(11)
+        points = list(2.0 * rng.random((100, 2)) - 1.0) + [[0.0, 0.0], [0.0, 0.5], [0.5, 0.0]] \
+            + _DIAGONALS
+        for f in trees:
+            for x in points:
+                x = np.asarray(x, dtype=float)
+                _assert_same(_outcome(lambda: f.gradient(x)), _outcome(lambda: chain_gradient(f, x)))
+                _assert_same(_outcome(lambda: f.proximal(x)), _outcome(lambda: chain_proximal(f, x)))
