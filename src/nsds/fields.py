@@ -25,7 +25,7 @@ from .errors import (
     NotSlidingError,
     UnsupportedError,
 )
-from .geometry import Polytope
+from .geometry import Polytope, vector_norm
 
 SignVector = tuple[int, ...]
 CellField = Callable[[np.ndarray], np.ndarray]
@@ -64,7 +64,7 @@ class SwitchingSurface:
 
 def default_active_tol(x: np.ndarray) -> float:
     """Surface-activity band; scales with the state so detection is stable."""
-    return 1e-8 * (1.0 + float(np.linalg.norm(x)))
+    return 1e-8 * (1.0 + vector_norm(np.asarray(x, dtype=float).ravel()))
 
 
 class PiecewiseField:

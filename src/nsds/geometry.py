@@ -10,6 +10,7 @@ No external solver is used.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -503,6 +504,12 @@ class ConvexPolygon:
         """Distance to the boundary, negated outside the polygon."""
         d = float(np.linalg.norm(self.edge_offsets(p)[0], axis=1).min())
         return d if self.contains_point(p, tol=1e-12) else -d
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float array: the sqrt(v . v) that
+    ``np.linalg.norm`` computes, bit for bit, without its per-call overhead."""
+    return math.sqrt(v.dot(v))
 
 
 def as_point(value: Sequence[float] | float) -> np.ndarray:

@@ -42,7 +42,7 @@ from .fields import (
     _tangent_combination,
     default_active_tol,
 )
-from .geometry import Polytope, least_norm
+from .geometry import Polytope, as_point, least_norm, vector_norm
 from .nonsmooth import Graph, NsFunction, _least_norm_point, disagreement_function
 
 SURFACE_HIT = "SurfaceHit"
@@ -191,9 +191,18 @@ class Trajectory:
 
 
 class _Builder:
+    """A trajectory under construction.  States go into one (capacity, d)
+    array that doubles when full; times, modes and events stay in lists.
+    Rows are never written twice, so a row read through ``x`` or ``states``
+    keeps its values while the run goes on."""
+
+    INITIAL_ROWS = 64
+
     def __init__(self, t0: float, x0: np.ndarray, mode: str):
+        x0 = np.asarray(x0, dtype=float)
+        self._buf = np.empty((self.INITIAL_ROWS, *x0.shape))
+        self._buf[0] = x0
         self.times = [float(t0)]
-        self.states = [np.array(x0, dtype=float)]
         self.modes = [mode]
         self.events: list[Event] = []
 
@@ -203,20 +212,56 @@ class _Builder:
 
     @property
     def x(self) -> np.ndarray:
-        return self.states[-1]
+        return self._buf[len(self.times) - 1]
+
+    @property
+    def states(self) -> np.ndarray:
+        """The stored states, a view of the buffer."""
+        return self._buf[:len(self.times)]
+
+    def _grow(self, rows: int):
+        """Move the states into a buffer of at least ``rows`` rows."""
+        buf = np.empty((max(rows, 2 * len(self._buf)), *self._buf.shape[1:]))
+        n = len(self.times)
+        buf[:n] = self._buf[:n]
+        self._buf = buf
 
     def append(self, t: float, x: np.ndarray, mode: str):
-        if t <= self.times[-1]:
-            t = np.nextafter(self.times[-1], math.inf)
-        self.times.append(float(t))
-        self.states.append(np.array(x, dtype=float))
+        times = self.times
+        n = len(times)
+        if t <= times[-1]:
+            t = np.nextafter(times[-1], math.inf)
+        if n == len(self._buf):
+            self._grow(n + 1)
+        self._buf[n] = x
+        times.append(float(t))
         self.modes.append(mode)
+
+    def hold(self, times: list[float], mode: str):
+        """Append the current state once per time; ``times`` increase past t."""
+        n, k = len(self.times), len(times)
+        if n + k > len(self._buf):
+            self._grow(n + k)
+        self._buf[n:n + k] = self._buf[n - 1]
+        self.times.extend(times)
+        self.modes.extend([mode] * k)
 
     def event(self, kind: str, detail: str = ""):
         self.events.append(Event(self.times[-1], kind, detail))
 
+    def check_finite(self, start: int):
+        """Raise ModelError naming the first state from row ``start`` on that
+        is not finite.  A step x + h k keeps such a state non-finite, so the
+        last row decides."""
+        n = len(self.times)
+        if not all(map(math.isfinite, self._buf[n - 1].tolist())):  # cheaper than np.isfinite
+            rows = self._buf[start:n]
+            k = start + int(np.argmin(np.isfinite(rows).all(axis=1)))
+            raise ModelError(f"state is not finite at t={self.times[k]}: {self._buf[k].tolist()}")
+
     def stalled(self, window: int, conv_tol: float) -> bool:
-        if len(self.times) <= window:
+        n = len(self.times)
+        if n <= window:
             return False
         dt = self.times[-1] - self.times[-1 - window]
         if dt <= 0:
@@ -224,14 +269,14 @@ class _Builder:
         # True iff every displacement over the window is within the bound;
         # the first one beyond it (or NaN) settles the answer.
         bound = conv_tol * dt
-        last = self.states[-1]
-        for k in range(1, window + 1):
-            if not float(np.linalg.norm(last - self.states[-1 - k])) <= bound:
+        last = self._buf[n - 1]
+        for row in self._buf[n - 1 - window:n - 1][::-1]:
+            if not vector_norm(last - row) <= bound:
                 return False
         return True
 
     def finish(self) -> Trajectory:
-        return Trajectory(self.times, self.states, self.modes, self.events)
+        return Trajectory(self.times, self.states.copy(), self.modes, self.events)
 
 
 def rk4_step(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float,
@@ -256,11 +301,12 @@ def _check_start(x: np.ndarray, t_end: float, dim: int | None = None):
 
 
 def _fill_stopped(b: _Builder, t_end: float, dt: float):
-    x = b.x.copy()
+    times = []
     t = b.t
     while t < t_end - 1e-12:
         t = min(t + dt, t_end)
-        b.append(t, x, MODE_STOP)
+        times.append(float(t))
+    b.hold(times, MODE_STOP)
 
 
 def _drive(b: _Builder, t_end: float, cfg: IntegratorConfig,
@@ -574,7 +620,8 @@ def integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: flo
     radius 5 dt_max, the state is declared converged and frozen.
 
     The field value at the end of each step serves both the convergence test
-    and the first stage of the next step, so v_fn runs once per stage.
+    and the first stage of the next step, so v_fn runs once per stage.  A
+    state that is not finite raises ModelError naming its time.
     """
     x = np.asarray(x0, dtype=float)
     _check_start(x, t_end)
@@ -593,14 +640,15 @@ def integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: flo
             for _ in range(n_sub - 1):
                 x_new = x_new + (h / n_sub) * v_fn(x_new)
         b.append(b.t + h, x_new, "R:")
+        b.check_finite(len(b.times) - 1)
         v = v_fn(x_new)
-        if float(np.linalg.norm(v)) <= max(cfg.conv_tol, 1e-12):
+        if vector_norm(v) <= max(cfg.conv_tol, 1e-12):
             b.event(CONVERGED, "flow direction vanished")
             return True
         if len(b.times) > STALL_WINDOW:
-            recent = np.array(b.states[-STALL_WINDOW:])
-            center = recent.mean(axis=0)
-            if float(np.max(np.linalg.norm(recent - center, axis=1))) <= radius:
+            recent = b.states[-STALL_WINDOW:]
+            off = recent - recent.mean(axis=0)
+            if float(np.sqrt((off * off).sum(axis=1)).max()) <= radius:
                 b.event(CONVERGED, "oscillation window")
                 return True
         return False
@@ -643,7 +691,7 @@ def gradient_flow(f: NsFunction, variant: str, x0, t_end: float,
 
         def v_fn(x):
             g = grad_vec(x)
-            nrm = float(np.linalg.norm(g))
+            nrm = vector_norm(g)
             if nrm <= cfg.conv_tol:
                 return np.zeros_like(g)
             return -g / nrm
@@ -720,10 +768,11 @@ def consensus_flow(G: Graph, variant: str, p0, t_end: float,
         tr = gradient_flow(disagreement_function(G), "normalized", p0, t_end, cfg)
     else:
         tr = integrate_filippov(sign_consensus_field(G), p0, t_end, cfg)
-    spread = lambda p: float(np.max(p) - np.min(p))
-    t_star = tr.first_time(lambda p: spread(p) <= spread_tol)
+    spreads = tr.states.max(axis=1) - tr.states.min(axis=1)
+    reached = spreads <= spread_tol
+    t_star = float(tr.times[reached.argmax()]) if reached.any() else None
     value = float(np.mean(tr.final_state)) if t_star is not None else None
-    return ConsensusResult(tr, value, t_star, spread(tr.final_state))
+    return ConsensusResult(tr, value, t_star, float(spreads[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -767,26 +816,30 @@ def sample_and_hold(C: ControlField, feedback: Callable[[float, np.ndarray], np.
                     schedule: PartitionSchedule, x0,
                     cfg: IntegratorConfig | None = None) -> Trajectory:
     """Hold the feedback fixed over each partition interval and integrate the
-    resulting smooth dynamics with RK4 substeps."""
+    resulting smooth dynamics with RK4 substeps.  A state that is not finite
+    at the end of an interval raises ModelError naming the first such time."""
     cfg = cfg or IntegratorConfig()
     x = np.asarray(x0, dtype=float)
     # The schedule's span is finite and positive by construction.
     _check_start(x, float(np.ptp(schedule.breakpoints)), C.dim)
-    b = _Builder(float(schedule.breakpoints[0]), x, "R:")
-    for s_prev, s_next in zip(schedule.breakpoints[:-1], schedule.breakpoints[1:]):
-        u = np.asarray(feedback(float(s_prev), b.x), dtype=float)
-        frozen = lambda y: C.value(y, u)
-        span = float(s_next - s_prev)
-        n_sub = max(1, int(math.ceil(span / cfg.dt_max)))
-        h = span / n_sub
+    bp = schedule.breakpoints.tolist()
+    b = _Builder(bp[0], x, "R:")
+    for s_prev, s_next in zip(bp[:-1], bp[1:]):
         x = b.x
-        t = float(s_prev)
+        u = as_point(feedback(s_prev, x))
+        frozen = lambda y: np.asarray(C.dynamics(y, u), dtype=float)
+        start = len(b.times)
+        span = s_next - s_prev
+        n_sub = max(1, math.ceil(span / cfg.dt_max))
+        h = span / n_sub
+        t = s_prev
         for k in range(n_sub):
             x = rk4_step(frozen, x, h)
             t += h
             if k == n_sub - 1:
-                t = float(s_next)
+                t = s_next
             b.append(t, x, "R:")
+        b.check_finite(start)
     return b.finish()
 
 

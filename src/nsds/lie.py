@@ -29,6 +29,7 @@ from .geometry import (
     _maximin_rows,
     maximin_value,
     solve_lp,
+    vector_norm,
 )
 from .nonsmooth import ALL_SPACE, UNSUPPORTED, NsFunction
 
@@ -321,7 +322,7 @@ def _sweep(theorem: str, f: NsFunction, F: FieldSource, region: GridSpec, *,
 
     for x in _grid_points(f, region):
         checked += 1
-        at_equilibrium = x_e is not None and bool(np.linalg.norm(x - x_e) <= 1e-12)
+        at_equilibrium = x_e is not None and vector_norm(x - x_e) <= 1e-12
         if positivity and not at_equilibrium and f._val(x) - f0 <= 0:
             return stop(FALSIFIED, "positivity")
         val = _lie_sup(lie_set, f, F, x)

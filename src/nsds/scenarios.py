@@ -155,24 +155,25 @@ class MoveAwayLaw:
 
     def direction(self, p_flat: np.ndarray) -> np.ndarray:
         pts = np.asarray(p_flat, dtype=float).reshape(self.n, 2)
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ModelError("agent positions must be finite")
         # Away directions and distances per (agent, entity): the other agents
         # first (at half separation), then the edges.  An agent's own column
         # is at infinite distance, so it never ties.
         pair = pts[:, None, :] - pts[None, :, :]
-        r = np.linalg.norm(pair, axis=2)
+        # Axis norms as np.linalg.norm computes them, without its overhead.
+        r = np.sqrt((pair * pair).sum(axis=2))
         np.fill_diagonal(r, np.inf)
-        if np.any(r <= 1e-12):
+        if (r <= 1e-12).any():
             raise ModelError("coincident agents: the law is undefined")
         edge = self.polygon.edge_offsets(pts)
-        re = np.linalg.norm(edge, axis=2)
-        if np.any(re <= 1e-12):
+        re = np.sqrt((edge * edge).sum(axis=2))
+        if (re <= 1e-12).any():
             raise ModelError("agent sits on the boundary")
         # The nearest point of an edge lies on its line, so the offset has a
         # negative inward component (ccw: t x offset < 0) exactly outside.
         t = self.polygon.edge_vectors
-        if np.any(t[:, 0] * edge[:, :, 1] < t[:, 1] * edge[:, :, 0]):
+        if (t[:, 0] * edge[:, :, 1] < t[:, 1] * edge[:, :, 0]).any():
             raise ModelError("agent outside the polygon")
         dists = np.concatenate([0.5 * r, re], axis=1)
         dirs = np.concatenate([pair / r[:, :, None], edge / re[:, :, None]], axis=1)

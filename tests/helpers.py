@@ -9,12 +9,14 @@ in a small ball, and gradients by finite differences.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import scipy.optimize
 
 from nsds.errors import ModelError
 from nsds.geometry import ConvexPolygon, Polytope, least_norm
+from nsds.integrate import Event, Trajectory
 from nsds.nonsmooth import (
     ALL_SPACE,
     UNSUPPORTED,
@@ -268,6 +270,73 @@ def move_away_direction_loop(polygon: ConvexPolygon, n: int, tie_band: float, p_
         out[i] = gens[0] if len(gens) == 1 else least_norm(Polytope(np.array(gens))).point
     return out.ravel()
 
+
+
+# ---------------------------------------------------------------------------
+# List-based reference for the trajectory builder.
+# ---------------------------------------------------------------------------
+
+
+class _Rows(list):
+    """Per-sample state arrays; a slice comes back stacked, as the stepping
+    loops read a window of recent states."""
+
+    def __getitem__(self, k):
+        item = super().__getitem__(k)
+        return np.array(item) if isinstance(k, slice) else item
+
+
+class ListBuilder:
+    """``integrate._Builder`` with one copied array per sample in a list and
+    a stopped tail appended sample by sample: the reference for the builder
+    that keeps its states in one growing array."""
+
+    def __init__(self, t0, x0, mode):
+        self.times = [float(t0)]
+        self.states = _Rows([np.array(x0, dtype=float)])
+        self.modes = [mode]
+        self.events = []
+
+    @property
+    def t(self):
+        return self.times[-1]
+
+    @property
+    def x(self):
+        return self.states[-1]
+
+    def append(self, t, x, mode):
+        if t <= self.times[-1]:
+            t = np.nextafter(self.times[-1], math.inf)
+        self.times.append(float(t))
+        self.states.append(np.array(x, dtype=float))
+        self.modes.append(mode)
+
+    def hold(self, times, mode):
+        x = self.x.copy()
+        for t in times:
+            self.append(t, x, mode)
+
+    def event(self, kind, detail=""):
+        self.events.append(Event(self.times[-1], kind, detail))
+
+    def check_finite(self, start):
+        for k in range(start, len(self.times)):
+            if not np.all(np.isfinite(self.states[k])):
+                raise ModelError(f"state is not finite at t={self.times[k]}: "
+                                 f"{self.states[k].tolist()}")
+
+    def stalled(self, window, conv_tol):
+        if len(self.times) <= window:
+            return False
+        dt = self.times[-1] - self.times[-1 - window]
+        if dt <= 0:
+            return False
+        return all(float(np.linalg.norm(self.states[-1] - self.states[-1 - k])) <= conv_tol * dt
+                   for k in range(1, window + 1))
+
+    def finish(self):
+        return Trajectory(self.times, list(self.states), self.modes, self.events)
 
 
 # ---------------------------------------------------------------------------

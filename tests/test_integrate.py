@@ -32,7 +32,7 @@ from nsds.scenarios import (
 )
 from nsds.fields import ControlField
 
-from helpers import count_polytopes, move_away_direction_loop, sign_cell_lp_oracle
+from helpers import ListBuilder, count_polytopes, move_away_direction_loop, sign_cell_lp_oracle
 
 
 def neg_sign_field():
@@ -629,6 +629,104 @@ class TestFixedStepLoops:
             assert verdict == reference(b, window, conv_tol)
             seen.add(verdict)
         assert seen == {True, False}
+
+    def test_blow_up_in_a_pointwise_run_raises(self):
+        # x' = x^2 from 1 blows up at t = 1; the run used to carry inf states
+        # to t_end and log no event.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ModelError, match="not finite at t=") as err:
+                integrate_pointwise(lambda x: x**2, [1.0], 3.0,
+                                    IntegratorConfig(dt_max=1e-2), method="rk4")
+        t = float(str(err.value).split("t=")[1].split(":")[0])
+        assert 1.0 <= t <= 1.1
+
+    def test_blow_up_in_sample_and_hold_names_the_first_bad_sample(self):
+        C = ControlField(1, 1, lambda x, u: x**2 + u, Polytope.interval(-1, 1))
+        sched = PartitionSchedule.uniform(0.0, 3.0, 6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ModelError, match="not finite at t=") as err:
+                sample_and_hold(C, lambda t, x: np.zeros(1), sched, [1.0],
+                                IntegratorConfig(dt_max=1e-2))
+        t = float(str(err.value).split("t=")[1].split(":")[0])
+        assert 1.0 <= t <= 1.1
+
+
+class TestTrajectoryBuffer:
+    """``_Builder`` keeps the states in one growing array; ``ListBuilder``
+    (tests/helpers.py) keeps one array per sample, as the builder used to."""
+
+    RUNS = {
+        "filippov_oscillator": lambda: get_scenario("oscillator").simulate([0.02, 0.1], 0.4),
+        "sample_and_hold_cart": lambda: sample_and_hold(
+            get_scenario("cart").build(), cart_feedback(1.0),
+            PartitionSchedule.with_diameter(0.0, 0.3, 1e-3), [0.6, 0.3]),
+        # Converges early; the stopped fill carries it to 20k samples.
+        "norm_consensus_stopped": lambda: consensus_flow(
+            Graph.path(3), "norm", [0.0, 0.06, 0.1], 4.0,
+            IntegratorConfig(dt_max=2e-4)).trajectory,
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_same_trajectory_as_list_reference(self, name, monkeypatch):
+        import nsds.integrate as integrate
+
+        tr = self.RUNS[name]()
+        assert len(tr.times) > _Builder.INITIAL_ROWS
+        monkeypatch.setattr(integrate, "_Builder", ListBuilder)
+        ref = self.RUNS[name]()
+        assert tr.times.tobytes() == ref.times.tobytes()
+        assert tr.states.tobytes() == ref.states.tobytes()
+        assert tr.modes == ref.modes
+        assert tr.events == ref.events
+        if name == "norm_consensus_stopped":
+            assert len(tr.times) == 20_001 and tr.modes.count("STOP") > 19_000
+
+    def test_states_are_owned_and_exactly_sized(self):
+        tr = self.RUNS["filippov_oscillator"]()
+        assert tr.states.flags.owndata and tr.states.base is None
+        assert tr.states.shape == (len(tr.times), 2)
+
+    def test_earlier_rows_survive_appends_and_growth(self):
+        b = _Builder(0.0, [1.0, 2.0], "R:")
+        x0 = b.x
+        rows = [x0]
+        for k in range(1, 3 * _Builder.INITIAL_ROWS):
+            b.append(float(k), [k, -k], "R:")
+            rows.append(b.x)
+        assert x0.tolist() == [1.0, 2.0]
+        assert [r.tolist() for r in rows] == [[k, -k] if k else [1.0, 2.0]
+                                              for k in range(3 * _Builder.INITIAL_ROWS)]
+        tr = b.finish()
+        b.append(1e6, [0.0, 0.0], "R:")
+        assert tr.states.shape == (3 * _Builder.INITIAL_ROWS, 2)
+        assert tr.states[-1].tolist() == rows[-1].tolist()
+
+    def test_sample_and_hold_holds_one_coerced_input_per_interval(self):
+        seen = []
+
+        def dynamics(x, u):
+            seen.append(u)
+            return -x * u
+
+        C = ControlField(1, 1, dynamics, Polytope.interval(-10, 10))
+        sched = PartitionSchedule.uniform(0.0, 1.0, 4)  # n_sub = ceil(0.25 / 0.1) = 3
+        sample_and_hold(C, lambda t, x: [1.0 + t], sched, [1.0], IntegratorConfig(dt_max=0.1))
+        assert len(seen) == 4 * 4 * 3
+        blocks = [seen[k:k + 12] for k in range(0, len(seen), 12)]
+        for t, block in zip(sched.breakpoints, blocks):
+            assert all(u is block[0] for u in block)
+            assert block[0].dtype == float and block[0].tolist() == [1.0 + t]
+        assert len({id(block[0]) for block in blocks}) == 4
+
+    def test_consensus_time_is_first_sample_within_the_spread(self):
+        res = consensus_flow(Graph.path(4), "norm", [0.0, 0.1, 0.02, 0.08], 0.3,
+                             IntegratorConfig(dt_max=2e-4))
+        spread = lambda p: float(np.max(p) - np.min(p))
+        assert res.consensus_time == res.trajectory.first_time(lambda p: spread(p) <= 1e-3)
+        assert res.final_spread == spread(res.trajectory.final_state)
+        never = consensus_flow(Graph.path(4), "norm", [0.0, 0.1, 0.02, 0.08], 0.01,
+                               IntegratorConfig(dt_max=2e-4))
+        assert never.consensus_time is None and never.consensus_value is None
 
 
 # Sample count, event (kind, detail) sequence and final state of runs that
