@@ -4,7 +4,8 @@ The Filippov, Caratheodory and pointwise integrators share one stepping loop,
 ``_drive``, which owns the end-time test, the ``max_steps`` budget (one
 ``StepLimit`` event), the no-progress watchdog (a ``NoProgress`` event after
 ``NO_PROGRESS_STEPS`` steps that append no sample) and the fill that carries
-a stopped state to ``t_end``.  Each integrator supplies one step function.
+a stopped state to ``t_end``, whose samples count against the same budget.
+Each integrator supplies one step function.
 
 The Filippov step runs fixed-step RK4 inside cells, localizes surface hits by
 bisection on the step fraction, classifies the hit, and then either crosses
@@ -12,6 +13,13 @@ or slides, with per-step projection, on the active set S of one surface or
 of several that meet (the tangent multilinear combination of the 2^|S| cells
 around S).  A point where the least-norm selection of the convexified field
 vanishes stops the trajectory (an inclusion equilibrium).
+
+The Filippov and Caratheodory steps read the switching functions once per
+sample: the values (and the activity band) at the end of a full RK4 step
+serve that step's crossing and landing checks and then the next step.  That
+end state is checked first, and a blow-up (a state or a norm that is not
+finite) raises ModelError naming its time, as in the pointwise and
+sample-and-hold runs.
 
 Determinism: one run is single-threaded and fully determined by its inputs
 and config.
@@ -146,10 +154,10 @@ class Trajectory:
             by_time.setdefault(ev.time, []).append(ev.kind)
         buf = io.StringIO()
         buf.write(",".join(cols) + "\n")
-        for t, x, mode in zip(self.times, self.states, self.modes):
-            ev = ";".join(by_time.get(float(t), []))
-            row = [repr(float(t))] + [repr(float(v)) for v in x] + [mode, ev]
-            buf.write(",".join(row) + "\n")
+        # tolist() hands back Python floats, whose repr is the CSV text.
+        for t, x, mode in zip(self.times.tolist(), self.states.tolist(), self.modes):
+            ev = ";".join(by_time.get(t, ()))
+            buf.write(",".join([repr(t), *map(repr, x), mode, ev]) + "\n")
         return buf.getvalue()
 
     @classmethod
@@ -300,13 +308,19 @@ def _check_start(x: np.ndarray, t_end: float, dim: int | None = None):
         raise ModelError(f"t_end must be finite and positive, got {t_end}")
 
 
-def _fill_stopped(b: _Builder, t_end: float, dt: float):
+def _fill_stopped(b: _Builder, t_end: float, dt: float, budget: int) -> bool:
+    """Hold the stopped state at steps of dt up to t_end, writing at most
+    ``budget`` samples; True when the budget ran out first."""
     times = []
-    t = b.t
-    while t < t_end - 1e-12:
-        t = min(t + dt, t_end)
-        times.append(float(t))
+    t, t_end, dt = b.t, float(t_end), float(dt)
+    stop = t_end - 1e-12
+    while t < stop and len(times) < budget:
+        t += dt
+        if t > t_end:
+            t = t_end
+        times.append(t)
     b.hold(times, MODE_STOP)
+    return t < stop
 
 
 def _drive(b: _Builder, t_end: float, cfg: IntegratorConfig,
@@ -316,7 +330,8 @@ def _drive(b: _Builder, t_end: float, cfg: IntegratorConfig,
     NO_PROGRESS_STEPS steps that append no sample.
 
     ``step`` advances ``b`` by at most h and returns True once the state has
-    stopped; the rest of the horizon is then filled with that state.
+    stopped; the rest of the horizon is then filled with that state, one
+    sample per dt_max, each counted against the budget.
     """
     steps = idle = 0
     while b.t < t_end - 1e-12:
@@ -326,7 +341,8 @@ def _drive(b: _Builder, t_end: float, cfg: IntegratorConfig,
             break
         n = len(b.times)
         if step(min(cfg.dt_max, t_end - b.t)):
-            _fill_stopped(b, t_end, cfg.dt_max)
+            if _fill_stopped(b, t_end, cfg.dt_max, cfg.max_steps - steps):
+                b.event(STEP_LIMIT, "max_steps exceeded")
             break
         idle = 0 if len(b.times) > n else idle + 1
         if idle >= NO_PROGRESS_STEPS:
@@ -335,22 +351,32 @@ def _drive(b: _Builder, t_end: float, cfg: IntegratorConfig,
     return b.finish()
 
 
-def _first_crossing(flow, switches, start_vals, refine_tol, skip):
-    """Earliest surface crossing within one step, located by bisection.
+def _end_values(F: PiecewiseField, t: float, x: np.ndarray) -> tuple[list[float], float]:
+    """Every switch value at x, the state a step reaches at time t, and the
+    activity band there.  A blow-up raises ModelError naming t: a state that
+    is not finite, or whose norm overflows, has an infinite band, inside
+    which every surface would read as active."""
+    band = default_active_tol(x)
+    if not math.isfinite(band):
+        raise ModelError(f"state norm is not finite at t={t}: {x.tolist()}")
+    return F.switch_values(x).tolist(), band
+
+
+def _first_crossing(flow, switches, start_vals, end_vals, x_end, watched, refine_tol):
+    """Earliest crossing of a surface in ``watched`` within one step, located
+    by bisection on the step fraction.
 
     flow(s) must return the state after advancing a fraction s of the step,
-    and ``start_vals`` are the switch values at its start.  Returns
-    (s, index, state, end_vals) for the first crossing, or
-    (1.0, None, flow(1.0), end_vals) when no surface outside ``skip`` changes
-    sign; ``end_vals`` maps each watched surface to its value at flow(1.0).
+    x_end = flow(1.0) is its end, and ``start_vals`` and ``end_vals`` are the
+    switch values at the two ends.  Returns (s, index, state) for the first
+    crossing, or (1.0, None, x_end) when no watched surface changes sign.
     """
-    x_end = flow(1.0)
-    end_vals = {i: s.value(x_end) for i, s in enumerate(switches) if i not in skip}
     best = (1.0, None, x_end)
-    for i, g1 in end_vals.items():
-        g0, g = start_vals[i], switches[i].value
+    for i in watched:
+        g0, g1 = start_vals[i], end_vals[i]
         if g0 == 0.0 or g0 * g1 >= 0.0:
             continue
+        g = switches[i].value
         lo, hi = 0.0, 1.0
         x_hi = x_end
         for _ in range(200):
@@ -370,57 +396,76 @@ def _first_crossing(flow, switches, start_vals, refine_tol, skip):
                 break
         if best[1] is None or hi < best[0]:
             best = (hi, i, x_hi)
-    return (*best, end_vals)
+    return best
 
 
-def _cell_step(F: PiecewiseField, sigma, x: np.ndarray, g: np.ndarray, h: float,
+def _cell_step(F: PiecewiseField, sigma, x: np.ndarray, t: float, g, h: float,
                refine_tol: float, skip=()):
-    """One RK4 step of cell sigma's field from x, whose switch values are g,
-    cut at the first crossing (see :func:`_first_crossing`).
+    """One RK4 step of cell sigma's field from x at time t, whose switch
+    values are g, cut at the first crossing (see :func:`_first_crossing`).
 
     Surfaces in ``skip``, and those within ``refine_tol`` of x (a surface the
     step starts on cannot be crossed meaningfully), are not watched.  The
-    field at x is evaluated once and shared by every trial fraction of the
-    step.
+    field at x is evaluated once and shared by every trial fraction, and the
+    switches are read once at the full step's end.  Returns (s, index,
+    state, end, watched), with ``end`` the (switch values, band) there.
     """
-    skip = set(skip) | {i for i, v in enumerate(g) if abs(v) <= refine_tol}
+    watched = [i for i, v in enumerate(g) if i not in skip and abs(v) > refine_tol]
     fcell = lambda y: F.cell_value(sigma, y)
     k1 = fcell(x)
     flow = lambda s: rk4_step(fcell, x, s * h, k1)
-    return _first_crossing(flow, F.switches, g, refine_tol, skip)
+    x_end = flow(1.0)
+    end = _end_values(F, t + h, x_end)
+    return (*_first_crossing(flow, F.switches, g, end[0], x_end, watched, refine_tol),
+            end, watched)
 
 
 class _FilippovRun:
     """The step function of a Filippov run: one regular, surface, corner or
     sliding step per call, with ``S`` the surfaces slid along (empty off
-    surfaces) and ``lam`` the weights of their tangent combination.  A step
-    reads the switch values at its start once, for its phase and cells."""
+    surfaces) and ``lam`` the weights of their tangent combination.
+
+    The switches and the activity band are read once per sample.  A step
+    that ends where its full RK4 step ends has read every switch value there
+    and hands them, with the band, to the next step as ``_carry``, tagged
+    with the sample count; a step cut at a crossing leaves the next step to
+    read them afresh."""
 
     def __init__(self, F: PiecewiseField, x0: np.ndarray, cfg: IntegratorConfig):
         self.F = F
         self.cfg = cfg
-        self.b = _Builder(0.0, x0, self._label(x0))
+        self._modes: dict[tuple[int, ...], str] = {}
+        g, tol = F.switch_values(x0).tolist(), self._act_tol(x0)
+        active = [j for j, v in enumerate(g) if abs(v) <= tol]
+        label = sliding_mode(active) if active else self._mode(_face(g, ()))
+        self.b = _Builder(0.0, x0, label)
+        self._carry = (1, g, tol)
         self.S: tuple[int, ...] = ()
         self.lam = np.empty(0)
 
     def _act_tol(self, x) -> float:
         return max(default_active_tol(x), self.cfg.event_refine_tol)
 
-    def _label(self, x) -> str:
-        active = self.F.active_set(x, self._act_tol(x))
-        if active:
-            return sliding_mode(active)
-        return regular_mode(self.F.sign_vector(x, self._act_tol(x)))
+    def _mode(self, sigma: tuple[int, ...]) -> str:
+        mode = self._modes.get(sigma)
+        if mode is None:
+            mode = self._modes[sigma] = regular_mode(sigma)
+        return mode
 
-    def _landed_on(self, x, end_vals) -> int | None:
-        """First watched surface that x, the end of a full step, lies on."""
-        tol = self._act_tol(x)
-        return next((j for j, v in end_vals.items() if abs(v) <= tol), None)
+    def _carry_end(self, end, watched) -> int | None:
+        """Carry ``end``, the switch values and band at the state just
+        appended, the end of a full step; return the first watched surface
+        it lies on."""
+        end_vals, band = end
+        tol = max(band, self.cfg.event_refine_tol)
+        self._carry = (len(self.b.times), end_vals, tol)
+        return next((j for j in watched if abs(end_vals[j]) <= tol), None)
 
     def step(self, h: float) -> bool:
-        x = self.b.x
-        g = self.F.switch_values(x)
-        tol = self._act_tol(x)
+        n, g, tol = self._carry
+        if n != len(self.b.times):
+            x = self.b.x
+            g, tol = self.F.switch_values(x).tolist(), self._act_tol(x)
         active = [j for j, v in enumerate(g) if abs(v) <= tol]
         stopped = False
         if self.S:
@@ -437,12 +482,12 @@ class _FilippovRun:
         return stopped
 
     def _regular_phase(self, h: float, g, sigma, skip=()):
-        x = self.b.x
-        s_star, i, x_new, end_vals = _cell_step(self.F, sigma, x, g, h,
-                                                self.cfg.event_refine_tol, skip)
-        self.b.append(self.b.t + s_star * h, x_new, regular_mode(sigma))
+        t = self.b.t
+        s_star, i, x_new, end, watched = _cell_step(
+            self.F, sigma, self.b.x, t, g, h, self.cfg.event_refine_tol, skip)
+        self.b.append(t + s_star * h, x_new, self._mode(sigma))
         if i is None:
-            i = self._landed_on(x_new, end_vals)
+            i = self._carry_end(end, watched)
         if i is not None:
             self.b.event(SURFACE_HIT, f"surface {i}")
 
@@ -508,7 +553,7 @@ class _FilippovRun:
     def _slide_step(self, h: float, g) -> bool:
         """One RK4 step of the tangent combination on S, each stage projected
         onto S, cut at the first crossing of another surface."""
-        cfg, S, x = self.cfg, self.S, self.b.x
+        cfg, S, x, t = self.cfg, self.S, self.b.x, self.b.t
         cells = self.F.adjacent_cells(_face(g, S))
         def combination(y):  # Newton starts from the weights at x
             values = np.array([self.F.cell_value(c, y) for c in cells])
@@ -538,16 +583,19 @@ class _FilippovRun:
             h = max(h, 1e-15)
             slide_vec = lambda y: combination(y)[0]
             flow = lambda s: self._project(rk4_step(slide_vec, x, s * h, v))
-            s_star, j, x_new, end_vals = _first_crossing(
-                flow, self.F.switches, g, cfg.event_refine_tol, skip=set(S))
+            x_end = flow(1.0)
+            end = _end_values(self.F, t + h, x_end)
+            watched = [j for j in range(len(g)) if j not in S]
+            s_star, j, x_new = _first_crossing(flow, self.F.switches, g, end[0], x_end,
+                                               watched, cfg.event_refine_tol)
         except NotSlidingError:
             self.b.event(SLIDE_EXIT, f"surface {','.join(map(str, S))}: tangency lost")
             self.S = ()
             # Several surfaces: leave now, or the slide could re-enter here.
             return len(S) > 1 and self._corner_phase(list(S), h, g, slide=False)
-        self.b.append(self.b.t + s_star * h, x_new, sliding_mode(S))
+        self.b.append(t + s_star * h, x_new, sliding_mode(S))
         if j is None:
-            j = self._landed_on(x_new, end_vals)
+            j = self._carry_end(end, watched)
         if j is not None:
             # The next step, on S and j, stops, slides on all, or leaves.
             self.b.event(SURFACE_HIT, f"surface {j} while sliding on {','.join(map(str, S))}")
@@ -590,19 +638,27 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
     if not cells:
         raise ModelError(f"no declared cell adjacent to {x.tolist()}")
     sigma = cells[0]
-    b = _Builder(0.0, x, regular_mode(sigma))
+    mode = regular_mode(sigma)
+    b = _Builder(0.0, x, mode)
+    # The switch values at the last sample, tagged with the sample count,
+    # when the step that wrote it read them (as in _FilippovRun).
+    carry = (0, [])
 
     def step(h: float) -> bool:
-        nonlocal sigma
-        s_star, i, x_new, _ = _cell_step(F, sigma, b.x, F.switch_values(b.x), h,
-                                         cfg.event_refine_tol)
-        b.append(b.t + s_star * h, x_new, regular_mode(sigma))
-        if i is not None:
+        nonlocal sigma, mode, carry
+        t = b.t
+        g = carry[1] if carry[0] == len(b.times) else F.switch_values(b.x).tolist()
+        s_star, i, x_new, end, _ = _cell_step(F, sigma, b.x, t, g, h, cfg.event_refine_tol)
+        b.append(t + s_star * h, x_new, mode)
+        if i is None:
+            carry = (len(b.times), end[0])
+        else:
             b.event(SURFACE_HIT, f"surface {i}")
             new_sigma = list(sigma)
             new_sigma[i] = -sigma[i]
             if F.adjacent_cells(tuple(new_sigma)):
                 sigma = tuple(new_sigma)
+                mode = regular_mode(sigma)
         return False
 
     return _drive(b, t_end, cfg, step)

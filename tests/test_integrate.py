@@ -65,6 +65,23 @@ class TestTrajectoryType:
             assert again.modes == tr.modes
             assert [e.kind for e in again.events] == [e.kind for e in tr.events]
 
+    def test_csv_is_the_repr_of_every_value(self):
+        def per_value_csv(tr):
+            by_time = {}
+            for ev in tr.events:
+                by_time.setdefault(ev.time, []).append(ev.kind)
+            lines = ["t," + ",".join(f"x{k + 1}" for k in range(tr.dim)) + ",mode,event"]
+            for t, x, mode in zip(tr.times, tr.states, tr.modes):
+                row = [repr(float(t))] + [repr(float(v)) for v in x]
+                lines.append(",".join(row + [mode, ";".join(by_time.get(float(t), []))]))
+            return "\n".join(lines) + "\n"
+
+        runs = (get_scenario("move_away_1").simulate([0.0, 0.0], 0.01),
+                get_scenario("oscillator").simulate([0.02, 0.1], 0.4))
+        assert "S:0,1" in runs[0].modes and runs[0].events and runs[1].events
+        for tr in runs:
+            assert tr.to_csv() == per_value_csv(tr)
+
     def test_json_roundtrip(self):
         tr = integrate_filippov(neg_sign_field(), [0.5], 1.0)
         d = tr.to_json_dict()
@@ -812,6 +829,45 @@ class TestSteppingLoop:
         # No stopped fill: the state did not converge.
         assert tr.final_time < 2e-3 and tr.modes[-1] != "STOP"
 
+    @pytest.mark.parametrize("integrator", [integrate_filippov, integrate_caratheodory])
+    def test_blow_up_in_an_event_driven_run_raises(self, integrator):
+        # x' = x^2 from 1 blows up at t = 1.  With no switching surface these
+        # runs used to return 301 samples ending at inf, with no event.
+        F = PiecewiseField(1, [], {(): lambda x: x**2})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ModelError, match="not finite at t=") as err:
+                integrator(F, [1.0], 3.0, IntegratorConfig(dt_max=1e-2))
+        t = float(str(err.value).split("t=")[1].split(":")[0])
+        assert 1.0 <= t <= 1.1
+
+    def test_blow_up_off_a_surface_raises_a_model_error(self):
+        # x2 = x1 stays far from the surface x2 = 0 while both blow up.  The
+        # state's norm overflows first, which made the activity band
+        # 1e-8 (1 + |x|) infinite: the surface read as active and the run
+        # raised DegenerateSurfaceError ("switching gradient vanishes").
+        f = lambda x: np.array([x[0] ** 2, x[0] ** 2])
+        F = PiecewiseField(2, [SwitchingSurface.coordinate(1, 2)], {(-1,): f, (1,): f})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ModelError, match="not finite at t=") as err:
+                integrate_filippov(F, [1.0, 1.0], 3.0, IntegratorConfig(dt_max=1e-2))
+        assert type(err.value) is ModelError
+        t = float(str(err.value).split("t=")[1].split(":")[0])
+        assert 1.0 <= t <= 1.1
+
+    def test_stopped_fill_counts_against_max_steps(self):
+        # The flow vanishes at the first step.  The fill to t_end then used
+        # to write 100,000 samples whatever the step budget.
+        v_fn = lambda x: 0 * x
+        cfg = IntegratorConfig(dt_max=1e-3, max_steps=10)
+        tr = integrate_pointwise(v_fn, [1.0], 100.0, cfg)
+        assert len(tr.times) == 1 + 10
+        assert [e.kind for e in tr.events] == ["Converged", "StepLimit"]
+        assert tr.modes[2:] == ["STOP"] * 9 and tr.final_time < 100.0
+        # A fill that fits in the budget reaches t_end with no StepLimit.
+        tr = integrate_pointwise(v_fn, [1.0], 0.005, cfg)
+        assert len(tr.times) == 1 + 5 and tr.final_time == 0.005
+        assert [e.kind for e in tr.events] == ["Converged"]
+
     def test_regular_step_runs_the_cell_field_once_per_stage(self):
         calls = []
 
@@ -825,8 +881,9 @@ class TestSteppingLoop:
         assert len(calls) == 10 * 4
 
     def test_regular_step_reads_the_switches_once_per_end(self):
-        # Each step reads g at its start (active set, sign vector, crossing
-        # search) and at its end (crossing and landing checks).
+        # The run's label reads g at x0.  Each step then reads it once, at
+        # its end: the crossing and landing checks there and the next step's
+        # phase, sign vector and crossing search share that read.
         reads = []
 
         def g(x):
@@ -839,11 +896,26 @@ class TestSteppingLoop:
         cfg = IntegratorConfig(dt_max=0.125)
         tr = integrate_filippov(F, [1.0, 0.0], 1.25, cfg)
         assert len(tr.times) == 11 and not tr.events
-        assert len(reads) <= 2 + 2 * 10
+        assert len(reads) == 1 + 10
         reads.clear()
+        # The start cell reads g at x0 and the first step reads it again.
         tr = integrate_caratheodory(F, [1.0, 0.0], 1.25, cfg)
         assert len(tr.times) == 11 and not tr.events
-        assert len(reads) == 1 + 2 * 10
+        assert len(reads) == 2 + 10
+
+    def test_slide_step_reads_the_switches_once_per_end(self):
+        # move_away_1 has two surfaces and starts on surface 0.  The label
+        # reads both at x0, and the surface step that enters the slide
+        # appends no sample, so it reuses that read.  Each slide step reads
+        # surface 0 once in its projection and both surfaces at its end.
+        reads = []
+        F = get_scenario("move_away_1").build()
+        counted = [SwitchingSurface((lambda g: lambda x: reads.append(1) or g(x))(s.value),
+                                    s.grad, s.name) for s in F.switches]
+        tr = integrate_filippov(PiecewiseField(F.dim, counted, F.cell), [0.05, 0.05], 0.01)
+        assert [e.kind for e in tr.events] == ["SlideEnter"]
+        assert len(tr.times) == 11 and set(tr.modes) == {"S:0"}
+        assert len(reads) == 2 + 10 * (1 + 2)
 
     def test_surface_step_classifies_from_its_own_switch_values(self):
         # The run's label reads g once at x0 and the surface step once more;
