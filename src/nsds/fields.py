@@ -62,9 +62,18 @@ class SwitchingSurface:
         return cls.affine(a, 0.0, name=name or f"x{index + 1}")
 
 
+# The activity band at the origin, and the floor of a switching gradient's norm.
+_BAND_AT_ORIGIN = 1e-8
+
+
 def default_active_tol(x: np.ndarray) -> float:
     """Surface-activity band; scales with the state so detection is stable."""
-    return 1e-8 * (1.0 + vector_norm(np.asarray(x, dtype=float).ravel()))
+    return _BAND_AT_ORIGIN * (1.0 + vector_norm(np.asarray(x, dtype=float).ravel()))
+
+
+def _active(g: float, tol: float) -> bool:
+    """The one test of a point being on a surface: g within the band tol."""
+    return abs(g) <= tol
 
 
 class PiecewiseField:
@@ -113,15 +122,11 @@ class PiecewiseField:
                              f"{g[i]} at x={np.asarray(x).tolist()}")
         return np.array(g)
 
-    def active_set(self, x: np.ndarray, tol: float | None = None) -> list[int]:
-        tol = default_active_tol(x) if tol is None else tol
-        g = self.switch_values(x)
-        return [i for i in range(len(g)) if abs(g[i]) <= tol]
-
-    def sign_vector(self, x: np.ndarray, tol: float | None = None) -> SignVector:
-        tol = default_active_tol(x) if tol is None else tol
-        g = self.switch_values(x)
-        return tuple(1 if gi > tol else (-1 if gi < -tol else 0) for gi in g)
+    def sign_vector(self, x: np.ndarray) -> SignVector:
+        """Signs of the switch values at x, 0 on the surfaces x lies on."""
+        tol = default_active_tol(x)
+        return tuple(0 if _active(v, tol) else (1 if v > 0 else -1)
+                     for v in self.switch_values(x))
 
     def cell_value(self, sigma: SignVector, x: np.ndarray) -> np.ndarray:
         fn = self.cell(tuple(sigma))
@@ -138,12 +143,12 @@ class PiecewiseField:
         sides = [(-1, 1) if s == 0 else (s,) for s in sigma]
         return [c for c in itertools.product(*sides) if self.cell(c) is not None]
 
-    def value(self, x: np.ndarray, tol: float | None = None) -> np.ndarray:
+    def value(self, x: np.ndarray) -> np.ndarray:
         """One-sided field value at x using the strict sign vector.
 
         Raises ModelError on a switching surface (no unique cell there).
         """
-        sigma = self.sign_vector(x, tol)
+        sigma = self.sign_vector(x)
         if any(s == 0 for s in sigma):
             raise ModelError("field value queried on a switching surface")
         return self.cell_value(sigma, x)
@@ -158,7 +163,7 @@ class SurfaceClassification:
     beta: float | None = None
 
 
-def filippov_set(F: PiecewiseField, x, tol: float | None = None) -> Polytope:
+def filippov_set(F: PiecewiseField, x) -> Polytope:
     """Convexified field value at x.
 
     Off the surfaces this is the singleton cell value.  On surfaces it is
@@ -167,7 +172,7 @@ def filippov_set(F: PiecewiseField, x, tol: float | None = None) -> Polytope:
     it.
     """
     x = _point(F, x)
-    return _hull_at(F, x, F.sign_vector(x, tol))
+    return _hull_at(F, x, F.sign_vector(x))
 
 
 def _point(F: PiecewiseField, x) -> np.ndarray:
@@ -192,11 +197,12 @@ def _face(g, surfaces) -> tuple[int, ...]:
     return tuple(0 if j in surfaces else (1 if v > 0 else -1) for j, v in enumerate(g))
 
 
-def _sides(F: PiecewiseField, x: np.ndarray, i: int, g, tol: float):
+def _sides(F: PiecewiseField, x: np.ndarray, i: int, g):
     """Normal of surface i at x and the rows of the minus and plus cell
-    values there, with the other surfaces' sides fixed by their values g."""
+    values there, with the other surfaces' sides fixed by their values g.
+    The normal's floor is fixed: a large state makes no surface degenerate."""
     n = F.switches[i].grad(x)
-    if np.linalg.norm(n) <= tol:
+    if np.linalg.norm(n) <= _BAND_AT_ORIGIN:
         raise DegenerateSurfaceError(f"switching gradient vanishes on surface {i}")
     cells = F.adjacent_cells(_face(g, (i,)))
     if len(cells) != 2:
@@ -214,7 +220,7 @@ def _normal_kind(n: np.ndarray, sides: np.ndarray, tol: float) -> tuple[str, flo
     return (SLIDING if alpha > 0 else REPULSIVE), alpha, beta
 
 
-def classify_point(F: PiecewiseField, x, tol: float | None = None) -> SurfaceClassification:
+def classify_point(F: PiecewiseField, x) -> SurfaceClassification:
     """Classify the local solution behaviour at x.
 
     With one active surface the normal components alpha (minus-side field)
@@ -224,13 +230,13 @@ def classify_point(F: PiecewiseField, x, tol: float | None = None) -> SurfaceCla
     polytope is returned as witness.
     """
     x = _point(F, x)
-    tol = default_active_tol(x) if tol is None else tol
+    tol = default_active_tol(x)
     g = F.switch_values(x)
-    active = tuple(j for j, v in enumerate(g) if abs(v) <= tol)
+    active = tuple(j for j, v in enumerate(g) if _active(v, tol))
     witness = _hull_at(F, x, _face(g, active))
     if len(active) != 1:
         return SurfaceClassification(TANGENT if active else CONTINUITY, active, witness)
-    kind, alpha, beta = _normal_kind(*_sides(F, x, active[0], g, tol), tol)
+    kind, alpha, beta = _normal_kind(*_sides(F, x, active[0], g), tol)
     return SurfaceClassification(kind, active, witness, alpha=alpha, beta=beta)
 
 
@@ -293,16 +299,15 @@ def _tangent_combination(values: np.ndarray, normals: np.ndarray, tol: float,
     return _cell_weights(lam) @ values, lam
 
 
-def sliding_field(F: PiecewiseField, x, i: int, tol: float | None = None) -> SlidingResult:
+def sliding_field(F: PiecewiseField, x, i: int) -> SlidingResult:
     """First-order sliding vector on surface i at x.
 
     Returns v = lam * X_plus + (1 - lam) * X_minus with lam in [0, 1] chosen
     so the result is tangent to the surface.  lam weights the plus-side cell.
     """
     x = _point(F, x)
-    tol = default_active_tol(x) if tol is None else tol
-    n, sides = _sides(F, x, i, F.switch_values(x), tol)
-    vector, lam = _tangent_combination(sides, n[None, :], tol)
+    n, sides = _sides(F, x, i, F.switch_values(x))
+    vector, lam = _tangent_combination(sides, n[None, :], default_active_tol(x))
     return SlidingResult(vector=vector, lam=float(lam[0]))
 
 
@@ -390,7 +395,7 @@ def one_sided_lipschitz_test(
         for _ in range(1000):
             y = x + eps * (2.0 * rng.random(F.dim) - 1.0)
             if np.linalg.norm(y - x) <= eps and all(
-                abs(s.value(y)) > band for s in F.switches
+                not _active(s.value(y), band) for s in F.switches
             ):
                 return y
         raise ModelError("could not sample off the switching surfaces")

@@ -15,10 +15,11 @@ around S).  A point where the least-norm selection of the convexified field
 vanishes stops the trajectory (an inclusion equilibrium).
 
 The Filippov and Caratheodory steps read the switching functions once per
-sample: the values (and the activity band) at the end of a full RK4 step
-serve that step's crossing and landing checks and then the next step.  That
-end state is checked first, and a blow-up (a state or a norm that is not
-finite) raises ModelError naming its time, as in the pointwise and
+sample (:func:`_end_values`): a step reads them at the end of its full RK4
+step for its crossing and landing checks, and again only where it is cut at
+a crossing, and the read at the sample it appends serves the next step.
+Each read checks its state first, and a blow-up (a state or a norm that is
+not finite) raises ModelError naming its time, as in the pointwise and
 sample-and-hold runs.
 
 Determinism: one run is single-threaded and fully determined by its inputs
@@ -44,13 +45,15 @@ from .fields import (
     ControlField,
     PiecewiseField,
     SwitchingSurface,
+    _active,
     _face,
+    _hull_at,
     _normal_kind,
     _sides,
     _tangent_combination,
     default_active_tol,
 )
-from .geometry import Polytope, as_point, least_norm, vector_norm
+from .geometry import as_point, least_norm, vector_norm
 from .nonsmooth import Graph, NsFunction, _least_norm_point, disagreement_function
 
 SURFACE_HIT = "SurfaceHit"
@@ -88,8 +91,8 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("dt_max", "event_refine_tol", "conv_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive")
         if self.max_steps <= 0:
             raise ValueError("bad step limits")
 
@@ -351,15 +354,16 @@ def _drive(b: _Builder, t_end: float, cfg: IntegratorConfig,
     return b.finish()
 
 
-def _end_values(F: PiecewiseField, t: float, x: np.ndarray) -> tuple[list[float], float]:
-    """Every switch value at x, the state a step reaches at time t, and the
-    activity band there.  A blow-up raises ModelError naming t: a state that
-    is not finite, or whose norm overflows, has an infinite band, inside
-    which every surface would read as active."""
+def _end_values(F: PiecewiseField, t: float, x: np.ndarray,
+                refine_tol: float) -> tuple[list[float], float]:
+    """The read of a sample: the switch values at x, the state at time t, and
+    the activity band there, widened to ``refine_tol``.  A blow-up raises
+    ModelError naming t: a state whose norm is not finite has an infinite
+    band, inside which every surface would read as active."""
     band = default_active_tol(x)
     if not math.isfinite(band):
         raise ModelError(f"state norm is not finite at t={t}: {x.tolist()}")
-    return F.switch_values(x).tolist(), band
+    return F.switch_values(x).tolist(), max(band, refine_tol)
 
 
 def _first_crossing(flow, switches, start_vals, end_vals, x_end, watched, refine_tol):
@@ -399,25 +403,28 @@ def _first_crossing(flow, switches, start_vals, end_vals, x_end, watched, refine
     return best
 
 
-def _cell_step(F: PiecewiseField, sigma, x: np.ndarray, t: float, g, h: float,
-               refine_tol: float, skip=()):
-    """One RK4 step of cell sigma's field from x at time t, whose switch
-    values are g, cut at the first crossing (see :func:`_first_crossing`).
-
-    Surfaces in ``skip``, and those within ``refine_tol`` of x (a surface the
-    step starts on cannot be crossed meaningfully), are not watched.  The
-    field at x is evaluated once and shared by every trial fraction, and the
-    switches are read once at the full step's end.  Returns (s, index,
-    state, end, watched), with ``end`` the (switch values, band) there.
-    """
-    watched = [i for i, v in enumerate(g) if i not in skip and abs(v) > refine_tol]
+def _cell_flow(F: PiecewiseField, sigma, x: np.ndarray, h: float):
+    """flow(s): the RK4 step of cell sigma's field from x over s h; the field
+    at x is evaluated once and shared by every fraction."""
     fcell = lambda y: F.cell_value(sigma, y)
     k1 = fcell(x)
-    flow = lambda s: rk4_step(fcell, x, s * h, k1)
+    return lambda s: rk4_step(fcell, x, s * h, k1)
+
+
+def _cut_step(F: PiecewiseField, b: _Builder, flow, h: float, g, watched,
+              refine_tol: float, mode: str):
+    """Take the full step flow(1.0) from the last sample of b, whose switch
+    values are g, cut it at the first crossing of a surface in ``watched``
+    (see :func:`_first_crossing`), and append the state reached with
+    ``mode``.  Returns (crossed surface or None, the read of that sample)."""
+    t = b.t
     x_end = flow(1.0)
-    end = _end_values(F, t + h, x_end)
-    return (*_first_crossing(flow, F.switches, g, end[0], x_end, watched, refine_tol),
-            end, watched)
+    end = _end_values(F, t + h, x_end, refine_tol)
+    s, i, x = _first_crossing(flow, F.switches, g, end[0], x_end, watched, refine_tol)
+    b.append(t + s * h, x, mode)
+    if i is not None:
+        end = _end_values(F, t + s * h, x, refine_tol)
+    return i, end
 
 
 class _FilippovRun:
@@ -425,26 +432,21 @@ class _FilippovRun:
     sliding step per call, with ``S`` the surfaces slid along (empty off
     surfaces) and ``lam`` the weights of their tangent combination.
 
-    The switches and the activity band are read once per sample.  A step
-    that ends where its full RK4 step ends has read every switch value there
-    and hands them, with the band, to the next step as ``_carry``, tagged
-    with the sample count; a step cut at a crossing leaves the next step to
-    read them afresh."""
+    ``read`` is the (switch values, band) at the last sample: x0's labels
+    the run, and :func:`_cut_step`, which appends every later sample,
+    returns its read."""
 
     def __init__(self, F: PiecewiseField, x0: np.ndarray, cfg: IntegratorConfig):
         self.F = F
         self.cfg = cfg
         self._modes: dict[tuple[int, ...], str] = {}
-        g, tol = F.switch_values(x0).tolist(), self._act_tol(x0)
-        active = [j for j, v in enumerate(g) if abs(v) <= tol]
+        self.read = _end_values(F, 0.0, x0, cfg.event_refine_tol)
+        g, band = self.read
+        active = [j for j, v in enumerate(g) if _active(v, band)]
         label = sliding_mode(active) if active else self._mode(_face(g, ()))
         self.b = _Builder(0.0, x0, label)
-        self._carry = (1, g, tol)
         self.S: tuple[int, ...] = ()
         self.lam = np.empty(0)
-
-    def _act_tol(self, x) -> float:
-        return max(default_active_tol(x), self.cfg.event_refine_tol)
 
     def _mode(self, sigma: tuple[int, ...]) -> str:
         mode = self._modes.get(sigma)
@@ -452,28 +454,26 @@ class _FilippovRun:
             mode = self._modes[sigma] = regular_mode(sigma)
         return mode
 
-    def _carry_end(self, end, watched) -> int | None:
-        """Carry ``end``, the switch values and band at the state just
-        appended, the end of a full step; return the first watched surface
-        it lies on."""
-        end_vals, band = end
-        tol = max(band, self.cfg.event_refine_tol)
-        self._carry = (len(self.b.times), end_vals, tol)
-        return next((j for j in watched if abs(end_vals[j]) <= tol), None)
+    def _cut(self, flow, h: float, g, watched, mode: str) -> int | None:
+        """Append the step flow cut at its first watched crossing; return
+        that surface, or else the first watched one the sample lies on."""
+        i, self.read = _cut_step(self.F, self.b, flow, h, g, watched,
+                                 self.cfg.event_refine_tol, mode)
+        if i is None:
+            end_vals, band = self.read
+            i = next((j for j in watched if _active(end_vals[j], band)), None)
+        return i
 
     def step(self, h: float) -> bool:
-        n, g, tol = self._carry
-        if n != len(self.b.times):
-            x = self.b.x
-            g, tol = self.F.switch_values(x).tolist(), self._act_tol(x)
-        active = [j for j, v in enumerate(g) if abs(v) <= tol]
+        g, band = self.read
+        active = [j for j, v in enumerate(g) if _active(v, band)]
         stopped = False
         if self.S:
             stopped = self._slide_step(h, g)
         elif not active:
             self._regular_phase(h, g, _face(g, ()))
         elif len(active) == 1:
-            stopped = self._surface_phase(active[0], h, g, tol)
+            stopped = self._surface_phase(active[0], h, g, band)
         else:
             stopped = self._corner_phase(active, h, g)
         if not stopped and self.b.stalled(STALL_WINDOW, self.cfg.conv_tol):
@@ -482,17 +482,16 @@ class _FilippovRun:
         return stopped
 
     def _regular_phase(self, h: float, g, sigma, skip=()):
-        t = self.b.t
-        s_star, i, x_new, end, watched = _cell_step(
-            self.F, sigma, self.b.x, t, g, h, self.cfg.event_refine_tol, skip)
-        self.b.append(t + s_star * h, x_new, self._mode(sigma))
-        if i is None:
-            i = self._carry_end(end, watched)
+        """One step of cell sigma's field, not watching the surfaces in
+        ``skip`` or within ``event_refine_tol`` (it cannot cross those)."""
+        tol = self.cfg.event_refine_tol
+        watched = [j for j, v in enumerate(g) if j not in skip and not _active(v, tol)]
+        i = self._cut(_cell_flow(self.F, sigma, self.b.x, h), h, g, watched, self._mode(sigma))
         if i is not None:
             self.b.event(SURFACE_HIT, f"surface {i}")
 
-    def _surface_phase(self, i: int, h: float, g, tol: float) -> bool:
-        kind, alpha, _ = _normal_kind(*_sides(self.F, self.b.x, i, g, tol), tol)
+    def _surface_phase(self, i: int, h: float, g, band: float) -> bool:
+        kind, alpha, _ = _normal_kind(*_sides(self.F, self.b.x, i, g), band)
         if kind == SLIDING:
             self.b.event(SLIDE_ENTER, f"surface {i}")
             self.S = (i,)
@@ -512,18 +511,15 @@ class _FilippovRun:
         admit a tangent combination; else take one regular step into the
         cell that the selection points into."""
         x = self.b.x
-        cells = self.F.adjacent_cells(_face(g, active))
-        if not cells:
-            raise ModelError(f"no declared cell adjacent to x={x.tolist()}")
-        values = np.array([self.F.cell_value(c, x) for c in cells])
-        v = least_norm(Polytope(values)).point
+        hull = _hull_at(self.F, x, _face(g, active))
+        v = least_norm(hull).point
         if float(np.linalg.norm(v)) <= max(self.cfg.conv_tol, 1e-12):
             self.b.event(CONVERGED, "least-norm selection vanished")
             return True
         normals = np.array([self.F.switches[j].grad(x) for j in active])
         if slide and len(active) > 1:
             try:
-                _, self.lam = _tangent_combination(values, normals, default_active_tol(x))
+                _, self.lam = _tangent_combination(hull.vertices, normals, default_active_tol(x))
                 self.S = tuple(active)
                 self.b.event(SLIDE_ENTER, f"surface {','.join(map(str, active))}")
                 return False
@@ -553,7 +549,7 @@ class _FilippovRun:
     def _slide_step(self, h: float, g) -> bool:
         """One RK4 step of the tangent combination on S, each stage projected
         onto S, cut at the first crossing of another surface."""
-        cfg, S, x, t = self.cfg, self.S, self.b.x, self.b.t
+        cfg, S, x = self.cfg, self.S, self.b.x
         cells = self.F.adjacent_cells(_face(g, S))
         def combination(y):  # Newton starts from the weights at x
             values = np.array([self.F.cell_value(c, y) for c in cells])
@@ -583,19 +579,12 @@ class _FilippovRun:
             h = max(h, 1e-15)
             slide_vec = lambda y: combination(y)[0]
             flow = lambda s: self._project(rk4_step(slide_vec, x, s * h, v))
-            x_end = flow(1.0)
-            end = _end_values(self.F, t + h, x_end)
-            watched = [j for j in range(len(g)) if j not in S]
-            s_star, j, x_new = _first_crossing(flow, self.F.switches, g, end[0], x_end,
-                                               watched, cfg.event_refine_tol)
+            j = self._cut(flow, h, g, [j for j in range(len(g)) if j not in S], sliding_mode(S))
         except NotSlidingError:
             self.b.event(SLIDE_EXIT, f"surface {','.join(map(str, S))}: tangency lost")
             self.S = ()
             # Several surfaces: leave now, or the slide could re-enter here.
             return len(S) > 1 and self._corner_phase(list(S), h, g, slide=False)
-        self.b.append(t + s_star * h, x_new, sliding_mode(S))
-        if j is None:
-            j = self._carry_end(end, watched)
         if j is not None:
             # The next step, on S and j, stops, slides on all, or leaves.
             self.b.event(SURFACE_HIT, f"surface {j} while sliding on {','.join(map(str, S))}")
@@ -632,27 +621,22 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
     x = np.asarray(x0, dtype=float)
     _check_start(x, t_end, F.dim)
 
-    # sign_vector marks the surfaces within the band with 0.
-    base = F.sign_vector(x, default_active_tol(x))
+    # The start's read picks the cell and serves the first step, as in _FilippovRun.
+    tol = cfg.event_refine_tol
+    g, band = _end_values(F, 0.0, x, tol)
+    base = _face(g, [j for j, v in enumerate(g) if _active(v, band)])
     cells = [branch] if branch is not None and 0 in base else F.adjacent_cells(base)
     if not cells:
         raise ModelError(f"no declared cell adjacent to {x.tolist()}")
     sigma = cells[0]
     mode = regular_mode(sigma)
     b = _Builder(0.0, x, mode)
-    # The switch values at the last sample, tagged with the sample count,
-    # when the step that wrote it read them (as in _FilippovRun).
-    carry = (0, [])
 
     def step(h: float) -> bool:
-        nonlocal sigma, mode, carry
-        t = b.t
-        g = carry[1] if carry[0] == len(b.times) else F.switch_values(b.x).tolist()
-        s_star, i, x_new, end, _ = _cell_step(F, sigma, b.x, t, g, h, cfg.event_refine_tol)
-        b.append(t + s_star * h, x_new, mode)
-        if i is None:
-            carry = (len(b.times), end[0])
-        else:
+        nonlocal sigma, mode, g
+        watched = [j for j, v in enumerate(g) if not _active(v, tol)]
+        i, (g, _) = _cut_step(F, b, _cell_flow(F, sigma, b.x, h), h, g, watched, tol, mode)
+        if i is not None:
             b.event(SURFACE_HIT, f"surface {i}")
             new_sigma = list(sigma)
             new_sigma[i] = -sigma[i]
@@ -679,6 +663,8 @@ def integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: flo
     and the first stage of the next step, so v_fn runs once per stage.  A
     state that is not finite raises ModelError naming its time.
     """
+    if method not in ("euler", "rk4"):
+        raise ValueError("method must be euler or rk4")
     x = np.asarray(x0, dtype=float)
     _check_start(x, t_end)
     b = _Builder(0.0, x, "R:")
@@ -873,20 +859,27 @@ def sample_and_hold(C: ControlField, feedback: Callable[[float, np.ndarray], np.
                     cfg: IntegratorConfig | None = None) -> Trajectory:
     """Hold the feedback fixed over each partition interval and integrate the
     resulting smooth dynamics with RK4 substeps.  A state that is not finite
-    at the end of an interval raises ModelError naming the first such time."""
+    at the end of an interval raises ModelError naming the first such time.
+    A ``StepLimit`` event ends the run before an interval whose substeps
+    would exceed ``max_steps``."""
     cfg = cfg or IntegratorConfig()
     x = np.asarray(x0, dtype=float)
     # The schedule's span is finite and positive by construction.
     _check_start(x, float(np.ptp(schedule.breakpoints)), C.dim)
     bp = schedule.breakpoints.tolist()
     b = _Builder(bp[0], x, "R:")
+    steps = 0
     for s_prev, s_next in zip(bp[:-1], bp[1:]):
+        span = s_next - s_prev
+        n_sub = max(1, math.ceil(span / cfg.dt_max))
+        steps += n_sub
+        if steps > cfg.max_steps:
+            b.event(STEP_LIMIT, "max_steps exceeded")
+            break
         x = b.x
         u = as_point(feedback(s_prev, x))
         frozen = lambda y: np.asarray(C.dynamics(y, u), dtype=float)
         start = len(b.times)
-        span = s_next - s_prev
-        n_sub = max(1, math.ceil(span / cfg.dt_max))
         h = span / n_sub
         t = s_prev
         for k in range(n_sub):

@@ -570,7 +570,7 @@ class DescentDirection:
     critical: bool
 
 
-def descent_direction(f: NsFunction, x, tol: float = MEMBERSHIP_TOL) -> DescentDirection:
+def descent_direction(f: NsFunction, x) -> DescentDirection:
     """-LN(gradient set), or the zero vector with the critical flag raised.
 
     Requires a regular function and an exact gradient; anything weaker
@@ -581,7 +581,7 @@ def descent_direction(f: NsFunction, x, tol: float = MEMBERSHIP_TOL) -> DescentD
         raise UnsupportedError("descent direction needs a regular function with exact gradient")
     # The norm of the least-norm point is the distance from 0 to the hull.
     ln = _least_norm_point(rows)
-    if float(np.linalg.norm(ln)) <= tol:
+    if float(np.linalg.norm(ln)) <= MEMBERSHIP_TOL:
         return DescentDirection(np.zeros(f.dim), critical=True)
     return DescentDirection(-ln, critical=False)
 

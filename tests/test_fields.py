@@ -255,6 +255,16 @@ class TestClassification:
         with pytest.raises(DegenerateSurfaceError):
             classify_point(F, [0.0])
 
+    def test_large_state_does_not_make_a_surface_degenerate(self):
+        # At x = (1e13, 0) the activity band 1e-8 (1 + |x|) is 1e5.  The
+        # unit gradient of g = x2 used to be compared with that band.
+        F = PiecewiseField(2, [SwitchingSurface.coordinate(1, 2)],
+                           {(-1,): lambda x: np.array([0.0, 1e6]),
+                            (1,): lambda x: np.array([0.0, -1e6])})
+        cls = classify_point(F, [1e13, 0.0])
+        assert (cls.kind, cls.active_surfaces, cls.alpha, cls.beta) == (
+            "sliding", (0,), 1e6, -1e6)
+
 
 class TestSlidingField:
     def test_move_away_diagonal(self):

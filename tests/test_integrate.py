@@ -107,6 +107,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(max_steps=0)
 
+    @pytest.mark.parametrize("name", ["dt_max", "event_refine_tol", "conv_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_is_rejected(self, name, value):
+        # nan <= 0 is False, so a NaN step used to be accepted and a run
+        # then failed with "state is not finite at t=nan".
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            IntegratorConfig(**{name: value})
+
     def test_partition_schedule(self):
         sched = PartitionSchedule.uniform(0.0, 1.0, 4)
         assert sched.diameter == pytest.approx(0.25)
@@ -422,6 +430,25 @@ class TestSampleAndHold:
         sched = PartitionSchedule.uniform(0.0, 1.0, 10)
         tr = sample_and_hold(C, lambda t, x: np.array([0.0]), sched, [0.3, 0.4])
         assert np.allclose(tr.states, [0.3, 0.4])
+
+    def test_substeps_count_against_max_steps(self):
+        # Each of the 100 intervals takes 10 or 11 RK4 substeps at the
+        # default dt_max.  The run used to write all 1,081 samples whatever
+        # the budget, with no event.
+        C = get_scenario("cart").build()
+        sched = PartitionSchedule.uniform(0.0, 1.0, 100)
+        run = lambda cfg: sample_and_hold(C, cart_feedback(1.0), sched, [0.6, 0.3], cfg)
+        full = run(IntegratorConfig())
+        assert len(full.times) == 1081 and not full.events
+        for max_steps in (10, 25, 500):
+            tr = run(IntegratorConfig(max_steps=max_steps))
+            n = len(tr.times)
+            assert n <= 1 + max_steps < n + 11
+            assert [e.kind for e in tr.events] == ["StepLimit"]
+            # A prefix of the full run that ends on a breakpoint.
+            assert np.array_equal(tr.times, full.times[:n])
+            assert np.array_equal(tr.states, full.states[:n])
+            assert tr.final_time in sched.breakpoints
 
     def test_cart_feedback_decreases_lyapunov(self):
         C = get_scenario("cart").build()
@@ -854,6 +881,25 @@ class TestSteppingLoop:
         t = float(str(err.value).split("t=")[1].split(":")[0])
         assert 1.0 <= t <= 1.1
 
+    def test_large_state_near_a_surface_is_not_a_degenerate_surface(self):
+        # x1' = x1^2 blows up at t = 1 while g = x2 stays 1.  At t = 1.01 the
+        # state (1.01e13, 1) puts the surface inside the band 1e-8 (1 + |x|),
+        # and the unit gradient, compared with that band, used to raise
+        # DegenerateSurfaceError.  The run now ends at the overflow.
+        f = lambda x: np.array([x[0] ** 2, 0.0])
+        F = PiecewiseField(2, [SwitchingSurface.coordinate(1, 2)], {(1,): f, (-1,): f})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ModelError, match="state norm is not finite at t=") as err:
+                integrate_filippov(F, [1.0, 1.0], 3.0, IntegratorConfig(dt_max=1e-2))
+        assert type(err.value) is ModelError
+        t = float(str(err.value).split("t=")[1].split(":")[0])
+        assert 1.0 <= t <= 1.1
+
+    def test_pointwise_rejects_an_unknown_method(self):
+        # "rk45" used to run the Euler substeps.
+        with pytest.raises(ValueError, match="method must be euler or rk4"):
+            integrate_pointwise(lambda x: -x, [1.0], 1.0, IntegratorConfig(), method="rk45")
+
     def test_stopped_fill_counts_against_max_steps(self):
         # The flow vanishes at the first step.  The fill to t_end then used
         # to write 100,000 samples whatever the step budget.
@@ -898,10 +944,10 @@ class TestSteppingLoop:
         assert len(tr.times) == 11 and not tr.events
         assert len(reads) == 1 + 10
         reads.clear()
-        # The start cell reads g at x0 and the first step reads it again.
+        # The start cell's read of g at x0 also serves the first step.
         tr = integrate_caratheodory(F, [1.0, 0.0], 1.25, cfg)
         assert len(tr.times) == 11 and not tr.events
-        assert len(reads) == 2 + 10
+        assert len(reads) == 1 + 10
 
     def test_slide_step_reads_the_switches_once_per_end(self):
         # move_away_1 has two surfaces and starts on surface 0.  The label

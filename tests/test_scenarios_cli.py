@@ -127,7 +127,10 @@ class TestCli:
           "--out", "OUT"], "DimensionMismatch:"),
         (["gradient", "--function", "abs", "--point", "nan"], "Model:"),
         (["filippov-set", "--scenario", "brick", "--point", "nan"], "Model:"),
-    ], ids=["sample-hold-short-x0", "simulate-short-x0", "gradient-nan", "filippov-set-nan"])
+        (["simulate", "--scenario", "oscillator", "--x0", "1,0", "--t-end", "1",
+          "--dt-max", "nan", "--out", "OUT"], "ValueError: dt_max must be finite and positive"),
+    ], ids=["sample-hold-short-x0", "simulate-short-x0", "gradient-nan", "filippov-set-nan",
+            "simulate-nan-dt-max"])
     def test_bad_point_exits_1_with_a_typed_error(self, argv, err, tmp_path, capsys):
         argv = [str(tmp_path / "never.csv") if a == "OUT" else a for a in argv]
         assert main(argv) == 1
