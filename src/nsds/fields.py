@@ -210,10 +210,12 @@ def _sides(F: PiecewiseField, x: np.ndarray, i: int, g):
     return n, np.array([F.cell_value(c, x) for c in cells])
 
 
-def _normal_kind(n: np.ndarray, sides: np.ndarray, tol: float) -> tuple[str, float, float]:
-    """Kind of a point on one surface and the normal parts alpha, beta of its two side fields."""
+def _normal_kind(n: np.ndarray, sides: np.ndarray) -> tuple[str, float, float]:
+    """Kind of a point on one surface and the normal parts alpha, beta of its
+    two side fields.  These are velocities, so the band they are compared
+    with is the fixed _BAND_AT_ORIGIN: the state's size does not enter."""
     alpha, beta = float(n @ sides[0]), float(n @ sides[1])
-    if abs(alpha) <= tol or abs(beta) <= tol:
+    if abs(alpha) <= _BAND_AT_ORIGIN or abs(beta) <= _BAND_AT_ORIGIN:
         return TANGENT, alpha, beta
     if alpha * beta > 0:
         return CROSSING, alpha, beta
@@ -236,7 +238,7 @@ def classify_point(F: PiecewiseField, x) -> SurfaceClassification:
     witness = _hull_at(F, x, _face(g, active))
     if len(active) != 1:
         return SurfaceClassification(TANGENT if active else CONTINUITY, active, witness)
-    kind, alpha, beta = _normal_kind(*_sides(F, x, active[0], g), tol)
+    kind, alpha, beta = _normal_kind(*_sides(F, x, active[0], g))
     return SurfaceClassification(kind, active, witness, alpha=alpha, beta=beta)
 
 
@@ -256,21 +258,23 @@ def _cell_weights(lam, m: int = -1) -> np.ndarray:
     return w
 
 
-def _tangent_combination(values: np.ndarray, normals: np.ndarray, tol: float,
+def _tangent_combination(values: np.ndarray, normals: np.ndarray,
                          lam: np.ndarray | None = None) -> tuple[np.ndarray, Sequence[float]]:
     """(vector, lam): the combination of the 2^k cell ``values`` around k
     surfaces with weights lam in [0, 1]^k that is tangent to all of them.
     One surface has the closed form lam = alpha / (alpha - beta); several
     the multilinear one of Dieci & Lopez (Numer. Math. 117, 2011), with lam
     by Newton from ``lam`` (default 1/2), where no surface may repel given
-    the other weights.  Raises NotSlidingError when there is none."""
+    the other weights.  Normal parts are compared with _BAND_AT_ORIGIN
+    scaled by their own size, never with a band that grows with the state.
+    Raises NotSlidingError when there is none."""
     k = normals.shape[0]
     if values.shape[0] != 2**k:
         raise NotSlidingError("a cell around the sliding surfaces is not declared")
     if k == 1:
         x_minus, x_plus = values
         alpha, beta = float(normals[0] @ x_minus), float(normals[0] @ x_plus)
-        scale = tol * (1.0 + abs(alpha) + abs(beta))
+        scale = _BAND_AT_ORIGIN * (1.0 + abs(alpha) + abs(beta))
         if abs(alpha) <= scale and abs(beta) <= scale:
             # Both one-sided fields are already tangent; any weight works.
             return 0.5 * (x_plus + x_minus), (0.5,)
@@ -279,7 +283,7 @@ def _tangent_combination(values: np.ndarray, normals: np.ndarray, tol: float,
         lam = (alpha / (alpha - beta),)
     else:
         parts = normals @ values.T
-        scale = tol * (1.0 + float(np.max(np.abs(parts))))
+        scale = _BAND_AT_ORIGIN * (1.0 + float(np.max(np.abs(parts))))
         jac = lambda lam: parts @ np.transpose([_cell_weights(lam, m) for m in range(k)])
         lam = np.full(k, 0.5) if lam is None else lam
         for _ in range(30):
@@ -307,7 +311,7 @@ def sliding_field(F: PiecewiseField, x, i: int) -> SlidingResult:
     """
     x = _point(F, x)
     n, sides = _sides(F, x, i, F.switch_values(x))
-    vector, lam = _tangent_combination(sides, n[None, :], default_active_tol(x))
+    vector, lam = _tangent_combination(sides, n[None, :])
     return SlidingResult(vector=vector, lam=float(lam[0]))
 
 

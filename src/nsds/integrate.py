@@ -71,6 +71,12 @@ NO_PROGRESS_STEPS = 100
 STALL_WINDOW = 20
 # A slide on one surface ends once its weight comes this close to 0 or 1.
 SLIDING_EXIT_MARGIN = 1e-6
+# Time rounding: a span that exceeds n dt_max by at most this is covered by
+# n steps (see _step_count), and a run within this of t_end has ended.  Times
+# summed step by step drift by more than an ulp (7.3 s of 1e-4 steps end
+# 3.7e-12 s off); this sits far above that drift and far below the dt_max
+# of any run in this package (1e-5 and up).
+TIME_SLACK = 1e-9
 
 MODE_STOP = "STOP"
 
@@ -311,16 +317,22 @@ def _check_start(x: np.ndarray, t_end: float, dim: int | None = None):
         raise ModelError(f"t_end must be finite and positive, got {t_end}")
 
 
+def _step_count(span: float, dt_max: float) -> int:
+    """The number of steps of at most dt_max that cover span, where a span
+    that exceeds n dt_max by at most TIME_SLACK (time rounding) takes n."""
+    return max(1, math.ceil((span - TIME_SLACK) / dt_max))
+
+
 def _fill_stopped(b: _Builder, t_end: float, dt: float, budget: int) -> bool:
     """Hold the stopped state at steps of dt up to t_end, writing at most
-    ``budget`` samples; True when the budget ran out first."""
+    ``budget`` samples; True when the budget ran out first.  The last
+    sample is at t_end: it absorbs a remainder that is only rounding."""
     times = []
     t, t_end, dt = b.t, float(t_end), float(dt)
-    stop = t_end - 1e-12
+    stop = t_end - TIME_SLACK
+    last = stop - dt  # from here on, t_end is one step away (_step_count)
     while t < stop and len(times) < budget:
-        t += dt
-        if t > t_end:
-            t = t_end
+        t = t_end if t >= last else t + dt
         times.append(t)
     b.hold(times, MODE_STOP)
     return t < stop
@@ -328,23 +340,28 @@ def _fill_stopped(b: _Builder, t_end: float, dt: float, budget: int) -> bool:
 
 def _drive(b: _Builder, t_end: float, cfg: IntegratorConfig,
            step: Callable[[float], bool]) -> Trajectory:
-    """The one stepping loop: call ``step(h)`` with h = min(dt_max, time
-    left) until t_end, the step budget, a stop, or a stretch of
-    NO_PROGRESS_STEPS steps that append no sample.
+    """The one stepping loop: call ``step(h)`` with h = dt_max until t_end,
+    the step budget, a stop, or a stretch of NO_PROGRESS_STEPS steps that
+    append no sample.  The last step takes all the time left, which is
+    dt_max or less, up to the rounding that :func:`_step_count` allows, so
+    a run whose last step is not cut ends at t_end without a sliver step.
 
     ``step`` advances ``b`` by at most h and returns True once the state has
     stopped; the rest of the horizon is then filled with that state, one
     sample per dt_max, each counted against the budget.
     """
     steps = idle = 0
-    while b.t < t_end - 1e-12:
+    dt = cfg.dt_max
+    # As in _step_count, a horizon within TIME_SLACK still takes one step.
+    while b.t < t_end - TIME_SLACK or not steps:
         steps += 1
         if steps > cfg.max_steps:
             b.event(STEP_LIMIT, "max_steps exceeded")
             break
         n = len(b.times)
-        if step(min(cfg.dt_max, t_end - b.t)):
-            if _fill_stopped(b, t_end, cfg.dt_max, cfg.max_steps - steps):
+        left = t_end - b.t
+        if step(left if _step_count(left, dt) == 1 else dt):
+            if _fill_stopped(b, t_end, dt, cfg.max_steps - steps):
                 b.event(STEP_LIMIT, "max_steps exceeded")
             break
         idle = 0 if len(b.times) > n else idle + 1
@@ -473,7 +490,7 @@ class _FilippovRun:
         elif not active:
             self._regular_phase(h, g, _face(g, ()))
         elif len(active) == 1:
-            stopped = self._surface_phase(active[0], h, g, band)
+            stopped = self._surface_phase(active[0], h, g)
         else:
             stopped = self._corner_phase(active, h, g)
         if not stopped and self.b.stalled(STALL_WINDOW, self.cfg.conv_tol):
@@ -490,8 +507,8 @@ class _FilippovRun:
         if i is not None:
             self.b.event(SURFACE_HIT, f"surface {i}")
 
-    def _surface_phase(self, i: int, h: float, g, band: float) -> bool:
-        kind, alpha, _ = _normal_kind(*_sides(self.F, self.b.x, i, g), band)
+    def _surface_phase(self, i: int, h: float, g) -> bool:
+        kind, alpha, _ = _normal_kind(*_sides(self.F, self.b.x, i, g))
         if kind == SLIDING:
             self.b.event(SLIDE_ENTER, f"surface {i}")
             self.S = (i,)
@@ -519,7 +536,7 @@ class _FilippovRun:
         normals = np.array([self.F.switches[j].grad(x) for j in active])
         if slide and len(active) > 1:
             try:
-                _, self.lam = _tangent_combination(hull.vertices, normals, default_active_tol(x))
+                _, self.lam = _tangent_combination(hull.vertices, normals)
                 self.S = tuple(active)
                 self.b.event(SLIDE_ENTER, f"surface {','.join(map(str, active))}")
                 return False
@@ -554,7 +571,7 @@ class _FilippovRun:
         def combination(y):  # Newton starts from the weights at x
             values = np.array([self.F.cell_value(c, y) for c in cells])
             normals = np.array([self.F.switches[j].grad(y) for j in S])
-            return _tangent_combination(values, normals, default_active_tol(y), self.lam)
+            return _tangent_combination(values, normals, self.lam)
         try:
             v, self.lam = combination(x)
             lam = self.lam[0]
@@ -858,10 +875,13 @@ def sample_and_hold(C: ControlField, feedback: Callable[[float, np.ndarray], np.
                     schedule: PartitionSchedule, x0,
                     cfg: IntegratorConfig | None = None) -> Trajectory:
     """Hold the feedback fixed over each partition interval and integrate the
-    resulting smooth dynamics with RK4 substeps.  A state that is not finite
-    at the end of an interval raises ModelError naming the first such time.
-    A ``StepLimit`` event ends the run before an interval whose substeps
-    would exceed ``max_steps``."""
+    resulting smooth dynamics with RK4 substeps: an interval of span s takes
+    the :func:`_step_count` of s, the fewest substeps of at most dt_max that
+    cover it, where a span only TIME_SLACK above n dt_max (time rounding)
+    takes n.  Each substep appends a sample, so a run of n substeps has
+    n + 1.  A state that is not finite at the end of an interval raises
+    ModelError naming the first such time.  A ``StepLimit`` event ends the
+    run before an interval whose substeps would exceed ``max_steps``."""
     cfg = cfg or IntegratorConfig()
     x = np.asarray(x0, dtype=float)
     # The schedule's span is finite and positive by construction.
@@ -871,7 +891,7 @@ def sample_and_hold(C: ControlField, feedback: Callable[[float, np.ndarray], np.
     steps = 0
     for s_prev, s_next in zip(bp[:-1], bp[1:]):
         span = s_next - s_prev
-        n_sub = max(1, math.ceil(span / cfg.dt_max))
+        n_sub = _step_count(span, cfg.dt_max)
         steps += n_sub
         if steps > cfg.max_steps:
             b.event(STEP_LIMIT, "max_steps exceeded")

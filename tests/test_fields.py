@@ -265,8 +265,28 @@ class TestClassification:
         assert (cls.kind, cls.active_surfaces, cls.alpha, cls.beta) == (
             "sliding", (0,), 1e6, -1e6)
 
+    def test_large_state_does_not_make_a_slide_tangent(self):
+        # At x = (1e13, 0) the normal parts alpha = 1 and beta = -3 used to
+        # be compared with the state-scaled band 1e5 and read as tangent.
+        cls = classify_point(slide_field_13(), [1e13, 0.0])
+        assert (cls.kind, cls.alpha, cls.beta) == ("sliding", 1.0, -3.0)
+
+
+def slide_field_13():
+    """g = x2 with x' = (0, 1) below and (0, -3) above: a slide, lam = 1/4."""
+    return PiecewiseField(2, [SwitchingSurface.coordinate(1, 2)],
+                          {(-1,): lambda x: np.array([0.0, 1.0]),
+                           (1,): lambda x: np.array([0.0, -3.0])})
+
 
 class TestSlidingField:
+    @pytest.mark.parametrize("x", [[1.0, 0.0], [1e13, 0.0]])
+    def test_weight_does_not_depend_on_the_state_size(self, x):
+        # At (1e13, 0) the band 1e5 used to read both normal parts as
+        # tangent and return lam = 0.5 with v = (0, -1), not tangent.
+        res = sliding_field(slide_field_13(), x, 0)
+        assert res.lam == 0.25 and np.array_equal(res.vector, [0.0, 0.0])
+
     def test_move_away_diagonal(self):
         res = sliding_field(move_away_square_field(), [0.4, 0.4], 0)
         assert np.allclose(res.vector, [-0.5, -0.5], atol=1e-12)

@@ -432,23 +432,46 @@ class TestSampleAndHold:
         assert np.allclose(tr.states, [0.3, 0.4])
 
     def test_substeps_count_against_max_steps(self):
-        # Each of the 100 intervals takes 10 or 11 RK4 substeps at the
-        # default dt_max.  The run used to write all 1,081 samples whatever
-        # the budget, with no event.
+        # Each of the 100 intervals takes 10 RK4 substeps at the default
+        # dt_max.  The run used to write all samples whatever the budget,
+        # with no event.
         C = get_scenario("cart").build()
         sched = PartitionSchedule.uniform(0.0, 1.0, 100)
         run = lambda cfg: sample_and_hold(C, cart_feedback(1.0), sched, [0.6, 0.3], cfg)
         full = run(IntegratorConfig())
-        assert len(full.times) == 1081 and not full.events
+        assert len(full.times) == 1001 and not full.events
         for max_steps in (10, 25, 500):
             tr = run(IntegratorConfig(max_steps=max_steps))
             n = len(tr.times)
-            assert n <= 1 + max_steps < n + 11
+            assert n <= 1 + max_steps < n + 10
             assert [e.kind for e in tr.events] == ["StepLimit"]
             # A prefix of the full run that ends on a breakpoint.
             assert np.array_equal(tr.times, full.times[:n])
             assert np.array_equal(tr.states, full.states[:n])
             assert tr.final_time in sched.breakpoints
+
+    @staticmethod
+    def _substeps(sched, cfg=None):
+        C = ControlField(1, 1, lambda x, u: u.copy(), Polytope.interval(-1, 1))
+        tr = sample_and_hold(C, lambda t, x: np.array([1.0]), sched, [0.0], cfg)
+        assert not tr.events and tr.final_time == sched.breakpoints[-1]
+        return len(tr.times) - 1
+
+    @pytest.mark.parametrize("sched, substeps", [
+        # Spans a few ulps above dt_max: 271 of the 300 intervals on [0, 0.3]
+        # used to take 2 substeps, and 16,132 of the 30,000 on [0, 30].
+        (PartitionSchedule.with_diameter(0.0, 0.3, 1e-3), 300),
+        (PartitionSchedule.with_diameter(0.0, 30.0, 1e-3), 30_000),
+        # Spans a few ulps above 10 dt_max used to take 11 substeps.
+        (PartitionSchedule.uniform(0.0, 1.0, 100), 1_000),
+    ])
+    def test_time_rounding_takes_no_extra_substep(self, sched, substeps):
+        assert self._substeps(sched) == substeps
+
+    def test_a_span_above_dt_max_takes_two_substeps(self):
+        cfg = IntegratorConfig(dt_max=1e-3)
+        assert self._substeps(PartitionSchedule([0.0, 1.001e-3]), cfg) == 2
+        assert self._substeps(PartitionSchedule([0.0, 1e-3]), cfg) == 1
 
     def test_cart_feedback_decreases_lyapunov(self):
         C = get_scenario("cart").build()
@@ -791,8 +814,10 @@ GOLDEN = {
               ("Converged", "least-norm selection vanished")],
         [4.999999980020986e-13, 4.999999980020986e-13]),
     "smq_flow_least_norm_stop": (
+        # 302 samples, the last 6e-11 s after the one before, until the
+        # stopped fill's last sample absorbed that remainder.
         lambda: get_scenario("smq_flow").simulate([0.125, 0.055], 0.3),
-        302, [("SurfaceHit", "surface 0"), ("SlideEnter", "surface 0"),
+        301, [("SurfaceHit", "surface 0"), ("SlideEnter", "surface 0"),
               ("SurfaceHit", "surface 1 while sliding on 0"),
               ("Converged", "least-norm selection vanished")],
         [5.960454005360383e-11, -4.5102810375396984e-17]),
@@ -894,6 +919,35 @@ class TestSteppingLoop:
         assert type(err.value) is ModelError
         t = float(str(err.value).split("t=")[1].split(":")[0])
         assert 1.0 <= t <= 1.1
+
+    @pytest.mark.parametrize("run", [
+        lambda cfg: integrate_pointwise(lambda x: np.array([1.0]), [0.0], 7.3, cfg,
+                                        method="rk4"),
+        lambda cfg: integrate_filippov(PiecewiseField(1, [], {(): lambda x: np.array([1.0])}),
+                                       [0.0], 7.3, cfg),
+    ])
+    def test_no_sliver_last_step(self, run):
+        # 73,000 summed steps of 1e-4 end 3.7e-12 short of 7.3, more than
+        # the old 1e-12 end slack, so the runs took a 73,001st step of
+        # 3.7e-12 s.  The last step now absorbs that rounding.
+        tr = run(IntegratorConfig(dt_max=1e-4))
+        assert len(tr.times) == 73_001 and not tr.events
+        assert np.diff(tr.times).min() >= 1e-9
+        assert tr.final_time == 7.3
+
+    @pytest.mark.parametrize("t_end", [5e-10, 1e-13])
+    def test_a_horizon_within_the_time_slack_takes_one_step(self, t_end):
+        tr = integrate_pointwise(lambda x: np.array([1.0]), [0.0], t_end,
+                                 IntegratorConfig(), method="rk4")
+        assert tr.times.tolist() == [0.0, t_end] and tr.final_state[0] == pytest.approx(t_end)
+
+    def test_stopped_fill_has_no_sliver_sample(self):
+        # The run stops at a crossing time found by bisection, 3e-11 s off
+        # the dt_max grid, and its fill used to end with a 3e-11 s step
+        # (302 samples).  The last fill sample now absorbs it.
+        tr = consensus_flow(Graph.path(3), "sign", [0.02, 0.0, 0.1], 0.3).trajectory
+        assert tr.modes[-1] == "STOP" and tr.final_time == 0.3
+        assert len(tr.times) == 301 and np.diff(tr.times).min() >= 1e-9
 
     def test_pointwise_rejects_an_unknown_method(self):
         # "rk45" used to run the Euler substeps.
