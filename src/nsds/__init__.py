@@ -74,10 +74,8 @@ from .nonsmooth import (
     descent_direction,
     descent_inequality_check,
     disagreement,
-    generalized_gradient,
     hsp,
     make_function,
-    proximal_subdifferential,
     smq,
     smq_gradient,
 )

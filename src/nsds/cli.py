@@ -34,8 +34,6 @@ from .lie import GridSpec, exclude_band, lyapunov_certify, monotonicity_verdict
 from .nonsmooth import ALL_SPACE, UNSUPPORTED, Graph, NsFunction, hsp, make_function
 from .scenarios import MoveAwayLaw, cart_feedback, get_scenario, move_away_flow
 
-log = logging.getLogger("nsds")
-
 
 def _parse_point(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
@@ -233,13 +231,13 @@ def _cmd_lyapunov(args) -> int:
     model, source = _direction_source(args.scenario, _parse_consts(args.const))
     point_dim = model.dim
     f = make_function(args.function, dim=point_dim)
-    exclude = None
+    grid = GridSpec.parse(args.grid)
     if args.exclude_band is not None:
-        axes = None
-        if args.exclude_axes:
-            axes = tuple(int(a) for a in args.exclude_axes.split(","))
-        exclude = exclude_band(args.exclude_band, axes)
-    grid = GridSpec.parse(args.grid, exclude=exclude)
+        axes = tuple(int(a) for a in args.exclude_axes.split(",")) if args.exclude_axes else None
+        for a in axes or ():
+            if a not in range(grid.dim):
+                raise ValueError(f"--exclude-axes: axis {a} is not in 0..{grid.dim - 1}")
+        grid = dataclasses.replace(grid, exclude=exclude_band(args.exclude_band, axes))
     if args.theorem in ("prop13w", "prop13s"):
         kind = "weak" if args.theorem == "prop13w" else "strong"
         report = monotonicity_verdict(kind, f, source, grid, tol=args.tol)

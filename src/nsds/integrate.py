@@ -74,8 +74,8 @@ SLIDING_EXIT_MARGIN = 1e-6
 # Time rounding: a span that exceeds n dt_max by at most this is covered by
 # n steps (see _step_count), and a run within this of t_end has ended.  Times
 # summed step by step drift by more than an ulp (7.3 s of 1e-4 steps end
-# 3.7e-12 s off); this sits far above that drift and far below the dt_max
-# of any run in this package (1e-5 and up).
+# 3.7e-12 s off); this sits far above that drift, and IntegratorConfig
+# rejects a dt_max below 1000 TIME_SLACK, so it stays within 0.1% of a step.
 TIME_SLACK = 1e-9
 
 MODE_STOP = "STOP"
@@ -99,6 +99,8 @@ class IntegratorConfig:
         for name in ("dt_max", "event_refine_tol", "conv_tol"):
             if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and positive")
+        if 1e-3 * self.dt_max < TIME_SLACK:
+            raise ValueError(f"dt_max must be at least {1e3 * TIME_SLACK:g} (1000 TIME_SLACK)")
         if self.max_steps <= 0:
             raise ValueError("bad step limits")
 

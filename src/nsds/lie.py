@@ -33,26 +33,22 @@ from .geometry import (
 )
 from .nonsmooth import ALL_SPACE, UNSUPPORTED, NsFunction
 
-EMPTY = "empty"
-INTERVAL = "interval"
-
 
 @dataclass(frozen=True)
 class LieInterval:
-    """A closed interval value of a set-valued Lie derivative."""
+    """A closed interval value of a set-valued Lie derivative.  The empty
+    set is (inf, -inf), so max(empty) = -inf and min(empty) = inf."""
 
-    kind: str
-    lo: float = math.nan
-    hi: float = math.nan
+    lo: float
+    hi: float
 
     @classmethod
     def empty(cls) -> "LieInterval":
-        return cls(EMPTY)
+        return cls(math.inf, -math.inf)
 
     @classmethod
     def closed(cls, lo: float, hi: float) -> "LieInterval":
-        lo, hi = float(min(lo, hi)), float(max(lo, hi))
-        return cls(INTERVAL, lo, hi)
+        return cls(float(min(lo, hi)), float(max(lo, hi)))
 
     @classmethod
     def point(cls, a: float) -> "LieInterval":
@@ -60,20 +56,15 @@ class LieInterval:
 
     @property
     def is_empty(self) -> bool:
-        return self.kind == EMPTY
+        return self.lo > self.hi
 
     def max_value(self) -> float:
-        """Largest element, with max(empty) = -inf."""
-        return -math.inf if self.is_empty else self.hi
-
-    sup = max_value
+        return self.hi
 
     def min_value(self) -> float:
-        return math.inf if self.is_empty else self.lo
+        return self.lo
 
     def contains(self, a: float, tol: float = 0.0) -> bool:
-        if self.is_empty:
-            return False
         return self.lo - tol <= a <= self.hi + tol
 
 
@@ -157,6 +148,9 @@ def lower_upper_lie(Fset: Polytope, prox) -> tuple[LieInterval, LieInterval]:
 # ---------------------------------------------------------------------------
 
 
+MAX_GRID_POINTS = 1_000_000  # 100 times a 101 x 101 sweep; bounds a sweep's time and memory
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular sampling grid with an optional exclusion predicate."""
@@ -174,6 +168,9 @@ class GridSpec:
                 raise ValueError(f"grid axis {axis}: bounds {lo}, {hi} are not finite")
             if not isinstance(n, (int, np.integer)) or n < 1:
                 raise ValueError(f"grid axis {axis}: count {n} is not a positive integer")
+        size = math.prod(self.counts)
+        if size > MAX_GRID_POINTS:
+            raise ValueError(f"grid has {size} points, more than the {MAX_GRID_POINTS} allowed")
 
     @classmethod
     def parse(cls, text: str, exclude=None) -> "GridSpec":

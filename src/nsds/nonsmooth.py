@@ -17,9 +17,10 @@ else reports the unsupported sentinel rather than an outer bound.
 Inside the tree, gradient sets travel as vertex rows, an array of shape
 (k, dim): a sum adds its children's rows by broadcasting, a dilation scales
 them, a max or min passes a single active child through and stacks rows at
-a tie, and a smooth atom gives its one gradient row.  The public
-``value``, ``gradient`` and ``proximal`` check the point once and build the
-one ``Polytope`` of the call at the root.
+a tie, and a smooth atom gives its one gradient row.  Max and min share
+that rule, a min running it on negated values.  The public ``value``,
+``gradient`` and ``proximal`` check the point once and build the one
+``Polytope`` of the call at the root.
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ class GradientResult:
 def tie_tolerance(reference: float) -> float:
     """Tolerance band for deciding active sets of max/min nodes."""
     return 1e-9 * (1.0 + abs(reference))
+
+
+def _common_dim(children: Sequence[NsFunction], what: str) -> int:
+    dims = {f.dim for f in children}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"{what} live in different dimensions")
+    return dims.pop()
 
 
 def _least_norm_point(rows: np.ndarray) -> np.ndarray:
@@ -273,12 +281,9 @@ class Sum(NsFunction):
         terms = [(float(c), f) for c, f in terms]
         if not terms:
             raise ValueError("sum needs at least one term")
-        dims = {f.dim for _, f in terms}
-        if len(dims) != 1:
-            raise DimensionMismatchError("sum terms live in different dimensions")
-        self.terms = terms
-        self.dim = dims.pop()
         fs = [f for _, f in terms]
+        self.dim = _common_dim(fs, "sum terms")
+        self.terms = terms
         cs = [c for c, _ in terms]
         self.smooth = all(f.smooth for f in fs)
         self.c2 = all(f.c2 for f in fs)
@@ -322,10 +327,8 @@ class Sum(NsFunction):
 
 class Product(NsFunction):
     def __init__(self, f1: NsFunction, f2: NsFunction):
-        if f1.dim != f2.dim:
-            raise DimensionMismatchError("product terms live in different dimensions")
+        self.dim = _common_dim((f1, f2), "product terms")
         self.f1, self.f2 = f1, f2
-        self.dim = f1.dim
         self.smooth = f1.smooth and f2.smooth
         self.c2 = f1.c2 and f2.c2
         self.regular = self.smooth or (
@@ -349,10 +352,8 @@ class Product(NsFunction):
 
 class Quotient(NsFunction):
     def __init__(self, f1: NsFunction, f2: NsFunction):
-        if f1.dim != f2.dim:
-            raise DimensionMismatchError("quotient terms live in different dimensions")
+        self.dim = _common_dim((f1, f2), "quotient terms")
         self.f1, self.f2 = f1, f2
-        self.dim = f1.dim
         self.smooth = f1.smooth and f2.smooth
         self.c2 = f1.c2 and f2.c2
         self.regular = False
@@ -378,83 +379,69 @@ class Quotient(NsFunction):
         return _minkowski_rows((1.0 / v2) * g1, (-v1 / (v2 * v2)) * g2), exact
 
 
-def _require_active(f: NsFunction, x, active: list[int]) -> list[int]:
-    """The active children of a max or min; none are active only when a
-    child's value is NaN."""
-    if not active:
-        raise ModelError(f"no active child of {f.name} at {np.asarray(x).tolist()}")
-    return active
+class _Extremum(NsFunction):
+    """Max of the children, or min where ``_tops`` negates their values
+    (exactly, so -v >= -bottom - tol and v <= bottom + tol agree).  A tie is
+    exact only when every active child carries ``_tie_flag``."""
+
+    _word = "max"
+    _tie_flag = "regular"
+
+    def __init__(self, children: Sequence[NsFunction], name: str = ""):
+        children = list(children)
+        if not children:
+            raise ValueError(f"{self._word} needs at least one child")
+        self.dim = _common_dim(children, f"{self._word} children")
+        self.children = children
+        self.name = name or f"{self._word}(" + ", ".join(f.name for f in children) + ")"
+
+    def _tops(self, x) -> list[float]:
+        return [f._val(x) for f in self.children]
+
+    def _val(self, x):
+        return max(self._tops(x))
+
+    def _rows(self, x):
+        vals = self._tops(x)
+        top = max(vals)
+        tol = tie_tolerance(top)
+        active = [i for i, v in enumerate(vals) if v >= top - tol]
+        if not active:  # only when a child's value is NaN
+            raise ModelError(f"no active child of {self.name} at {np.asarray(x).tolist()}")
+        if len(active) == 1:
+            return self.children[active[0]]._rows(x)
+        results = [self.children[i]._rows(x) for i in active]
+        exact = all(e for _, e in results) and all(
+            getattr(self.children[i], self._tie_flag) for i in active)
+        return np.vstack([rows for rows, _ in results]), exact
 
 
-def _active_rows(children: list[NsFunction], active: list[int], x,
-                 tie_flag: str) -> tuple[np.ndarray, bool]:
-    """Gradient rows of a max or min: a single active child passes through;
-    a tie stacks the children's rows and is exact only when every active
-    child carries ``tie_flag``."""
-    if len(active) == 1:
-        return children[active[0]]._rows(x)
-    results = [children[i]._rows(x) for i in active]
-    exact = all(e for _, e in results) and all(getattr(children[i], tie_flag) for i in active)
-    return np.vstack([rows for rows, _ in results]), exact
-
-
-class MaxOf(NsFunction):
+class MaxOf(_Extremum):
     """Pointwise maximum; the gradient is the hull over the active children."""
 
     def __init__(self, children: Sequence[NsFunction], name: str = ""):
-        children = list(children)
-        if not children:
-            raise ValueError("max needs at least one child")
-        dims = {f.dim for f in children}
-        if len(dims) != 1:
-            raise DimensionMismatchError("max children live in different dimensions")
-        self.children = children
-        self.dim = dims.pop()
-        self.regular = all(f.regular for f in children)
-        self.convex = all(f.convex for f in children)
-        self.nonneg = any(f.nonneg for f in children)
-        self.name = name or "max(" + ", ".join(f.name for f in children) + ")"
-
-    def _active(self, x):
-        vals = [f._val(x) for f in self.children]
-        top = max(vals)
-        tol = tie_tolerance(top)
-        return _require_active(self, x, [i for i, v in enumerate(vals) if v >= top - tol])
-
-    def _val(self, x):
-        return max(f._val(x) for f in self.children)
-
-    def _rows(self, x):
-        return _active_rows(self.children, self._active(x), x, "regular")
+        super().__init__(children, name)
+        self.regular = all(f.regular for f in self.children)
+        self.convex = all(f.convex for f in self.children)
+        self.nonneg = any(f.nonneg for f in self.children)
 
 
-class MinOf(NsFunction):
+class MinOf(_Extremum):
     """Pointwise minimum.  Equality in the gradient rule needs the negatives
     of the active children to be regular; smooth children qualify."""
 
-    def __init__(self, children: Sequence[NsFunction], name: str = ""):
-        children = list(children)
-        if not children:
-            raise ValueError("min needs at least one child")
-        dims = {f.dim for f in children}
-        if len(dims) != 1:
-            raise DimensionMismatchError("min children live in different dimensions")
-        self.children = children
-        self.dim = dims.pop()
-        self.nonneg = all(f.nonneg for f in children)
-        self.name = name or "min(" + ", ".join(f.name for f in children) + ")"
+    _word = "min"
+    _tie_flag = "smooth"
 
-    def _active(self, x):
-        vals = [f._val(x) for f in self.children]
-        bottom = min(vals)
-        tol = tie_tolerance(bottom)
-        return _require_active(self, x, [i for i, v in enumerate(vals) if v <= bottom + tol])
+    def __init__(self, children: Sequence[NsFunction], name: str = ""):
+        super().__init__(children, name)
+        self.nonneg = all(f.nonneg for f in self.children)
+
+    def _tops(self, x) -> list[float]:
+        return [-f._val(x) for f in self.children]
 
     def _val(self, x):
-        return min(f._val(x) for f in self.children)
-
-    def _rows(self, x):
-        return _active_rows(self.children, self._active(x), x, "smooth")
+        return -max(self._tops(x))
 
 
 def abs_of(f: NsFunction, name: str = "") -> MaxOf:
@@ -483,10 +470,8 @@ class NegAbs(NsFunction):
         return np.array([[-np.sign(t)]]), True
 
     def _prox(self, x):
-        t = float(x[0])
-        if abs(t) <= tie_tolerance(0.0):
-            return np.zeros((0, 1))
-        return np.array([[-np.sign(t)]])
+        rows = self._rows(x)[0]  # two rows at the kink, where the set is empty
+        return rows if rows.shape[0] == 1 else np.zeros((0, 1))
 
 
 class SqrtAbs(NsFunction):
@@ -506,10 +491,9 @@ class SqrtAbs(NsFunction):
         return np.array([[np.sign(t) * 0.5 / np.sqrt(abs(t))]]), True
 
     def _prox(self, x):
-        t = float(x[0])
-        if abs(t) <= 1e-12:
+        if abs(float(x[0])) <= 1e-12:
             return ALL_SPACE
-        return np.array([[np.sign(t) * 0.5 / np.sqrt(abs(t))]])
+        return self._rows(x)[0]
 
 
 class CartLyapunov(NsFunction):
@@ -554,14 +538,6 @@ class CartLyapunov(NsFunction):
 # ---------------------------------------------------------------------------
 # Free operations on the gradient machinery.
 # ---------------------------------------------------------------------------
-
-
-def generalized_gradient(f: NsFunction, x) -> GradientResult:
-    return f.gradient(np.asarray(x, dtype=float))
-
-
-def proximal_subdifferential(f: NsFunction, x):
-    return f.proximal(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(max_steps=0)
 
+    def test_dt_max_floor_keeps_time_slack_within_a_step(self):
+        # TIME_SLACK is absolute: a 1e-10 s dt_max once took 1e-9 s steps.
+        with pytest.raises(ValueError, match="dt_max must be at least 1e-06"):
+            integrate_pointwise(lambda x: np.array([1.0]), [0.0], 1e-8,
+                                IntegratorConfig(dt_max=1e-10), method="rk4")
+        # At the floor, a span 9e-10 s over ten steps still takes ten.
+        tr = integrate_pointwise(lambda x: np.array([1.0]), [0.0], 1e-5 + 9e-10,
+                                 IntegratorConfig(dt_max=1e-6), method="rk4")
+        assert len(tr.times) == 11
+        assert np.max(np.diff(tr.times)) <= 1e-6 * (1.0 + 1e-3)
+
     @pytest.mark.parametrize("name", ["dt_max", "event_refine_tol", "conv_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerance_is_rejected(self, name, value):

@@ -35,9 +35,11 @@ from helpers import count_polytopes, maximin_lp_oracle, set_lie_lp_oracle
 class TestLieInterval:
     def test_empty_conventions(self):
         e = LieInterval.empty()
+        assert (e.lo, e.hi) == (math.inf, -math.inf)
         assert e.max_value() == -math.inf
-        assert e.sup() == -math.inf
+        assert e.min_value() == math.inf
         assert not e.contains(0.0)
+        assert not e.contains(math.inf) and not e.contains(-math.inf)
         # Nonpositivity checks pass vacuously on the empty set.
         assert e.max_value() <= 0.0
 
@@ -207,6 +209,13 @@ class TestGridSpec:
     def test_constructor_names_the_bad_axis(self, lows, highs, counts, axis):
         with pytest.raises(ValueError, match=f"grid axis {axis}:"):
             GridSpec(lows, highs, counts)
+
+    @pytest.mark.parametrize("text", ["-1:1:1001,-1:1:1001", "-1:1:1000000000,-1:1:1000000000"])
+    def test_point_count_is_capped(self, text):
+        # A 1e9-point axis was accepted, and axes() would then allocate 8 GB.
+        with pytest.raises(ValueError, match=r"grid has \d+ points, more than the 1000000"):
+            GridSpec.parse(text)
+        assert GridSpec.parse("-1:1:1000,-1:1:1000").counts == (1000, 1000)
 
     def test_constructor_rejects_ragged_or_axisless_grids(self):
         for lows, highs, counts in [((), (), ()), ((-1, -1), (1,), (3, 3))]:

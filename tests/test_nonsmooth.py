@@ -25,12 +25,10 @@ from nsds.nonsmooth import (
     descent_inequality_check,
     disagreement,
     disagreement_function,
-    generalized_gradient,
     half_square_atom,
     hsp,
     hsp_function,
     make_function,
-    proximal_subdifferential,
     smq,
     smq_gradient,
 )
@@ -49,19 +47,19 @@ SQUARE = ConvexPolygon.square(1.0)
 
 class TestGeneralizedGradient:
     def test_abs_at_zero(self):
-        gr = generalized_gradient(make_function("abs"), [0.0])
+        gr = make_function("abs").gradient([0.0])
         assert hausdorff_distance(gr.polytope, Polytope([[-1.0], [1.0]])) <= 1e-12
         assert gr.exact
 
     def test_minus_abs_via_dilation(self):
         f = Dilation(-1.0, make_function("abs"))
-        gr = generalized_gradient(f, [0.0])
+        gr = f.gradient([0.0])
         assert hausdorff_distance(gr.polytope, Polytope([[-1.0], [1.0]])) <= 1e-12
         assert gr.exact
         assert not f.regular
 
     def test_oscillator_energy_segment(self):
-        gr = generalized_gradient(make_function("energy_oscillator"), [0.0, 0.7])
+        gr = make_function("energy_oscillator").gradient([0.0, 0.7])
         seg = Polytope([[-1.0, 0.7], [1.0, 0.7]])
         assert hausdorff_distance(gr.polytope, seg) <= 1e-12
         assert gr.exact
@@ -153,33 +151,33 @@ class TestGeneralizedGradient:
 
 class TestProximal:
     def test_abs_closed_form(self):
-        prox = proximal_subdifferential(make_function("abs"), [0.0])
+        prox = make_function("abs").proximal([0.0])
         assert hausdorff_distance(prox, Polytope([[-1.0], [1.0]])) <= 1e-12
 
     def test_neg_abs_empty_at_zero(self):
-        prox = proximal_subdifferential(make_function("neg_abs"), [0.0])
+        prox = make_function("neg_abs").proximal([0.0])
         assert prox.is_empty
         # Off the kink the function is smooth: slope -1 on the right branch.
-        assert proximal_subdifferential(make_function("neg_abs"), [0.5]).vertices[0][0] == -1.0
+        assert make_function("neg_abs").proximal([0.5]).vertices[0][0] == -1.0
 
     def test_sqrt_abs_all_space(self):
-        assert proximal_subdifferential(make_function("sqrt_abs"), [0.0]) is ALL_SPACE
-        prox = proximal_subdifferential(make_function("sqrt_abs"), [0.25])
+        assert make_function("sqrt_abs").proximal([0.0]) is ALL_SPACE
+        prox = make_function("sqrt_abs").proximal([0.25])
         assert prox.vertices[0][0] == pytest.approx(1.0)
 
     def test_twice_differentiable_singleton(self):
         f = half_square_atom(0, 2)
-        prox = proximal_subdifferential(f, [0.7, 0.3])
+        prox = f.proximal([0.7, 0.3])
         assert np.allclose(prox.vertices[0], [0.7, 0.0])
 
     def test_sum_with_smooth_term(self):
         f = make_function("energy_oscillator")
-        prox = proximal_subdifferential(f, [0.0, 0.7])
+        prox = f.proximal([0.0, 0.7])
         assert hausdorff_distance(prox, Polytope([[-1.0, 0.7], [1.0, 0.7]])) <= 1e-12
 
     def test_positive_dilation(self):
         f = Dilation(2.0, make_function("abs"))
-        prox = proximal_subdifferential(f, [0.0])
+        prox = f.proximal([0.0])
         assert hausdorff_distance(prox, Polytope([[-2.0], [2.0]])) <= 1e-12
 
     def test_convex_bridge(self):
@@ -189,7 +187,7 @@ class TestProximal:
             assert f.convex
             for _ in range(10):
                 x = 2 * rng.random(f.dim) - 1
-                prox = proximal_subdifferential(f, x)
+                prox = f.proximal(x)
                 gr = f.gradient(x)
                 assert hausdorff_distance(prox, gr.polytope) <= 1e-10
 
@@ -197,13 +195,13 @@ class TestProximal:
         # The gradient sets of f and -f mirror each other; the proximal pair
         # for |x| at 0 demonstrably does not.
         f, g = make_function("abs"), make_function("neg_abs")
-        pf = proximal_subdifferential(f, [0.0])
-        pg = proximal_subdifferential(g, [0.0])
+        pf = f.proximal([0.0])
+        pg = g.proximal([0.0])
         assert not pf.is_empty and pg.is_empty
 
     def test_general_tree_unsupported(self):
         f = MinOf([affine_atom([1.0], 0.0), affine_atom([-1.0], 0.0)])
-        assert proximal_subdifferential(f, [0.0]) is UNSUPPORTED
+        assert f.proximal([0.0]) is UNSUPPORTED
 
 
 class TestCartLyapunov:
@@ -463,10 +461,18 @@ class TestRowsMatchPolytopeChain:
             Dilation(-0.5, osc),
             MinOf([osc, make_function("abs_sum", 2)]),
             Sum([(1.0, make_function("neg_smq")), (3.0, half_square_atom(1, 2))]),
+            # Nested extrema, and ties at |value| ~ 1e6, where tie_tolerance is
+            # about 1e-3: a min selects its active set on negated values.
+            MaxOf([MinOf([x1, x2]), Dilation(-1.0, x1), half_square_atom(1, 2)]),
+            MinOf([MaxOf([x1, x2]), osc, Dilation(0.5, x2)]),
+            MaxOf([affine_atom([1.0, 0.0], 1e6), affine_atom([0.0, 1.0], 1e6), abs_of(x1)]),
+            MinOf([affine_atom([1.0, 0.0], -1e6), affine_atom([0.0, 1.0], -1e6),
+                   MaxOf([affine_atom([-1.0, 0.0], 1e6), affine_atom([0.0, -1.0], 1e6)])]),
         ]
         rng = np.random.default_rng(11)
+        near_ties = [[t, t + d] for t in (-0.4, 0.25) for d in (-2e-3, -9e-4, 4e-4, 1e-3, 3e-3)]
         points = list(2.0 * rng.random((100, 2)) - 1.0) + [[0.0, 0.0], [0.0, 0.5], [0.5, 0.0]] \
-            + _DIAGONALS
+            + _DIAGONALS + near_ties
         for f in trees:
             for x in points:
                 x = np.asarray(x, dtype=float)
