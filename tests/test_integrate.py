@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -559,14 +560,32 @@ class TestMoveAwayAgents:
         assert 2 in sizes and max(sizes) >= 3
 
     def test_direction_rejects_bad_positions(self):
+        # Where several checks fail, the first of finite, coincident, on an
+        # edge, outside decides the message.
         law = MoveAwayLaw(ConvexPolygon.square(1.0), 2)
-        for p in ([2.0, 0.0, 0.0, 0.5],  # first agent outside the square
-                  [0.0, 1.5, 0.0, 0.5],
-                  [math.nan, 0.0, 0.0, 0.5],
-                  [0.2, 0.1, 0.2, 0.1],  # coincident agents
-                  [1.0, 0.3, 0.0, 0.5]):  # agent on an edge
-            with pytest.raises(ModelError):
+        outside, finite = "agent outside the polygon", "agent positions must be finite"
+        coincident, edge = "coincident agents: the law is undefined", "agent sits on the boundary"
+        for p, message in (([2.0, 0.0, 0.0, 0.5], outside),  # first agent outside the square
+                           ([0.0, 1.5, 0.0, 0.5], outside),
+                           ([math.nan, 0.0, 0.0, 0.5], finite),
+                           ([math.inf, 0.0, 0.0, 0.5], finite),
+                           ([math.nan, 0.0, math.nan, 0.0], finite),  # and coincident
+                           ([0.2, 0.1, 0.2, 0.1], coincident),
+                           ([2.0, 0.0, 2.0, 0.0], coincident),  # and outside
+                           ([1.0, 0.3, 1.0, 0.3], coincident),  # and on an edge
+                           ([1.0, 0.3, 0.0, 0.5], edge),
+                           ([2.0, 0.0, 1.0, 0.3], edge)):  # the other agent outside
+            with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
                 law.direction(np.array(p))
+
+    def test_direction_with_no_agent_or_one(self):
+        square = ConvexPolygon.square(1.0)
+        none = MoveAwayLaw(square, 0).direction(np.array([]))
+        assert none.shape == (0,) and none.dtype == float
+        # One agent moves away from its nearest wall, or from a tied corner.
+        one = MoveAwayLaw(square, 1)
+        assert one.direction(np.array([0.2, -0.5])).tolist() == [1.1102230246251565e-16, 1.0]
+        assert one.direction(np.array([0.5, 0.5])).tolist() == [-0.5, -0.5]
 
     def test_rk4_exact_on_polynomials(self):
         # Classical fourth-order scheme integrates cubic-in-time states
@@ -605,6 +624,37 @@ class TestFixedStepLoops:
         assert len(tr.times) == 11 and not tr.events
         assert len(calls) == 10 * per_step + 1
         assert np.allclose(tr.final_state, [1.25, -0.625])
+
+    @staticmethod
+    def window_holds(states: np.ndarray, radius: float) -> bool:
+        """The oscillation-window rule: every sample within radius of the mean."""
+        off = states - states.mean(axis=0)
+        return float(np.sqrt((off * off).sum(axis=1)).max()) <= radius
+
+    def test_oscillation_window_fires_at_the_first_window_that_holds(self):
+        # x' = -sign(x) reaches 0 from 0.05 in 50 steps of 1e-3 and then
+        # chatters within one Euler substep of it.
+        dt = 1e-3
+        tr = integrate_pointwise(lambda x: -np.sign(x), [0.05], 0.2,
+                                 IntegratorConfig(dt_max=dt), method="euler")
+        assert [(e.kind, e.detail) for e in tr.events] == [("Converged", "oscillation window")]
+        fired = tr.times.tolist().index(tr.events[0].time) + 1
+        assert fired == 64 and tr.modes.count("STOP") == len(tr.times) - fired
+        holds = [n for n in range(21, fired + 1) if self.window_holds(tr.states[n - 20:n], 5 * dt)]
+        assert holds == [fired]
+
+    def test_oscillation_window_with_close_ends_and_a_far_middle_does_not_hold(self):
+        # A rotation of period 19 steps: every 20-sample window starts and
+        # ends within 2 * 5 dt_max, while its middle samples lie a unit
+        # away from the window mean.
+        dt = 1e-3
+        w = 2.0 * math.pi / (19 * dt)
+        tr = integrate_pointwise(lambda x: w * np.array([-x[1], x[0]]), [1.0, 0.0], 0.1,
+                                 IntegratorConfig(dt_max=dt), method="rk4")
+        assert len(tr.times) == 101 and not tr.events
+        windows = [tr.states[n - 20:n] for n in range(21, 102)]
+        assert all(np.linalg.norm(s[0] - s[-1]) <= 2 * 5 * dt for s in windows)
+        assert not any(self.window_holds(s, 5 * dt) for s in windows)
 
     @pytest.mark.parametrize("x0, t_end", [
         ([0.0, math.nan], 1.0),
@@ -808,7 +858,7 @@ class TestTrajectoryBuffer:
 
 
 # Sample count, event (kind, detail) sequence and final state of runs that
-# cover each phase of the event-driven integrators.
+# cover each phase of the event-driven integrators and the fixed-step flows.
 GOLDEN = {
     "oscillator_crossing": (
         lambda: get_scenario("oscillator").simulate([0.02, 0.1], 0.4),
@@ -846,6 +896,32 @@ GOLDEN = {
         301, [("SlideEnter", "surface 1"), ("SurfaceHit", "surface 0 while sliding on 1"),
               ("Converged", "least-norm selection vanished")],
         [0.049999999999, 0.05, 0.050000000001]),
+    # The fixed-step flows: pointwise RK4 and Euler steps with the
+    # oscillation window, and sample-and-hold substeps.
+    "norm_consensus_path3": (
+        # Never settles before t_end: the window test runs at every step.
+        lambda: consensus_flow(Graph.path(3), "norm", [0.0, 0.2, 0.5], 0.3,
+                               IntegratorConfig(dt_max=2e-4)).trajectory,
+        1501, [],
+        [0.19258629999202867, 0.23318823433795738, 0.2742254656700147]),
+    "norm_consensus_path3_stopped": (
+        # The window holds at sample 372; the stopped fill covers the rest.
+        lambda: consensus_flow(Graph.path(3), "norm", [0.0, 0.06, 0.1], 0.3,
+                               IntegratorConfig(dt_max=2e-4)).trajectory,
+        1501, [("Converged", "oscillation window")],
+        [0.05332897552489252, 0.05334204895021465, 0.053328975524892755]),
+    "packing_n4_tie_start": (
+        # Agent 0 starts 0.1 from two walls, tied between them.
+        lambda: get_scenario("sphere_packing").simulate(
+            [0.9, 0.9, -0.5, 0.3, 0.1, -0.5, -0.4, -0.1], 0.3, overrides={"n": 4}),
+        301, [],
+        [0.7500000000000165, 0.7500000000000165, -0.5636603457799836, 0.5797663825693207,
+         0.31465256866811575, -0.5879415557750866, -0.4433282760659325,
+         -0.24692468547569027]),
+    "cart_sample_and_hold": (
+        lambda: sample_and_hold(get_scenario("cart").build(), cart_feedback(1.0),
+                                PartitionSchedule.with_diameter(0.0, 0.3, 1e-3), [0.6, 0.3]),
+        301, [], [0.5248125669403775, 0.21420921099607315]),
 }
 
 
