@@ -232,6 +232,8 @@ def _cmd_lyapunov(args) -> int:
     point_dim = model.dim
     f = make_function(args.function, dim=point_dim)
     grid = GridSpec.parse(args.grid)
+    if args.exclude_axes is not None and args.exclude_band is None:
+        raise ValueError("--exclude-axes needs --exclude-band")
     if args.exclude_band is not None:
         axes = tuple(int(a) for a in args.exclude_axes.split(",")) if args.exclude_axes else None
         for a in axes or ():
@@ -365,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     lyap.add_argument("--const", action="append", metavar="K=V")
     lyap.add_argument("--equilibrium")
     lyap.add_argument("--exclude-band", type=float)
-    lyap.add_argument("--exclude-axes", help="comma-separated coordinate indices")
+    lyap.add_argument("--exclude-axes",
+                      help="comma-separated coordinate indices; needs --exclude-band")
     lyap.add_argument("--tol", type=float, default=1e-9)
     lyap.add_argument("--margin", type=float, default=1e-6)
     lyap.set_defaults(handler=_cmd_lyapunov)

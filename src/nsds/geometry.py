@@ -247,15 +247,29 @@ def least_norm(P: Polytope) -> LeastNormResult:
     if P.is_empty:
         raise EmptySetError("least_norm of the empty polytope")
     V = P.vertices
-    n = V.shape[0]
-    if n == 1:
+    if V.shape[0] == 1:
         return LeastNormResult(point=V[0].copy(), coefficients=np.ones(1))
+    coeffs = _least_norm_coefficients(V)
+    return LeastNormResult(point=coeffs @ V, coefficients=coeffs)
+
+
+def _least_norm_point(rows: np.ndarray) -> np.ndarray:
+    """The point of :func:`least_norm` for nonempty vertex rows, with no
+    Polytope built; a single row is its own."""
+    if rows.shape[0] == 1:
+        return rows[0]
+    return _least_norm_coefficients(rows) @ rows
+
+
+def _least_norm_coefficients(V: np.ndarray) -> np.ndarray:
+    """The convex coefficients of the least-norm point of two or more rows:
+    the segment in closed form, more rows by Wolfe's algorithm."""
+    n = V.shape[0]
     if n == 2:
         d = V[1] - V[0]
         dd = float(d @ d)
         t = 0.0 if dd == 0.0 else min(max(-float(V[0] @ d) / dd, 0.0), 1.0)
-        coeffs = np.array([1.0 - t, t])
-        return LeastNormResult(point=coeffs @ V, coefficients=coeffs)
+        return np.array([1.0 - t, t])
     scale = max(1.0, float(np.max(np.abs(V))))
     eps = _WOLFE_TOL * scale * scale
 
@@ -304,7 +318,7 @@ def least_norm(P: Polytope) -> LeastNormResult:
     total = coeffs.sum()
     if total > 0:
         coeffs /= total
-    return LeastNormResult(point=coeffs @ V, coefficients=coeffs)
+    return coeffs
 
 
 def distance_to_hull(P: Polytope, y) -> float:
@@ -487,14 +501,23 @@ class ConvexPolygon:
         n.flags.writeable = False
         return n
 
+    @functools.cached_property
+    def _squared_lengths(self) -> np.ndarray:
+        """Squared length of every edge, shape (n_edges,)."""
+        t = self.edge_vectors
+        return (t * t).sum(axis=1)
+
     def edge_offsets(self, points) -> np.ndarray:
         """Offsets p - q from the nearest point q of every edge segment to
         every point p, shape (n_points, n_edges, 2)."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        a = self.vertices
+        pts = np.asarray(points, dtype=float).reshape(-1, 1, 2)
         t = self.edge_vectors
-        s = np.clip(((pts[:, None, :] - a) * t).sum(axis=2) / (t * t).sum(axis=1), 0.0, 1.0)
-        return pts[:, None, :] - (a + s[:, :, None] * t)
+        s = ((pts - self.vertices) * t).sum(axis=2) / self._squared_lengths
+        # Clamp to [0, 1] as np.clip does, which keeps a -0.0 (np.maximum
+        # may not) and a NaN, at a fraction of its call overhead.
+        s[s < 0.0] = 0.0
+        s[s > 1.0] = 1.0
+        return pts - (self.vertices + s[:, :, None] * t)
 
     def contains_point(self, p, tol: float = 0.0) -> bool:
         p = np.asarray(p, dtype=float)

@@ -53,8 +53,8 @@ from .fields import (
     _tangent_combination,
     default_active_tol,
 )
-from .geometry import as_point, least_norm, vector_norm
-from .nonsmooth import Graph, NsFunction, _least_norm_point, disagreement_function
+from .geometry import _least_norm_point, as_point, least_norm, vector_norm
+from .nonsmooth import Graph, NsFunction, disagreement_function
 
 SURFACE_HIT = "SurfaceHit"
 SLIDE_ENTER = "SlideEnter"
@@ -675,8 +675,10 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
 def integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: float,
                         cfg: IntegratorConfig, *, method: str = "euler") -> Trajectory:
     """Fixed-step integration of a pointwise-selected flow with oscillation
-    detection: once the recent window of samples stays inside a ball of
-    radius 5 dt_max, the state is declared converged and frozen.
+    detection: once the last ``STALL_WINDOW`` = 20 samples all lie within
+    5 dt_max of their mean, the state is declared converged and frozen.  A
+    window whose first and last samples are more than 10 dt_max apart fails
+    without computing the mean.
 
     The field value at the end of each step serves both the convergence test
     and the first stage of the next step, so v_fn runs once per stage.  A
@@ -688,6 +690,7 @@ def integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: flo
     _check_start(x, t_end)
     b = _Builder(0.0, x, "R:")
     radius = 5.0 * cfg.dt_max
+    ends = 2.0 * radius * (1.0 + 1e-6)
     v = v_fn(x)
 
     def step(h: float) -> bool:
@@ -707,11 +710,16 @@ def integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: flo
             b.event(CONVERGED, "flow direction vanished")
             return True
         if len(b.times) > STALL_WINDOW:
-            recent = b.states[-STALL_WINDOW:]
-            off = recent - recent.mean(axis=0)
-            if float(np.sqrt((off * off).sum(axis=1)).max()) <= radius:
-                b.event(CONVERGED, "oscillation window")
-                return True
+            states = b.states
+            # A window whose samples lie within radius of one point has its
+            # ends within 2 radius of each other, up to a few roundings, so
+            # ends farther apart than 2 radius (1 + 1e-6) settle the test.
+            if vector_norm(states[-1] - states[-STALL_WINDOW]) <= ends:
+                recent = states[-STALL_WINDOW:]
+                off = recent - recent.sum(axis=0) / STALL_WINDOW  # np.mean, bit for bit
+                if float(np.sqrt((off * off).sum(axis=1)).max()) <= radius:
+                    b.event(CONVERGED, "oscillation window")
+                    return True
         return False
 
     return _drive(b, t_end, cfg, step)

@@ -40,8 +40,8 @@ from .geometry import (
     MEMBERSHIP_TOL,
     ConvexPolygon,
     Polytope,
+    _least_norm_point,
     _minkowski_rows,
-    least_norm,
 )
 
 
@@ -79,13 +79,6 @@ def _common_dim(children: Sequence[NsFunction], what: str) -> int:
     if len(dims) != 1:
         raise DimensionMismatchError(f"{what} live in different dimensions")
     return dims.pop()
-
-
-def _least_norm_point(rows: np.ndarray) -> np.ndarray:
-    """Least-norm point of the hull of the rows; a single row is its own."""
-    if rows.shape[0] == 1:
-        return rows[0]
-    return least_norm(Polytope(rows, rows.shape[1])).point
 
 
 class NsFunction:

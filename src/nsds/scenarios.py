@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ModelError, UnsupportedError
 from .fields import ControlField, PiecewiseField, SwitchingSurface
-from .geometry import ConvexPolygon, Polytope, least_norm
+from .geometry import ConvexPolygon, Polytope, _least_norm_point
 from .integrate import (
     IntegratorConfig,
     Trajectory,
@@ -155,7 +155,7 @@ class MoveAwayLaw:
 
     def direction(self, p_flat: np.ndarray) -> np.ndarray:
         pts = np.asarray(p_flat, dtype=float).reshape(self.n, 2)
-        if not np.isfinite(pts).all():
+        if not all(map(math.isfinite, pts.ravel().tolist())):  # cheaper than np.isfinite
             raise ModelError("agent positions must be finite")
         # Away directions and distances per (agent, entity): the other agents
         # first (at half separation), then the edges.  An agent's own column
@@ -163,12 +163,14 @@ class MoveAwayLaw:
         pair = pts[:, None, :] - pts[None, :, :]
         # Axis norms as np.linalg.norm computes them, without its overhead.
         r = np.sqrt((pair * pair).sum(axis=2))
-        np.fill_diagonal(r, np.inf)
-        if (r <= 1e-12).any():
+        r.flat[::self.n + 1] = np.inf
+        # One reduction per distance check.  fmin skips a NaN (an edge offset
+        # of an overflowing position), as an elementwise <= test does.
+        if np.fmin.reduce(r, axis=None, initial=np.inf) <= 1e-12:
             raise ModelError("coincident agents: the law is undefined")
         edge = self.polygon.edge_offsets(pts)
         re = np.sqrt((edge * edge).sum(axis=2))
-        if (re <= 1e-12).any():
+        if np.fmin.reduce(re, axis=None, initial=np.inf) <= 1e-12:
             raise ModelError("agent sits on the boundary")
         # The nearest point of an edge lies on its line, so the offset has a
         # negative inward component (ccw: t x offset < 0) exactly outside.
@@ -180,7 +182,7 @@ class MoveAwayLaw:
         tied = dists <= dists.min(axis=1, keepdims=True) + self.tie_band
         out = dirs[np.arange(self.n), np.argmin(dists, axis=1)]
         for i in np.flatnonzero(tied.sum(axis=1) > 1):
-            out[i] = least_norm(Polytope(dirs[i, tied[i]])).point
+            out[i] = _least_norm_point(dirs[i, tied[i]])
         return out.ravel()
 
     def packing_radius(self, p_flat: np.ndarray) -> float:

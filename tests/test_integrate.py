@@ -720,11 +720,14 @@ class TestFixedStepLoops:
         import nsds.integrate as integrate
 
         calls = []
-        monkeypatch.setattr(integrate, "least_norm",
-                            lambda P: calls.append(1) or least_norm(P))
+        solve = integrate._least_norm_point
+        monkeypatch.setattr(integrate, "_least_norm_point",
+                            lambda rows: calls.append(1) or solve(rows))
         with pytest.raises(ModelError):
             consensus_flow(Graph.path(3), "norm", [0.0, math.nan, 1.0], 0.01)
         assert not calls
+        consensus_flow(Graph.path(3), "norm", [0.0, 0.5, 1.0], 0.01)
+        assert calls
 
     def test_stall_check_matches_max_of_displacements(self):
         def reference(b, window, conv_tol):

@@ -186,14 +186,18 @@ class TestCli:
         assert captured.err.startswith(f"ValueError: grid axis {axis}:")
 
     @pytest.mark.parametrize("grid, extra, message", [
-        ("-1:1:3,-1:1:3", ["--exclude-axes", "5"], "--exclude-axes: axis 5 is not in 0..1"),
-        ("-1:1:3,-1:1:3", ["--exclude-axes=-1"], "--exclude-axes: axis -1 is not in 0..1"),
-        ("-1:1:1001,-1:1:1001", [], "grid has 1002001 points"),
-    ], ids=["axis-5", "axis-minus-1", "grid-cap"])
+        ("-1:1:3,-1:1:3", ["--exclude-band", "0.1", "--exclude-axes", "5"],
+         "--exclude-axes: axis 5 is not in 0..1"),
+        ("-1:1:3,-1:1:3", ["--exclude-band", "0.1", "--exclude-axes=-1"],
+         "--exclude-axes: axis -1 is not in 0..1"),
+        ("-1:1:1001,-1:1:1001", ["--exclude-band", "0.1"], "grid has 1002001 points"),
+        ("-1:1:3,-1:1:3", ["--exclude-axes", "5"], "--exclude-axes needs --exclude-band"),
+    ], ids=["axis-5", "axis-minus-1", "grid-cap", "axes-without-band"])
     def test_lyapunov_rejects_an_out_of_range_grid_option(self, grid, extra, message, capsys):
-        # An axis of 5 was an IndexError traceback, and -1 excluded the last axis.
+        # An axis of 5 was an IndexError traceback, and -1 excluded the last
+        # axis.  Axes without a band were dropped, and the run certified.
         code = main(["lyapunov", "--scenario", "oscillator", "--function", "energy_oscillator",
-                     "--theorem", "thm1", f"--grid={grid}", "--exclude-band", "0.1", *extra])
+                     "--theorem", "thm1", f"--grid={grid}", *extra])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
