@@ -7,7 +7,7 @@ import pytest
 
 from nsds.errors import DimensionMismatchError, ModelError
 from nsds.fields import PiecewiseField, SwitchingSurface, filippov_set
-from nsds.geometry import ConvexPolygon, Polytope, contains, least_norm
+from nsds.geometry import ConvexPolygon, Polytope, contains
 from nsds.integrate import (
     Event,
     IntegratorConfig,
