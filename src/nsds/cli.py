@@ -43,7 +43,7 @@ def _parse_consts(items) -> dict:
     out = {}
     for item in items or ():
         if "=" not in item:
-            raise argparse.ArgumentTypeError(f"--const expects k=v, got {item!r}")
+            raise ValueError(f"--const expects k=v, got {item!r}")
         k, v = item.split("=", 1)
         out[k] = float(v)
     return out
@@ -103,21 +103,20 @@ def emit_plot_data(tr: Trajectory, kind: str, f: NsFunction | None = None,
     trajectory's bounding box, one blank line between scan lines.
     """
     lines = []
-    if kind == "phase":
-        if tr.dim != 2:
-            raise DimensionMismatchError("phase plots need a planar trajectory")
-        for x in tr.states:
-            lines.append(f"{float(x[0])!r} {float(x[1])!r}")
-    elif kind == "time":
+    if kind == "time":
         for t, x in zip(tr.times, tr.states):
             lines.append(" ".join([repr(float(t))] + [repr(float(v)) for v in x]))
-    elif kind == "level_overlay":
+    elif kind in ("phase", "level_overlay"):
         if tr.dim != 2:
-            raise DimensionMismatchError("level overlays need a planar trajectory")
-        if f is None:
+            plots = "phase plots" if kind == "phase" else "level overlays"
+            raise DimensionMismatchError(f"{plots} need a planar trajectory")
+        if kind == "level_overlay" and f is None:
             raise UnsupportedError("level_overlay needs a function")
         for x in tr.states:
             lines.append(f"{float(x[0])!r} {float(x[1])!r}")
+    else:
+        raise ValueError(f"unknown plot kind {kind!r}")
+    if kind == "level_overlay":
         lines.append("")
         lines.append("")
         lo = tr.states.min(axis=0) - 0.1
@@ -128,8 +127,6 @@ def emit_plot_data(tr: Trajectory, kind: str, f: NsFunction | None = None,
             for yv in ys:
                 lines.append(f"{float(xv)!r} {float(yv)!r} {float(f(np.array([xv, yv])))!r}")
             lines.append("")
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -144,10 +141,15 @@ def _direction_source(name: str, consts: dict):
     raise UnsupportedError(f"scenario {name} has no direction set")
 
 
-def _config_from_args(args) -> IntegratorConfig:
-    kw = {}
-    if getattr(args, "dt_max", None) is not None:
+def _config_from_args(args, settings: dict | None = None) -> IntegratorConfig:
+    """The integrator settings of a run config's ``cfg``, with ``--dt-max``
+    over its dt_max."""
+    kw = dict(settings or {})
+    if args.dt_max is not None:
         kw["dt_max"] = args.dt_max
+    unknown = set(kw) - {f.name for f in dataclasses.fields(IntegratorConfig)}
+    if unknown:
+        raise ValueError(f"unknown integrator settings in the run config: {sorted(unknown)}")
     return IntegratorConfig(**kw)
 
 
@@ -168,13 +170,7 @@ def _cmd_simulate(args) -> int:
     scenario = get_scenario(name)
     consts = dict(file_cfg.get("constants", {}))
     consts.update(_parse_consts(args.const))
-    cfg_kw = dict(file_cfg.get("cfg", {}))
-    if args.dt_max is not None:
-        cfg_kw["dt_max"] = args.dt_max
-    unknown = set(cfg_kw) - {f.name for f in dataclasses.fields(IntegratorConfig)}
-    if unknown:
-        raise ValueError(f"unknown integrator settings in the run config: {sorted(unknown)}")
-    cfg = IntegratorConfig(**cfg_kw)
+    cfg = _config_from_args(args, file_cfg.get("cfg"))
     x0 = _parse_point(args.x0) if args.x0 else np.asarray(file_cfg["x0"], dtype=float)
     t_end = args.t_end if args.t_end is not None else float(file_cfg["t_end"])
     tr = scenario.simulate(x0, t_end, cfg, overrides=consts)
@@ -185,7 +181,7 @@ def _cmd_simulate(args) -> int:
         "samples": int(tr.times.shape[0]),
         "final_time": tr.final_time,
         "final_state": tr.final_state.tolist(),
-        "events": [{"time": e.time, "kind": e.kind, "detail": e.detail} for e in tr.events],
+        "events": [dataclasses.asdict(e) for e in tr.events],
         "out": args.out,
     }))
     return 0

@@ -172,7 +172,7 @@ def filippov_set(F: PiecewiseField, x) -> Polytope:
     it.
     """
     x = _point(F, x)
-    return _hull_at(F, x, F.sign_vector(x))
+    return Polytope(_hull_at(F, x, F.sign_vector(x)))
 
 
 def _point(F: PiecewiseField, x) -> np.ndarray:
@@ -184,12 +184,13 @@ def _point(F: PiecewiseField, x) -> np.ndarray:
     return x
 
 
-def _hull_at(F: PiecewiseField, x: np.ndarray, face: SignVector) -> Polytope:
-    """Hull of the values at x of the declared cells adjacent to ``face``."""
+def _hull_at(F: PiecewiseField, x: np.ndarray, face: SignVector) -> np.ndarray:
+    """Vertex rows of the hull: the values at x of the declared cells
+    adjacent to ``face``."""
     cells = F.adjacent_cells(face)
     if not cells:
         raise ModelError(f"no declared cell adjacent to x={x.tolist()}")
-    return Polytope(np.array([F.cell_value(sigma, x) for sigma in cells]))
+    return np.array([F.cell_value(sigma, x) for sigma in cells])
 
 
 def _face(g, surfaces) -> tuple[int, ...]:
@@ -235,7 +236,7 @@ def classify_point(F: PiecewiseField, x) -> SurfaceClassification:
     tol = default_active_tol(x)
     g = F.switch_values(x)
     active = tuple(j for j, v in enumerate(g) if _active(v, tol))
-    witness = _hull_at(F, x, _face(g, active))
+    witness = Polytope(_hull_at(F, x, _face(g, active)))
     if len(active) != 1:
         return SurfaceClassification(TANGENT if active else CONTINUITY, active, witness)
     kind, alpha, beta = _normal_kind(*_sides(F, x, active[0], g))

@@ -61,10 +61,6 @@ class Polytope:
         return cls(np.zeros((0, dim)), dim)
 
     @classmethod
-    def singleton(cls, point) -> "Polytope":
-        return cls(np.atleast_2d(np.asarray(point, dtype=float)))
-
-    @classmethod
     def interval(cls, lo: float, hi: float) -> "Polytope":
         return cls([[lo], [hi]])
 
@@ -328,8 +324,7 @@ def distance_to_hull(P: Polytope, y) -> float:
         raise EmptySetError("distance to the empty polytope")
     if y.shape[0] != P.dim:
         raise DimensionMismatchError("point dimension mismatch")
-    shifted = Polytope(P.vertices - y, P.dim)
-    return float(np.linalg.norm(least_norm(shifted).point))
+    return float(np.linalg.norm(_least_norm_point(P.vertices - y)))
 
 
 def contains(P: Polytope, y, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -453,7 +448,7 @@ class ConvexPolygon:
 
     ``edge_offsets`` is the one point-to-edge distance kernel: the boundary
     distance, containment and the packing code all read it, or the cached
-    ``edge_vectors`` and ``inward_normals`` beside it.
+    ``edge_vectors``, ``inward_normals`` and ``line_offsets`` beside it.
     """
 
     vertices: np.ndarray  # (n, 2)
@@ -500,6 +495,15 @@ class ConvexPolygon:
         n /= np.linalg.norm(n, axis=1)[:, None]
         n.flags.writeable = False
         return n
+
+    @functools.cached_property
+    def line_offsets(self) -> np.ndarray:
+        """n_i . v_i for the inward normal n_i and first vertex v_i of every
+        edge, shape (n_edges,): a point p is beyond edge i's line exactly
+        where n_i . p < n_i . v_i."""
+        c = (self.inward_normals * self.vertices).sum(axis=1)
+        c.flags.writeable = False
+        return c
 
     @functools.cached_property
     def _squared_lengths(self) -> np.ndarray:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,7 +53,7 @@ from .fields import (
     _tangent_combination,
     default_active_tol,
 )
-from .geometry import _least_norm_point, as_point, least_norm, vector_norm
+from .geometry import _least_norm_point, as_point, vector_norm
 from .nonsmooth import Graph, NsFunction, disagreement_function
 
 SURFACE_HIT = "SurfaceHit"
@@ -197,10 +197,7 @@ class Trajectory:
             "times": self.times.tolist(),
             "states": self.states.tolist(),
             "modes": self.modes,
-            "events": [
-                {"time": ev.time, "kind": ev.kind, "detail": ev.detail}
-                for ev in self.events
-            ],
+            "events": [asdict(ev) for ev in self.events],
         }
 
     @classmethod
@@ -309,14 +306,17 @@ def rk4_step(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float,
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_start(x: np.ndarray, t_end: float, dim: int | None = None):
-    """Reject a run that could only fail, produce NaN states or take no step."""
+def _check_start(x0, t_end: float, dim: int | None = None) -> np.ndarray:
+    """x0 as a float array; reject a run that could only fail, produce NaN
+    states or take no step."""
+    x = np.asarray(x0, dtype=float)
     if dim is not None and x.shape != (dim,):
         raise DimensionMismatchError(f"initial state of shape {x.shape}, model dimension {dim}")
     if not np.all(np.isfinite(x)):
         raise ModelError("initial state must be finite")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ModelError(f"t_end must be finite and positive, got {t_end}")
+    return x
 
 
 def _step_count(span: float, dt_max: float) -> int:
@@ -530,15 +530,15 @@ class _FilippovRun:
         admit a tangent combination; else take one regular step into the
         cell that the selection points into."""
         x = self.b.x
-        hull = _hull_at(self.F, x, _face(g, active))
-        v = least_norm(hull).point
+        rows = _hull_at(self.F, x, _face(g, active))
+        v = _least_norm_point(rows)
         if float(np.linalg.norm(v)) <= max(self.cfg.conv_tol, 1e-12):
             self.b.event(CONVERGED, "least-norm selection vanished")
             return True
         normals = np.array([self.F.switches[j].grad(x) for j in active])
         if slide and len(active) > 1:
             try:
-                _, self.lam = _tangent_combination(hull.vertices, normals)
+                _, self.lam = _tangent_combination(rows, normals)
                 self.S = tuple(active)
                 self.b.event(SLIDE_ENTER, f"surface {','.join(map(str, active))}")
                 return False
@@ -615,8 +615,7 @@ def integrate_filippov(F: PiecewiseField, x0, t_end: float,
                        cfg: IntegratorConfig | None = None) -> Trajectory:
     """Event-driven integration of the convexified dynamics of F."""
     cfg = cfg or IntegratorConfig()
-    x0 = np.asarray(x0, dtype=float)
-    _check_start(x0, t_end, F.dim)
+    x0 = _check_start(x0, t_end, F.dim)
     run = _FilippovRun(F, x0, cfg)
     return _drive(run.b, float(t_end), cfg, run.step)
 
@@ -637,8 +636,7 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
     almost-everywhere semantics of the integral form.
     """
     cfg = cfg or IntegratorConfig()
-    x = np.asarray(x0, dtype=float)
-    _check_start(x, t_end, F.dim)
+    x = _check_start(x0, t_end, F.dim)
 
     # The start's read picks the cell and serves the first step, as in _FilippovRun.
     tol = cfg.event_refine_tol
@@ -686,8 +684,7 @@ def integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: flo
     """
     if method not in ("euler", "rk4"):
         raise ValueError("method must be euler or rk4")
-    x = np.asarray(x0, dtype=float)
-    _check_start(x, t_end)
+    x = _check_start(x0, t_end)
     b = _Builder(0.0, x, "R:")
     radius = 5.0 * cfg.dt_max
     ends = 2.0 * radius * (1.0 + 1e-6)
@@ -739,7 +736,7 @@ def gradient_flow(f: NsFunction, variant: str, x0, t_end: float,
     if variant not in ("natural", "normalized", "signed"):
         raise ValueError("variant must be natural, normalized, or signed")
     # The flow keeps x0's shape, so one check covers every state.
-    x0 = f._check(x0)
+    x0 = _check_start(x0, t_end, f.dim)
 
     if variant == "natural":
         if not f.regular:
@@ -826,9 +823,6 @@ def consensus_flow(G: Graph, variant: str, p0, t_end: float,
     cfg = cfg or IntegratorConfig()
     if variant not in ("smooth", "norm", "sign"):
         raise ValueError("variant must be smooth, norm, or sign")
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape[0] != G.n:
-        raise ModelError("initial state length must match the number of agents")
     if variant == "smooth":
         L = G.laplacian()
         field = PiecewiseField(G.n, [], {(): lambda p: -(L @ p)}, name="laplacian_flow")
@@ -893,9 +887,8 @@ def sample_and_hold(C: ControlField, feedback: Callable[[float, np.ndarray], np.
     ModelError naming the first such time.  A ``StepLimit`` event ends the
     run before an interval whose substeps would exceed ``max_steps``."""
     cfg = cfg or IntegratorConfig()
-    x = np.asarray(x0, dtype=float)
     # The schedule's span is finite and positive by construction.
-    _check_start(x, float(np.ptp(schedule.breakpoints)), C.dim)
+    x = _check_start(x0, float(np.ptp(schedule.breakpoints)), C.dim)
     bp = schedule.breakpoints.tolist()
     b = _Builder(bp[0], x, "R:")
     steps = 0

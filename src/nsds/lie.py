@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -27,7 +27,6 @@ from .geometry import (
     OPTIMAL,
     Polytope,
     _maximin_rows,
-    maximin_value,
     solve_lp,
     vector_norm,
 )
@@ -137,9 +136,10 @@ def lower_upper_lie(Fset: Polytope, prox) -> tuple[LieInterval, LieInterval]:
     if Fset.dim != prox.dim:
         raise DimensionMismatchError("dimension mismatch")
 
-    M = prox.vertices @ Fset.vertices.T
-    lower = LieInterval.closed(float(M.min()), maximin_value(prox, Fset))
-    upper = LieInterval.closed(-maximin_value(prox, Fset.scaled(-1.0)), float(M.max()))
+    P, V = prox.vertices, Fset.vertices
+    M = P @ V.T
+    lower = LieInterval.closed(float(M.min()), _maximin_rows(P, V))
+    upper = LieInterval.closed(-_maximin_rows(P, -V), float(M.max()))
     return lower, upper
 
 
@@ -242,16 +242,7 @@ class StabilityReport:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "verdict": self.verdict,
-            "theorem": self.theorem,
-            "checked_points": self.checked_points,
-            "witness": self.witness,
-            "failed_clause": self.failed_clause,
-            "grid": self.grid,
-            "details": self.details,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 FieldSource = Callable[[np.ndarray], Polytope]

@@ -602,9 +602,8 @@ def neg_smq_function(Q: ConvexPolygon) -> MaxOf:
     Uses perpendicular distances to the edge lines, which agree with the
     boundary distance on the polygon itself.
     """
-    offsets = (Q.inward_normals * Q.vertices).sum(axis=1)
     atoms = [affine_atom(-n, float(c), name=f"-edge{i}")
-             for i, (n, c) in enumerate(zip(Q.inward_normals, offsets))]
+             for i, (n, c) in enumerate(zip(Q.inward_normals, Q.line_offsets))]
     return MaxOf(atoms, name="-sm_Q")
 
 
@@ -740,12 +739,11 @@ def hsp_function(Q: ConvexPolygon, n: int) -> MinOf:
     children: list[NsFunction] = [
         _half_pair_distance(n, i, j) for i in range(n) for j in range(i + 1, n)
     ]
-    offsets = (Q.inward_normals * Q.vertices).sum(axis=1)
     for i in range(n):
-        for e, normal in enumerate(Q.inward_normals):
+        for e, (normal, c) in enumerate(zip(Q.inward_normals, Q.line_offsets)):
             coeff = np.zeros(2 * n)
             coeff[2 * i : 2 * i + 2] = normal
-            children.append(affine_atom(coeff, -float(offsets[e]), name=f"p{i + 1}-edge{e}"))
+            children.append(affine_atom(coeff, -float(c), name=f"p{i + 1}-edge{e}"))
     return MinOf(children, name="packing_radius")
 
 

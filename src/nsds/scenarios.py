@@ -1,9 +1,9 @@
 """Packaged scenario catalog.
 
-Each scenario bundles a builder for its dynamic model, default constants, a
-default candidate Lyapunov function from the nonsmooth catalog, and a short
-note on the physical setup.  Builders validate through the underlying module
-constructors.
+Each scenario bundles a builder for its dynamic model, default constants and
+a default candidate Lyapunov function from the nonsmooth catalog; README's
+catalog table describes each one.  Builders validate through the underlying
+module constructors.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .geometry import ConvexPolygon, Polytope, _least_norm_point
 from .integrate import (
     IntegratorConfig,
     Trajectory,
+    _check_start,
     consensus_flow,
     integrate_filippov,
     integrate_pointwise,
@@ -32,7 +33,6 @@ class Scenario:
     name: str
     constants: dict
     lyapunov: str | None
-    note: str
     builder: Callable[[dict], object]
     runner: Callable[..., Trajectory] | None = None
 
@@ -153,6 +153,10 @@ class MoveAwayLaw:
     n: int
     tie_band: float = 1e-6
 
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"the number of agents n must be nonnegative, got {self.n}")
+
     def direction(self, p_flat: np.ndarray) -> np.ndarray:
         pts = np.asarray(p_flat, dtype=float).reshape(self.n, 2)
         if not all(map(math.isfinite, pts.ravel().tolist())):  # cheaper than np.isfinite
@@ -172,10 +176,9 @@ class MoveAwayLaw:
         re = np.sqrt((edge * edge).sum(axis=2))
         if np.fmin.reduce(re, axis=None, initial=np.inf) <= 1e-12:
             raise ModelError("agent sits on the boundary")
-        # The nearest point of an edge lies on its line, so the offset has a
-        # negative inward component (ccw: t x offset < 0) exactly outside.
-        t = self.polygon.edge_vectors
-        if (t[:, 0] * edge[:, :, 1] < t[:, 1] * edge[:, :, 0]).any():
+        # Outside is beyond an edge's line, decided on the positions, which
+        # stay finite where the edge offsets overflow to NaN.
+        if (pts @ self.polygon.inward_normals.T < self.polygon.line_offsets).any():
             raise ModelError("agent outside the polygon")
         dists = np.concatenate([0.5 * r, re], axis=1)
         dirs = np.concatenate([pair / r[:, :, None], edge / re[:, :, None]], axis=1)
@@ -229,9 +232,7 @@ def move_away_flow(law: MoveAwayLaw, x0, t_end: float, cfg: IntegratorConfig) ->
     travel, so that fixed steps slide along a tie instead of chattering
     across it.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape[0] != 2 * law.n:
-        raise ModelError(f"state length {x0.shape[0]} != 2n = {2 * law.n}")
+    x0 = _check_start(x0, t_end, 2 * law.n)
     law = replace(law, tie_band=max(4.0 * cfg.dt_max, 1e-6))
     return integrate_pointwise(law.direction, x0, t_end, cfg, method="euler")
 
@@ -286,80 +287,60 @@ def _nonholonomic_control(c: dict) -> ControlField:
 # Registry.
 # ---------------------------------------------------------------------------
 
-SCENARIOS: dict[str, Scenario] = {}
-
-
-def _register(s: Scenario):
-    SCENARIOS[s.name] = s
-
-
-_register(Scenario(
-    name="brick",
-    constants={"theta": math.pi / 6.0, "nu": 1.0, "g": 9.8},
-    lyapunov=None,
-    note="Rigid brick on an inclined plane with Coulomb friction; the state is the velocity along the ramp.",
-    builder=_brick_field,
-))
-
-_register(Scenario(
-    name="oscillator",
-    constants={},
-    lyapunov="energy_oscillator",
-    note="Unit mass with a constant-magnitude restoring force toward the origin.",
-    builder=_oscillator_field,
-))
-
-_register(Scenario(
-    name="oscillator_dissipative",
-    constants={"k": 0.75},
-    lyapunov="energy_oscillator",
-    note="Relay oscillator with an additional velocity relay providing dissipation.",
-    builder=_oscillator_dissipative_field,
-))
-
-_register(Scenario(
-    name="move_away_1",
-    constants={},
-    lyapunov="neg_smq",
-    note="One robot in the unit square moving away from the nearest wall; discontinuous on the diagonals.",
-    builder=lambda c: move_away_square_field(),
-))
-
-_register(Scenario(
-    name="sphere_packing",
-    constants={"n": 5},
-    lyapunov="hsp",
-    note="Sphere packing in a convex polygon driven by the multi-agent move-away law; the packing radius grows along runs.",
-    builder=lambda c: MoveAwayLaw(ConvexPolygon.square(1.0), int(c["n"])),
-    runner=move_away_flow,
-))
-
-_register(Scenario(
-    name="consensus",
-    constants={},
-    lyapunov="disagreement",
-    note="Finite-time consensus of the agents of x0 on a path graph via sign-quantized descent of the disagreement.",
-    builder=lambda c: Graph.path(3),
-    # The built path is a 3-agent default; the runner sizes its path from x0.
-    runner=lambda _, x0, t_end, cfg: consensus_flow(
-        Graph.path(x0.shape[0]), "sign", x0, t_end, cfg).trajectory,
-))
-
-_register(Scenario(
-    name="cart",
-    constants={"sigma": 1.0},
-    lyapunov="cart_lyapunov",
-    note="Cart whose input field traces circles tangent to the horizontal axis; stabilizable only through discontinuous feedback.",
-    builder=_cart_control,
-))
-
-_register(Scenario(
-    name="nonholonomic_integrator",
-    constants={},
-    lyapunov=None,
-    note="Canonical drift-free system that admits no continuous stabilizer; provided as a direction-set model only.",
-    builder=_nonholonomic_control,
-))
+SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
+    Scenario(
+        name="brick",
+        constants={"theta": math.pi / 6.0, "nu": 1.0, "g": 9.8},
+        lyapunov=None,
+        builder=_brick_field,
+    ),
+    Scenario(
+        name="oscillator",
+        constants={},
+        lyapunov="energy_oscillator",
+        builder=_oscillator_field,
+    ),
+    Scenario(
+        name="oscillator_dissipative",
+        constants={"k": 0.75},
+        lyapunov="energy_oscillator",
+        builder=_oscillator_dissipative_field,
+    ),
+    Scenario(
+        name="move_away_1",
+        constants={},
+        lyapunov="neg_smq",
+        builder=lambda c: move_away_square_field(),
+    ),
+    Scenario(
+        name="sphere_packing",
+        constants={"n": 5},
+        lyapunov="hsp",
+        builder=lambda c: MoveAwayLaw(ConvexPolygon.square(1.0), int(c["n"])),
+        runner=move_away_flow,
+    ),
+    Scenario(
+        name="consensus",
+        constants={},
+        lyapunov="disagreement",
+        builder=lambda c: Graph.path(3),
+        # The built path is a 3-agent default; the runner sizes its path from x0.
+        runner=lambda _, x0, t_end, cfg: consensus_flow(
+            Graph.path(x0.shape[0]), "sign", x0, t_end, cfg).trajectory,
+    ),
+    Scenario(
+        name="cart",
+        constants={"sigma": 1.0},
+        lyapunov="cart_lyapunov",
+        builder=_cart_control,
+    ),
+    Scenario(
+        name="nonholonomic_integrator",
+        constants={},
+        lyapunov=None,
+        builder=_nonholonomic_control,
+    ),
+)}
 
 # Aliases: the descent flow of -sm_Q on the unit square is the move-away field.
 SCENARIOS["move_away_n"] = SCENARIOS["sphere_packing"]

@@ -29,6 +29,7 @@ from nsds.scenarios import (
     MoveAwayLaw,
     cart_feedback,
     get_scenario,
+    move_away_flow,
     move_away_square_field,
 )
 from nsds.fields import ControlField
@@ -330,6 +331,14 @@ class TestGradientFlows:
             vals = np.array([f(x) for x in tr.states])
             assert np.all(np.diff(vals) <= 1e-8)
 
+    def test_signed_abs_sum_stops_at_the_origin(self):
+        tr = gradient_flow(make_function("abs_sum", dim=2), "signed", [0.3, -0.2], 1.0,
+                           IntegratorConfig(dt_max=1e-2))
+        assert len(tr.times) == 101
+        assert [(e.kind, e.detail) for e in tr.events] == [("Converged", "flow direction vanished")]
+        assert abs(tr.events[0].time - 0.3) <= 1e-2
+        assert np.linalg.norm(tr.final_state) <= 1e-12
+
     def test_irregular_rejected(self):
         from nsds.errors import ModelError
 
@@ -578,6 +587,15 @@ class TestMoveAwayAgents:
             with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
                 law.direction(np.array(p))
 
+    def test_direction_rejects_a_far_outside_agent(self):
+        # The first agent's edge offsets overflow to NaN; its position
+        # still lies beyond an edge's line.
+        polygon = ConvexPolygon([[-10, -10], [10, -12], [12, 10], [-9, 11]])
+        law = MoveAwayLaw(polygon, 2)
+        with np.errstate(all="ignore"), pytest.raises(ModelError,
+                                                      match="^agent outside the polygon$"):
+            law.direction(np.array([1e308, -1e308, 10.0, 0.0]))
+
     def test_direction_with_no_agent_or_one(self):
         square = ConvexPolygon.square(1.0)
         none = MoveAwayLaw(square, 0).direction(np.array([]))
@@ -676,7 +694,9 @@ class TestFixedStepLoops:
                 run()
         assert not calls
 
-    @pytest.mark.parametrize("run", ["filippov", "caratheodory", "sample_and_hold"])
+    @pytest.mark.parametrize("run", ["filippov", "caratheodory", "sample_and_hold",
+                                     "gradient_flow", "consensus_smooth", "consensus_norm",
+                                     "consensus_sign", "move_away_flow"])
     def test_start_of_wrong_length_is_rejected_before_any_field_call(self, run):
         calls = []
 
@@ -692,6 +712,14 @@ class TestFixedStepLoops:
              "sample_and_hold": lambda: sample_and_hold(
                  C, lambda t, x: calls.append(1) or np.zeros(1),
                  PartitionSchedule.uniform(0.0, 1.0, 4), [1.0]),
+             # A column of the right size is not a start either.
+             "gradient_flow": lambda: gradient_flow(
+                 make_function("abs_sum", dim=2), "signed", [[0.3], [-0.2]], 1.0),
+             "consensus_smooth": lambda: consensus_flow(Graph.path(3), "smooth", [0.0, 1.0], 1.0),
+             "consensus_norm": lambda: consensus_flow(Graph.path(3), "norm", [0.0, 1.0], 1.0),
+             "consensus_sign": lambda: consensus_flow(Graph.path(3), "sign", [0.0, 1.0], 1.0),
+             "move_away_flow": lambda: move_away_flow(
+                 MoveAwayLaw(ConvexPolygon.square(1.0), 2), [0.1, 0.2], 1.0, IntegratorConfig()),
              }[run]()
         assert not calls
 

@@ -53,6 +53,12 @@ class TestCatalog:
         with pytest.raises(UnsupportedError):
             get_scenario("nonholonomic_integrator").simulate([0.0, 0.0, 0.0], 1.0)
 
+    def test_readme_catalog_table_names_every_scenario(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Scenario catalog", 1)[1].split("\n\n", 2)[1]
+        names = [row.split("|")[1].strip().strip("`") for row in table.splitlines()[2:]]
+        assert sorted(names) == sorted(SCENARIOS)
+
     def test_duplicates_are_aliases(self):
         assert SCENARIOS["move_away_n"] is SCENARIOS["sphere_packing"]
         assert SCENARIOS["smq_flow"] is SCENARIOS["move_away_1"]
@@ -125,12 +131,14 @@ class TestCli:
          "DimensionMismatch:"),
         (["simulate", "--scenario", "oscillator", "--x0", "1", "--t-end", "1",
           "--out", "OUT"], "DimensionMismatch:"),
+        (["simulate", "--scenario", "sphere_packing", "--x0", "0.1,0.2", "--t-end", "1",
+          "--out", "OUT"], "DimensionMismatch:"),
         (["gradient", "--function", "abs", "--point", "nan"], "Model:"),
         (["filippov-set", "--scenario", "brick", "--point", "nan"], "Model:"),
         (["simulate", "--scenario", "oscillator", "--x0", "1,0", "--t-end", "1",
           "--dt-max", "nan", "--out", "OUT"], "ValueError: dt_max must be finite and positive"),
-    ], ids=["sample-hold-short-x0", "simulate-short-x0", "gradient-nan", "filippov-set-nan",
-            "simulate-nan-dt-max"])
+    ], ids=["sample-hold-short-x0", "simulate-short-x0", "simulate-packing-short-x0",
+            "gradient-nan", "filippov-set-nan", "simulate-nan-dt-max"])
     def test_bad_point_exits_1_with_a_typed_error(self, argv, err, tmp_path, capsys):
         argv = [str(tmp_path / "never.csv") if a == "OUT" else a for a in argv]
         assert main(argv) == 1
@@ -248,6 +256,34 @@ class TestCli:
             assert all(triangle.contains_point(p) for p in x.reshape(3, 2))
         assert payload["final_hsp"] == hsp(triangle, tr.final_state.reshape(3, 2))
 
+    def test_pack_rejects_a_negative_number_of_agents(self, capsys):
+        assert main(["pack", "--n", "-1", "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("ValueError: the number of agents n")
+
+    def test_json_trajectory_feeds_plot_data(self, tmp_path):
+        traj, table = tmp_path / "orbit.json", tmp_path / "orbit.dat"
+        code, out = run_cli("simulate", "--scenario", "oscillator", "--x0", "1,0",
+                            "--t-end", "1", "--format", "json", "--out", str(traj))
+        assert code == 0
+        samples = json.loads(out)["samples"]
+        code, out = run_cli("plot-data", "--traj", str(traj), "--kind", "phase",
+                            "--out", str(table))
+        assert code == 0
+        assert json.loads(out)["rows"] == samples
+        assert len(table.read_text().splitlines()) == samples
+
+    @pytest.mark.parametrize("argv", [
+        ["consensus", "--graph", "1-2,2-3", "--variant", "sign", "--p0", "0,1,5", "--t-end", "1"],
+        ["sample-hold", "--scenario", "cart", "--x0", "0.6,0.3", "--diam", "0.01",
+         "--t-end", "0.5"],
+    ], ids=["consensus", "sample-hold"])
+    def test_out_file_ends_at_the_printed_final_state(self, argv, tmp_path):
+        out_file = tmp_path / "run.csv"
+        code, out = run_cli(*argv, "--out", str(out_file))
+        assert code == 0
+        tr = Trajectory.from_csv(out_file.read_text())
+        assert tr.final_state.tolist() == json.loads(out)["final_state"]
+
     @pytest.mark.parametrize("name", ["consensus", "sphere_packing", "move_away_n"])
     def test_lyapunov_on_a_flow_scenario_is_unsupported(self, name, capsys):
         code = main(["lyapunov", "--scenario", name, "--function", "abs_sum",
@@ -277,7 +313,10 @@ class TestCli:
          "--t-end", "inf"],
         ["plot-data", "--traj", "EMPTY", "--kind", "time", "--out", "OUT"],
         ["plot-data", "--traj", "SHORT", "--kind", "time", "--out", "OUT"],
-    ], ids=["zero-diam", "negative-diam", "infinite-t-end", "empty-csv", "short-row"])
+        ["simulate", "--scenario", "brick", "--const", "theta", "--x0", "1", "--t-end", "1",
+         "--out", "OUT"],
+    ], ids=["zero-diam", "negative-diam", "infinite-t-end", "empty-csv", "short-row",
+            "const-without-value"])
     def test_bad_schedule_or_trajectory_file_exits_1(self, argv, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
