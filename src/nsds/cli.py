@@ -30,7 +30,7 @@ from .integrate import (
     consensus_flow,
     sample_and_hold,
 )
-from .lie import GridSpec, exclude_band, lyapunov_certify, monotonicity_verdict
+from .lie import _CHECKS, GridSpec, exclude_band, lyapunov_certify, monotonicity_verdict
 from .nonsmooth import ALL_SPACE, UNSUPPORTED, Graph, NsFunction, hsp, make_function
 from .scenarios import MoveAwayLaw, cart_feedback, get_scenario, move_away_flow
 
@@ -357,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     lyap = sub.add_parser("lyapunov", help="sample-based stability certification")
     lyap.add_argument("--scenario", required=True)
     lyap.add_argument("--function", required=True)
-    lyap.add_argument("--theorem", required=True,
-                      choices=("thm1", "thm1p", "thm3", "thm3p", "prop13w", "prop13s"))
+    lyap.add_argument("--theorem", required=True, choices=tuple(_CHECKS))
     lyap.add_argument("--grid", required=True, metavar="LO:HI:N,...")
     lyap.add_argument("--const", action="append", metavar="K=V")
     lyap.add_argument("--equilibrium")

@@ -108,10 +108,6 @@ class PiecewiseField:
             cells = table.get
         self.cell: Callable[[SignVector], CellField | None] = cells
 
-    @property
-    def n_switches(self) -> int:
-        return len(self.switches)
-
     def switch_values(self, x: np.ndarray) -> np.ndarray:
         """Every switching function at x; a non-finite value raises ModelError
         naming its surface, since no sign or activity can be read from it."""
@@ -368,10 +364,6 @@ class OneSidedLipschitzVerdict:
     witness: tuple[np.ndarray, np.ndarray] | None = None
     margin: float = 0.0
 
-    @property
-    def label(self) -> str:
-        return "Violated" if self.violated else "NotFalsified"
-
 
 def one_sided_lipschitz_test(
     F: PiecewiseField,
@@ -385,30 +377,31 @@ def one_sided_lipschitz_test(
 ) -> OneSidedLipschitzVerdict:
     """Monte-Carlo falsifier for the one-sided Lipschitz growth bound.
 
-    Draws sample pairs in the ball around x, avoiding the switching surfaces,
-    and reports a witness pair on the first violation.  A NotFalsified result
-    is only the absence of a counterexample, never a certificate: the bound
-    is quantified over almost every pair.
+    Draws sample pairs in the ball around x, keeping the points that
+    ``F.sign_vector`` puts off every surface (the band of ``F.value``), and
+    reports a witness pair on the first violation.  A result that is not
+    violated is only the absence of a counterexample, never a certificate:
+    the bound is quantified over almost every pair.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
-    band = 1e-9 * (1.0 + float(np.linalg.norm(x)) + eps)
 
-    def draw() -> np.ndarray:
+    def draw() -> tuple[np.ndarray, np.ndarray]:
+        """A point off every surface and the field value of its cell there."""
         for _ in range(1000):
             y = x + eps * (2.0 * rng.random(F.dim) - 1.0)
-            if np.linalg.norm(y - x) <= eps and all(
-                not _active(s.value(y), band) for s in F.switches
-            ):
-                return y
+            if np.linalg.norm(y - x) <= eps:
+                sigma = F.sign_vector(y)
+                if 0 not in sigma:
+                    return y, F.cell_value(sigma, y)
         raise ModelError("could not sample off the switching surfaces")
 
     for _ in range(samples):
-        y, yp = draw(), draw()
+        (y, fy), (yp, fyp) = draw(), draw()
         diff = y - yp
-        lhs = float((F.value(y) - F.value(yp)) @ diff)
+        lhs = float((fy - fyp) @ diff)
         rhs = L * float(diff @ diff) + tol
         if lhs > rhs:
             return OneSidedLipschitzVerdict(True, witness=(y, yp), margin=lhs - rhs)

@@ -77,11 +77,6 @@ class Polytope:
             return self
         return Polytope(s * self.vertices, self.dim)
 
-    def translated(self, b) -> "Polytope":
-        if self.is_empty:
-            return self
-        return Polytope(self.vertices + np.asarray(b, dtype=float), self.dim)
-
     def to_json_dict(self) -> dict:
         return {"dim": self.dim, "vertices": self.vertices.tolist()}
 

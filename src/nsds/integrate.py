@@ -109,7 +109,8 @@ def sign_string(sigma: Sequence[int]) -> str:
     return "".join("+" if s > 0 else "-" for s in sigma)
 
 
-def regular_mode(sigma: Sequence[int]) -> str:
+@functools.cache
+def regular_mode(sigma: tuple[int, ...]) -> str:
     return "R:" + sign_string(sigma)
 
 
@@ -279,9 +280,8 @@ class _Builder:
         n = len(self.times)
         if n <= window:
             return False
+        # append and hold keep the times strictly increasing, so dt > 0.
         dt = self.times[-1] - self.times[-1 - window]
-        if dt <= 0:
-            return False
         # True iff every displacement over the window is within the bound;
         # the first one beyond it (or NaN) settles the answer.
         bound = conv_tol * dt
@@ -458,20 +458,13 @@ class _FilippovRun:
     def __init__(self, F: PiecewiseField, x0: np.ndarray, cfg: IntegratorConfig):
         self.F = F
         self.cfg = cfg
-        self._modes: dict[tuple[int, ...], str] = {}
         self.read = _end_values(F, 0.0, x0, cfg.event_refine_tol)
         g, band = self.read
         active = [j for j, v in enumerate(g) if _active(v, band)]
-        label = sliding_mode(active) if active else self._mode(_face(g, ()))
+        label = sliding_mode(active) if active else regular_mode(_face(g, ()))
         self.b = _Builder(0.0, x0, label)
         self.S: tuple[int, ...] = ()
         self.lam = np.empty(0)
-
-    def _mode(self, sigma: tuple[int, ...]) -> str:
-        mode = self._modes.get(sigma)
-        if mode is None:
-            mode = self._modes[sigma] = regular_mode(sigma)
-        return mode
 
     def _cut(self, flow, h: float, g, watched, mode: str) -> int | None:
         """Append the step flow cut at its first watched crossing; return
@@ -505,7 +498,7 @@ class _FilippovRun:
         ``skip`` or within ``event_refine_tol`` (it cannot cross those)."""
         tol = self.cfg.event_refine_tol
         watched = [j for j, v in enumerate(g) if j not in skip and not _active(v, tol)]
-        i = self._cut(_cell_flow(self.F, sigma, self.b.x, h), h, g, watched, self._mode(sigma))
+        i = self._cut(_cell_flow(self.F, sigma, self.b.x, h), h, g, watched, regular_mode(sigma))
         if i is not None:
             self.b.event(SURFACE_HIT, f"surface {i}")
 
@@ -645,21 +638,20 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
     cells = [branch] if branch is not None and 0 in base else F.adjacent_cells(base)
     if not cells:
         raise ModelError(f"no declared cell adjacent to {x.tolist()}")
-    sigma = cells[0]
-    mode = regular_mode(sigma)
-    b = _Builder(0.0, x, mode)
+    sigma = tuple(cells[0])
+    b = _Builder(0.0, x, regular_mode(sigma))
 
     def step(h: float) -> bool:
-        nonlocal sigma, mode, g
+        nonlocal sigma, g
         watched = [j for j, v in enumerate(g) if not _active(v, tol)]
-        i, (g, _) = _cut_step(F, b, _cell_flow(F, sigma, b.x, h), h, g, watched, tol, mode)
+        i, (g, _) = _cut_step(F, b, _cell_flow(F, sigma, b.x, h), h, g, watched, tol,
+                              regular_mode(sigma))
         if i is not None:
             b.event(SURFACE_HIT, f"surface {i}")
             new_sigma = list(sigma)
             new_sigma[i] = -sigma[i]
             if F.adjacent_cells(tuple(new_sigma)):
                 sigma = tuple(new_sigma)
-                mode = regular_mode(sigma)
         return False
 
     return _drive(b, t_end, cfg, step)

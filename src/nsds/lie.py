@@ -49,10 +49,6 @@ class LieInterval:
     def closed(cls, lo: float, hi: float) -> "LieInterval":
         return cls(float(min(lo, hi)), float(max(lo, hi)))
 
-    @classmethod
-    def point(cls, a: float) -> "LieInterval":
-        return cls.closed(a, a)
-
     @property
     def is_empty(self) -> bool:
         return self.lo > self.hi
@@ -353,7 +349,7 @@ def monotonicity_verdict(
     return _sweep(theorem, f, F, region, tol=tol)
 
 
-_THEOREMS = ("thm1", "thm1p", "thm3", "thm3p")
+_THEOREMS = tuple(t for t in _CHECKS if t.startswith("thm"))
 
 
 def lyapunov_certify(

@@ -263,11 +263,7 @@ def cart_feedback(sigma: float = 1.0) -> Callable[[float, np.ndarray], np.ndarra
     the right, and keep the positive choice on the axis itself."""
 
     def u(t: float, x: np.ndarray) -> np.ndarray:
-        if x[0] < 0:
-            return np.array([sigma])
-        if x[0] > 0:
-            return np.array([-sigma])
-        return np.array([sigma])
+        return np.array([-sigma if x[0] > 0 else sigma])
 
     return u
 
@@ -324,9 +320,10 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         constants={},
         lyapunov="disagreement",
         builder=lambda c: Graph.path(3),
-        # The built path is a 3-agent default; the runner sizes its path from x0.
+        # The built path is a 3-agent default; the runner sizes its path from
+        # x0's size, and the run's start check rejects a start that is not 1-D.
         runner=lambda _, x0, t_end, cfg: consensus_flow(
-            Graph.path(x0.shape[0]), "sign", x0, t_end, cfg).trajectory,
+            Graph.path(x0.size), "sign", x0, t_end, cfg).trajectory,
     ),
     Scenario(
         name="cart",

@@ -445,7 +445,7 @@ def chain_proximal(f: NsFunction, x):
                     smooth_grad += ci * chain_gradient(gi, x).polytope.vertices[0]
             if child is ALL_SPACE or child.is_empty:
                 return child
-            return child.scaled(c).translated(smooth_grad)
+            return Polytope(c * child.vertices + smooth_grad, child.dim)
         return _chain_bridge(f, x)
     if isinstance(f, (MaxOf, MinOf, Product, Quotient)):
         return _chain_bridge(f, x)

@@ -42,7 +42,7 @@ def neg_sign_field():
 def declared_cells(F):
     """Every declared cell of F with its field, looked up through the face
     on which all switches are active."""
-    return {k: F.cell(k) for k in F.adjacent_cells((0,) * F.n_switches)}
+    return {k: F.cell(k) for k in F.adjacent_cells((0,) * len(F.switches))}
 
 
 def sign_field():
@@ -196,7 +196,7 @@ def brute_adjacent(declared, sigma):
 
 class TestAdjacentCells:
     def check(self, F, declared):
-        for sigma in itertools.product((-1, 0, 1), repeat=F.n_switches):
+        for sigma in itertools.product((-1, 0, 1), repeat=len(F.switches)):
             assert F.adjacent_cells(sigma) == brute_adjacent(declared, sigma), sigma
 
     def test_catalog_fields(self):
@@ -204,7 +204,7 @@ class TestAdjacentCells:
                   get_scenario("oscillator_dissipative").build(), move_away_square_field(),
                   sign_consensus_field(Graph.path(3)),
                   sign_consensus_field(Graph(4, ((0, 1), (2, 3))))):
-            m = F.n_switches
+            m = len(F.switches)
             declared = [s for s in itertools.product((-1, 1), repeat=m) if F.cell(s) is not None]
             self.check(F, declared)
 
@@ -365,6 +365,17 @@ class TestUniquenessChecks:
         diff = (y - yp)[0]
         assert (np.sign(y[0]) - np.sign(yp[0])) * diff > 10.0 * diff ** 2
 
+    def test_draws_inside_the_field_band_are_redrawn(self):
+        # In a ball of radius 1e-7 many draws land within the field's band
+        # 1e-8 (1 + |y|) of the surface; each is redrawn, never queried there.
+        v = one_sided_lipschitz_test(neg_sign_field(), [0.0], 1e-7, 0.0, 200, seed=0)
+        assert not v.violated and v.witness is None
+        v = one_sided_lipschitz_test(sign_field(), [0.0], 1e-7, 0.0, 200, seed=0)
+        assert v.violated
+        y, yp = v.witness
+        assert y[0] * yp[0] < 0.0
+        assert min(abs(y[0]), abs(yp[0])) > 1e-8
+
     def test_sampling_failure_is_a_model_error(self):
         # A ball far thinner than the surface band has no point off the surface.
         with pytest.raises(ModelError):
@@ -445,7 +456,7 @@ def test_field_from_config_roundtrip(tmp_path):
         },
     }
     F = field_from_config(config)
-    assert F.dim == 2 and F.n_switches == 2
+    assert F.dim == 2 and len(F.switches) == 2
     assert np.allclose(F.value([1.0, 0.5]), [-1.0, 0.0])
     path = tmp_path / "field.json"
     path.write_text(json.dumps(config))

@@ -165,6 +165,52 @@ class TestFilippovIntegrator:
         assert np.all(np.diff(tr.states[:, 0]) >= -1e-12)
         assert tr.final_state[0] > 1.0
 
+    @staticmethod
+    def circle_slide():
+        """Cells rot(x) + x inside the unit circle and rot(x) - x outside, so
+        the slide on the circle is the rotation x' = rot(x)."""
+        rot = lambda x: np.array([-x[1], x[0]])
+        circle = SwitchingSurface(lambda x: float(x @ x - 1.0), lambda x: 2.0 * x)
+        return PiecewiseField(2, [circle], {(-1,): lambda x: rot(x) + x,
+                                            (1,): lambda x: rot(x) - x})
+
+    @staticmethod
+    def equator_slide():
+        """Cells rot(x) - s1 x - s2 e3 around the unit sphere (s1) and the
+        plane x3 = 0 (s2): the slide on the equator is the rotation."""
+        rot = lambda x: np.array([-x[1], x[0], 0.0])
+        e3 = np.array([0.0, 0.0, 1.0])
+        sphere = SwitchingSurface(lambda x: float(x @ x - 1.0), lambda x: 2.0 * x)
+        cell = lambda s1, s2: lambda x: rot(x) - s1 * x - s2 * e3
+        return PiecewiseField(3, [sphere, SwitchingSurface.coordinate(2, 3)],
+                              {(s1, s2): cell(s1, s2) for s1 in (-1, 1) for s2 in (-1, 1)})
+
+    @pytest.mark.parametrize("build, x0, mode", [
+        ("circle_slide", [1.0, 0.0], "S:0"),
+        ("equator_slide", [1.0, 0.0, 0.0], "S:0,1"),
+    ])
+    def test_slide_on_a_curved_surface_is_projected(self, build, x0, mode):
+        # The slide is the rotation from x0, so x(1) = (cos 1, sin 1[, 0]).
+        F = getattr(self, build)()
+        exact = np.array([math.cos(1.0), math.sin(1.0), 0.0])[:len(x0)]
+        errors = []
+        for dt in (0.1, 0.05):
+            tr = integrate_filippov(F, x0, 1.0, IntegratorConfig(dt_max=dt))
+            assert len(tr.times) == round(1.0 / dt) + 1
+            assert [e.kind for e in tr.events] == ["SlideEnter"]
+            assert set(tr.modes) == {mode}
+            for x in tr.states:
+                assert max(abs(s.value(x)) for s in F.switches) <= 1e-10, x
+            errors.append(float(np.linalg.norm(tr.final_state - exact)))
+        assert errors[0] <= 1e-6
+        assert math.log2(errors[0] / errors[1]) >= 3.5
+
+    def test_an_unprojected_step_leaves_the_circle(self):
+        # RK4 does not keep |x| = 1 under the rotation, so the slide above
+        # stays on the circle only through its projection.
+        x = rk4_step(lambda y: np.array([-y[1], y[0]]), np.array([1.0, 0.0]), 0.1)
+        assert abs(x @ x - 1.0) > 1e-10
+
     def test_repulsive_branch_is_deterministic_and_logged(self):
         sign = PiecewiseField(
             1, [SwitchingSurface.coordinate(0, 1)],
@@ -298,6 +344,18 @@ class TestCaratheodory:
         tr = integrate_caratheodory(F, [0.0], 1.0)  # default branch: lexicographic
         assert abs(tr.final_state[0] + 1.0) <= 1e-9
 
+    def test_branch_may_be_a_list(self):
+        F = PiecewiseField(
+            1, [SwitchingSurface.coordinate(0, 1)],
+            {(-1,): lambda x: np.array([-1.0]), (1,): lambda x: np.array([1.0])},
+        )
+        tr = integrate_caratheodory(F, [0.0], 0.5, branch=[1])
+        ref = integrate_caratheodory(F, [0.0], 0.5, branch=(1,))
+        assert len(tr.times) == 501 and tr.modes[0] == "R:+"
+        assert tr.times.tobytes() == ref.times.tobytes()
+        assert tr.states.tobytes() == ref.states.tobytes()
+        assert tr.modes == ref.modes and tr.events == ref.events
+
 
 class TestGradientFlows:
     def test_natural_abs_finite_time(self):
@@ -398,7 +456,7 @@ class TestConsensus:
             expected = {s for s in itertools.product((-1, 1), repeat=len(agents))
                         if not agents or sign_cell_lp_oracle(L, s)}
             F = sign_consensus_field(G)
-            assert F.n_switches == len(agents), G
+            assert len(F.switches) == len(agents), G
             assert set(F.adjacent_cells((0,) * len(agents))) == expected, G
 
     def test_isolated_agent_stays_still(self):
@@ -493,6 +551,10 @@ class TestSampleAndHold:
         cfg = IntegratorConfig(dt_max=1e-3)
         assert self._substeps(PartitionSchedule([0.0, 1.001e-3]), cfg) == 2
         assert self._substeps(PartitionSchedule([0.0, 1e-3]), cfg) == 1
+
+    def test_cart_feedback_keeps_the_positive_choice_on_the_axis(self):
+        u = cart_feedback(1.0)
+        assert [u(0.0, np.array([x1, 0.3]))[0] for x1 in (-0.5, 0.0, 0.5)] == [1.0, 1.0, -1.0]
 
     def test_cart_feedback_decreases_lyapunov(self):
         C = get_scenario("cart").build()
@@ -696,7 +758,8 @@ class TestFixedStepLoops:
 
     @pytest.mark.parametrize("run", ["filippov", "caratheodory", "sample_and_hold",
                                      "gradient_flow", "consensus_smooth", "consensus_norm",
-                                     "consensus_sign", "move_away_flow"])
+                                     "consensus_sign", "move_away_flow",
+                                     "consensus_scenario_scalar", "consensus_scenario_matrix"])
     def test_start_of_wrong_length_is_rejected_before_any_field_call(self, run):
         calls = []
 
@@ -720,8 +783,20 @@ class TestFixedStepLoops:
              "consensus_sign": lambda: consensus_flow(Graph.path(3), "sign", [0.0, 1.0], 1.0),
              "move_away_flow": lambda: move_away_flow(
                  MoveAwayLaw(ConvexPolygon.square(1.0), 2), [0.1, 0.2], 1.0, IntegratorConfig()),
+             # The scenario sizes its path from the start's size.
+             "consensus_scenario_scalar": lambda: get_scenario("consensus").simulate(1.0, 1.0),
+             "consensus_scenario_matrix": lambda: get_scenario("consensus").simulate(
+                 np.ones((2, 2)), 1.0),
              }[run]()
         assert not calls
+
+    @pytest.mark.parametrize("x0, message", [
+        (1.0, "initial state of shape (), model dimension 1"),
+        (np.ones((2, 2)), "initial state of shape (2, 2), model dimension 4"),
+    ])
+    def test_consensus_scenario_start_names_its_size(self, x0, message):
+        with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+            get_scenario("consensus").simulate(x0, 1.0)
 
     def test_sample_and_hold_rejects_non_finite_start(self):
         calls = []

@@ -47,7 +47,7 @@ class TestLieInterval:
         iv = LieInterval.closed(2.0, -1.0)  # endpoints get ordered
         assert (iv.lo, iv.hi) == (-1.0, 2.0)
         assert iv.contains(0.0)
-        assert LieInterval.point(3.0).max_value() == 3.0
+        assert LieInterval.closed(3.0, 3.0).max_value() == 3.0
 
 
 class TestSetLieDerivative:
