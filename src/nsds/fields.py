@@ -83,8 +83,8 @@ class PiecewiseField:
     rule ``sigma -> callable | None`` that returns None for an empty cell.
     Empty cells are simply not declared.  ``m = 0`` (no switches, one cell
     keyed by the empty tuple) models a globally smooth field.  ``cell`` is
-    the one lookup; :meth:`cell_value` and :meth:`adjacent_cells` are its
-    only readers.
+    the one lookup, read by :meth:`adjacent_cells` and :meth:`_cell_fn`; an
+    ``integrate`` step calls ``_cell_fn`` once, then its callable per RK4 stage.
     """
 
     def __init__(
@@ -108,7 +108,7 @@ class PiecewiseField:
             cells = table.get
         self.cell: Callable[[SignVector], CellField | None] = cells
 
-    def switch_values(self, x: np.ndarray) -> np.ndarray:
+    def _switch_list(self, x: np.ndarray) -> list[float]:
         """Every switching function at x; a non-finite value raises ModelError
         naming its surface, since no sign or activity can be read from it."""
         g = [s.value(x) for s in self.switches]
@@ -116,19 +116,27 @@ class PiecewiseField:
             i = next(i for i, v in enumerate(g) if not math.isfinite(v))
             raise ModelError(f"switching function {self.switches[i].name or i} is "
                              f"{g[i]} at x={np.asarray(x).tolist()}")
-        return np.array(g)
+        return g
+
+    def switch_values(self, x: np.ndarray) -> np.ndarray:
+        """Every switching function at x (see :meth:`_switch_list`)."""
+        return np.array(self._switch_list(x))
 
     def sign_vector(self, x: np.ndarray) -> SignVector:
         """Signs of the switch values at x, 0 on the surfaces x lies on."""
         tol = default_active_tol(x)
         return tuple(0 if _active(v, tol) else (1 if v > 0 else -1)
-                     for v in self.switch_values(x))
+                     for v in self._switch_list(x))
 
-    def cell_value(self, sigma: SignVector, x: np.ndarray) -> np.ndarray:
+    def _cell_fn(self, sigma: SignVector) -> CellField:
+        """The callable of declared cell sigma; ModelError if it is not declared."""
         fn = self.cell(tuple(sigma))
         if fn is None:
             raise ModelError(f"no declared cell for sign vector {sigma}")
-        return np.asarray(fn(np.asarray(x, dtype=float)), dtype=float)
+        return fn
+
+    def cell_value(self, sigma: SignVector, x: np.ndarray) -> np.ndarray:
+        return np.asarray(self._cell_fn(sigma)(np.asarray(x, dtype=float)), dtype=float)
 
     def adjacent_cells(self, sigma: SignVector) -> list[SignVector]:
         """Declared cells that border the face ``sigma`` (0 on the active
@@ -230,7 +238,7 @@ def classify_point(F: PiecewiseField, x) -> SurfaceClassification:
     """
     x = _point(F, x)
     tol = default_active_tol(x)
-    g = F.switch_values(x)
+    g = F._switch_list(x)
     active = tuple(j for j, v in enumerate(g) if _active(v, tol))
     witness = Polytope(_hull_at(F, x, _face(g, active)))
     if len(active) != 1:
@@ -255,12 +263,30 @@ def _cell_weights(lam, m: int = -1) -> np.ndarray:
     return w
 
 
+def _tangent_pair(x_minus, x_plus, n: np.ndarray) -> tuple[np.ndarray, tuple[float]]:
+    """(vector, (lam,)): :func:`_tangent_combination` on one surface with
+    normal n, in the closed form lam = alpha / (alpha - beta) on the two side
+    values themselves, clamped to [0, 1]."""
+    alpha, beta = float(n @ x_minus), float(n @ x_plus)
+    scale = _BAND_AT_ORIGIN * (1.0 + abs(alpha) + abs(beta))
+    if abs(alpha) <= scale and abs(beta) <= scale:
+        # Both one-sided fields are already tangent; any weight works.
+        return 0.5 * (x_plus + x_minus), (0.5,)
+    if abs(alpha - beta) <= scale:
+        raise NotSlidingError("equal nonzero normal components admit no tangent combination")
+    lam = alpha / (alpha - beta)
+    if lam < -1e-9 or lam > 1 + 1e-9:
+        raise NotSlidingError(f"tangency coefficients {(lam,)} outside [0, 1]")
+    lam = min(max(lam, 0.0), 1.0)
+    return lam * x_plus + (1.0 - lam) * x_minus, (lam,)
+
+
 def _tangent_combination(values: np.ndarray, normals: np.ndarray,
                          lam: np.ndarray | None = None) -> tuple[np.ndarray, Sequence[float]]:
     """(vector, lam): the combination of the 2^k cell ``values`` around k
     surfaces with weights lam in [0, 1]^k that is tangent to all of them.
-    One surface has the closed form lam = alpha / (alpha - beta); several
-    the multilinear one of Dieci & Lopez (Numer. Math. 117, 2011), with lam
+    One surface has the closed form of :func:`_tangent_pair`; several the
+    multilinear one of Dieci & Lopez (Numer. Math. 117, 2011), with lam
     by Newton from ``lam`` (default 1/2), where no surface may repel given
     the other weights.  Normal parts are compared with _BAND_AT_ORIGIN
     scaled by their own size, never with a band that grows with the state.
@@ -269,33 +295,21 @@ def _tangent_combination(values: np.ndarray, normals: np.ndarray,
     if values.shape[0] != 2**k:
         raise NotSlidingError("a cell around the sliding surfaces is not declared")
     if k == 1:
-        x_minus, x_plus = values
-        alpha, beta = float(normals[0] @ x_minus), float(normals[0] @ x_plus)
-        scale = _BAND_AT_ORIGIN * (1.0 + abs(alpha) + abs(beta))
-        if abs(alpha) <= scale and abs(beta) <= scale:
-            # Both one-sided fields are already tangent; any weight works.
-            return 0.5 * (x_plus + x_minus), (0.5,)
-        if abs(alpha - beta) <= scale:
-            raise NotSlidingError("equal nonzero normal components admit no tangent combination")
-        lam = (alpha / (alpha - beta),)
-    else:
-        parts = normals @ values.T
-        scale = _BAND_AT_ORIGIN * (1.0 + float(np.max(np.abs(parts))))
-        jac = lambda lam: parts @ np.transpose([_cell_weights(lam, m) for m in range(k)])
-        lam = np.full(k, 0.5) if lam is None else lam
-        for _ in range(30):
-            residual = parts @ _cell_weights(lam)
-            if np.max(np.abs(residual)) <= 1e-6 * scale:
-                break
-            lam = lam - np.linalg.lstsq(jac(lam), residual, rcond=None)[0]
-        repels = np.diag(jac(lam)) > scale  # surface m's own part grows from - to + side
-        if not np.max(np.abs(parts @ _cell_weights(lam))) <= scale or np.any(repels):
-            raise NotSlidingError("no tangent combination that every surface attracts")
+        return _tangent_pair(values[0], values[1], normals[0])
+    parts = normals @ values.T
+    scale = _BAND_AT_ORIGIN * (1.0 + float(np.max(np.abs(parts))))
+    jac = lambda lam: parts @ np.transpose([_cell_weights(lam, m) for m in range(k)])
+    lam = np.full(k, 0.5) if lam is None else lam
+    for _ in range(30):
+        residual = parts @ _cell_weights(lam)
+        if np.max(np.abs(residual)) <= 1e-6 * scale:
+            break
+        lam = lam - np.linalg.lstsq(jac(lam), residual, rcond=None)[0]
+    repels = np.diag(jac(lam)) > scale  # surface m's own part grows from - to + side
+    if not np.max(np.abs(parts @ _cell_weights(lam))) <= scale or np.any(repels):
+        raise NotSlidingError("no tangent combination that every surface attracts")
     if min(lam) < -1e-9 or max(lam) > 1 + 1e-9:
         raise NotSlidingError(f"tangency coefficients {lam} outside [0, 1]")
-    if k == 1:
-        lam = (min(max(lam[0], 0.0), 1.0),)
-        return lam[0] * x_plus + (1.0 - lam[0]) * x_minus, lam
     lam = np.clip(lam, 0.0, 1.0)
     return _cell_weights(lam) @ values, lam
 
@@ -307,8 +321,8 @@ def sliding_field(F: PiecewiseField, x, i: int) -> SlidingResult:
     so the result is tangent to the surface.  lam weights the plus-side cell.
     """
     x = _point(F, x)
-    n, sides = _sides(F, x, i, F.switch_values(x))
-    vector, lam = _tangent_combination(sides, n[None, :])
+    n, sides = _sides(F, x, i, F._switch_list(x))
+    vector, lam = _tangent_pair(sides[0], sides[1], n)
     return SlidingResult(vector=vector, lam=float(lam[0]))
 
 
@@ -377,7 +391,7 @@ def one_sided_lipschitz_test(
 ) -> OneSidedLipschitzVerdict:
     """Monte-Carlo falsifier for the one-sided Lipschitz growth bound.
 
-    Draws sample pairs in the ball around x, keeping the points that
+    Draws sample pairs uniformly in the ball around x, keeping those that
     ``F.sign_vector`` puts off every surface (the band of ``F.value``), and
     reports a witness pair on the first violation.  A result that is not
     violated is only the absence of a counterexample, never a certificate:
@@ -391,11 +405,11 @@ def one_sided_lipschitz_test(
     def draw() -> tuple[np.ndarray, np.ndarray]:
         """A point off every surface and the field value of its cell there."""
         for _ in range(1000):
-            y = x + eps * (2.0 * rng.random(F.dim) - 1.0)
-            if np.linalg.norm(y - x) <= eps:
-                sigma = F.sign_vector(y)
-                if 0 not in sigma:
-                    return y, F.cell_value(sigma, y)
+            u = rng.standard_normal(F.dim)  # uniform in the ball, in every dimension
+            y = x + (eps * rng.random() ** (1.0 / F.dim) / np.linalg.norm(u)) * u
+            sigma = F.sign_vector(y)
+            if 0 not in sigma:
+                return y, F.cell_value(sigma, y)
         raise ModelError("could not sample off the switching surfaces")
 
     for _ in range(samples):

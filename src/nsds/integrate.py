@@ -51,6 +51,7 @@ from .fields import (
     _normal_kind,
     _sides,
     _tangent_combination,
+    _tangent_pair,
     default_active_tol,
 )
 from .geometry import _least_norm_point, as_point, vector_norm
@@ -382,7 +383,7 @@ def _end_values(F: PiecewiseField, t: float, x: np.ndarray,
     band = default_active_tol(x)
     if not math.isfinite(band):
         raise ModelError(f"state norm is not finite at t={t}: {x.tolist()}")
-    return F.switch_values(x).tolist(), max(band, refine_tol)
+    return F._switch_list(x), max(band, refine_tol)
 
 
 def _first_crossing(flow, switches, start_vals, end_vals, x_end, watched, refine_tol):
@@ -423,9 +424,10 @@ def _first_crossing(flow, switches, start_vals, end_vals, x_end, watched, refine
 
 
 def _cell_flow(F: PiecewiseField, sigma, x: np.ndarray, h: float):
-    """flow(s): the RK4 step of cell sigma's field from x over s h; the field
-    at x is evaluated once and shared by every fraction."""
-    fcell = lambda y: F.cell_value(sigma, y)
+    """flow(s): the RK4 step of cell sigma's field, looked up once, from x
+    over s h; the field at x is evaluated once and shared by every fraction."""
+    fn = F._cell_fn(sigma)
+    fcell = lambda y: np.asarray(fn(y), dtype=float)
     k1 = fcell(x)
     return lambda s: rk4_step(fcell, x, s * h, k1)
 
@@ -562,11 +564,13 @@ class _FilippovRun:
         """One RK4 step of the tangent combination on S, each stage projected
         onto S, cut at the first crossing of another surface."""
         cfg, S, x = self.cfg, self.S, self.b.x
-        cells = self.F.adjacent_cells(_face(g, S))
+        fns = [self.F._cell_fn(c) for c in self.F.adjacent_cells(_face(g, S))]
         def combination(y):  # Newton starts from the weights at x
-            values = np.array([self.F.cell_value(c, y) for c in cells])
+            values = [np.asarray(fn(y), dtype=float) for fn in fns]
+            if len(values) == 2 == 2 ** len(S):  # one surface: the closed form, no stacking
+                return _tangent_pair(*values, self.F.switches[S[0]].grad(y))
             normals = np.array([self.F.switches[j].grad(y) for j in S])
-            return _tangent_combination(values, normals, self.lam)
+            return _tangent_combination(np.array(values), normals, self.lam)
         try:
             v, self.lam = combination(x)
             lam = self.lam[0]
@@ -815,6 +819,8 @@ def consensus_flow(G: Graph, variant: str, p0, t_end: float,
     cfg = cfg or IntegratorConfig()
     if variant not in ("smooth", "norm", "sign"):
         raise ValueError("variant must be smooth, norm, or sign")
+    if G.n == 0:
+        raise ModelError("consensus needs at least one agent")
     if variant == "smooth":
         L = G.laplacian()
         field = PiecewiseField(G.n, [], {(): lambda p: -(L @ p)}, name="laplacian_flow")

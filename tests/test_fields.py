@@ -15,6 +15,7 @@ from nsds.fields import (
     ControlField,
     PiecewiseField,
     SwitchingSurface,
+    _tangent_combination,
     classify_point,
     control_inclusion,
     field_from_config,
@@ -328,6 +329,76 @@ class TestSlidingField:
             assert 0.0 <= res.lam <= 1.0
 
 
+def _closed_form_slide(x_minus, x_plus, n):
+    """The one-surface tangent combination written out: lam = alpha /
+    (alpha - beta), clamped to [0, 1], with the band 1e-8 (1 + |alpha| +
+    |beta|) for tangent sides and equal normal parts."""
+    alpha, beta = float(n @ x_minus), float(n @ x_plus)
+    scale = 1e-8 * (1.0 + abs(alpha) + abs(beta))
+    if abs(alpha) <= scale and abs(beta) <= scale:
+        return "tangent", 0.5 * (x_plus + x_minus), 0.5
+    if abs(alpha - beta) <= scale:
+        return "equal", None, None
+    lam = alpha / (alpha - beta)
+    if lam < -1e-9 or lam > 1 + 1e-9:
+        return "outside", None, lam
+    kind = "clamped" if not 0.0 <= lam <= 1.0 else "inside"
+    lam = min(max(lam, 0.0), 1.0)
+    return kind, lam * x_plus + (1.0 - lam) * x_minus, lam
+
+
+class TestTangentCombination:
+    def _triples(self):
+        rng = np.random.default_rng(20)
+        for k in range(1000):
+            d = int(rng.integers(1, 5))
+            n = rng.standard_normal(d)
+            x_minus, x_plus = rng.standard_normal(d), rng.standard_normal(d)
+            case = k % 5
+            if case == 1:  # both sides tangent
+                x_minus -= (n @ x_minus) / (n @ n) * n
+                x_plus -= (n @ x_plus) / (n @ n) * n
+            elif case == 2:  # equal normal parts
+                t = rng.standard_normal(d)
+                x_plus = x_minus + (t - (n @ t) / (n @ n) * n)
+            elif case == 3:  # lam a hair outside [0, 1], within the clamp
+                alpha = float(n @ x_minus)
+                x_plus = x_plus - ((n @ x_plus) - alpha * (1e-10 / (1.0 + 1e-10))) / (n @ n) * n
+                x_plus, x_minus = (x_minus, x_plus) if k % 2 else (x_plus, x_minus)
+            yield x_minus, x_plus, n
+
+    def test_one_surface_is_the_closed_form_bit_for_bit(self):
+        kinds = set()
+        for x_minus, x_plus, n in self._triples():
+            kind, vector, lam = _closed_form_slide(x_minus, x_plus, n)
+            kinds.add(kind)
+            values, normals = np.array([x_minus, x_plus]), n[None, :]
+            if vector is None:
+                with pytest.raises(NotSlidingError) as err:
+                    _tangent_combination(values, normals)
+                expected = ("equal nonzero normal components admit no tangent combination"
+                            if kind == "equal" else f"tangency coefficients {(lam,)} outside [0, 1]")
+                assert str(err.value) == expected
+                continue
+            got, got_lam = _tangent_combination(values, normals)
+            assert got_lam == (lam,)
+            assert got.tobytes() == vector.tobytes()
+        assert kinds == {"tangent", "equal", "outside", "clamped", "inside"}
+
+    def test_undeclared_cell_message(self):
+        with pytest.raises(NotSlidingError) as err:
+            _tangent_combination(np.ones((1, 2)), np.ones((1, 2)))
+        assert str(err.value) == "a cell around the sliding surfaces is not declared"
+
+    def test_sliding_field_agrees_with_the_combination(self):
+        F = move_away_square_field()
+        x = np.array([0.3, 0.3])
+        res = sliding_field(F, x, 0)
+        sides = np.array([F.cell_value(c, x) for c in F.adjacent_cells((0, 1))])
+        vector, lam = _tangent_combination(sides, F.switches[0].grad(x)[None, :])
+        assert res.vector.tobytes() == vector.tobytes() and (res.lam,) == lam
+
+
 class TestControlInclusion:
     def test_cart_segment(self):
         cart = get_scenario("cart").build()
@@ -394,6 +465,24 @@ class TestUniquenessChecks:
         assert res[0].holds
         res = transversality_test(sign_field(), [[0.0]])
         assert not res[0].holds
+
+
+class TestOneSidedLipschitzBallDraws:
+    # The draws are uniform in the ball in every dimension, so a field with
+    # no surfaces never runs out of accepted samples, however large d is.
+    @pytest.mark.parametrize("d", [12, 32])
+    def test_high_dimension_samples_the_ball(self, d):
+        F = PiecewiseField(d, [], {(): lambda x: -x})
+        v = one_sided_lipschitz_test(F, np.zeros(d), 0.5, 0.0, 200, seed=0)
+        assert not v.violated
+
+    @pytest.mark.parametrize("d", [12, 32])
+    def test_witnesses_lie_in_the_ball(self, d):
+        F = PiecewiseField(d, [], {(): lambda x: x})
+        x = np.full(d, 0.25)
+        v = one_sided_lipschitz_test(F, x, 0.5, 0.5, 10, seed=1)
+        assert v.violated
+        assert all(np.linalg.norm(y - x) <= 0.5 for y in v.witness)
 
 
 class TestSwitchReads:

@@ -459,6 +459,17 @@ class TestConsensus:
             assert len(F.switches) == len(agents), G
             assert set(F.adjacent_cells((0,) * len(agents))) == expected, G
 
+    @pytest.mark.parametrize("variant", ["smooth", "norm", "sign"])
+    def test_zero_agents_is_a_model_error(self, variant):
+        # Rejected before the run: the spread of a state with no agent has
+        # no maximum.
+        with pytest.raises(ModelError, match="at least one agent"):
+            consensus_flow(Graph.path(0), variant, [], 1.0)
+
+    def test_consensus_scenario_rejects_zero_agents(self):
+        with pytest.raises(ModelError, match="at least one agent"):
+            get_scenario("consensus").simulate([], 1.0)
+
     def test_isolated_agent_stays_still(self):
         res = consensus_flow(Graph(3, ((0, 1),)), "sign", [0.0, 1.0, 5.0], 1.0)
         tr = res.trajectory
@@ -1246,15 +1257,42 @@ class TestSteppingLoop:
         assert steps == 2 and len(trials) > 10
         assert len(calls) == steps + 3 * len(trials)
 
-    def test_slide_step_reuses_the_sliding_vector(self, monkeypatch):
+    def test_slide_step_reuses_the_sliding_vector(self):
         # The surface step reads the two cells once to classify; the slide
         # step reads them once at its start, and that sliding vector serves
         # as RK4's k1, so its three later stages read them three more times.
-        calls = []
-        cell_value = PiecewiseField.cell_value
-        monkeypatch.setattr(PiecewiseField, "cell_value",
-                            lambda *a: calls.append(1) or cell_value(*a))
-        tr = get_scenario("move_away_1").simulate([0.05, 0.05], 1e-3)
+        # The calls are counted through the field's own cell callables.
+        F = get_scenario("move_away_1").build()
+        calls, rule = [], F.cell
+
+        def counting(sigma):
+            fn = rule(sigma)
+            return None if fn is None else (lambda x: calls.append(sigma) or fn(x))
+
+        F.cell = counting
+        tr = integrate_filippov(F, [0.05, 0.05], 1e-3)
         assert [e.kind for e in tr.events] == ["SlideEnter"]
         assert len(tr.times) == 2
         assert len(calls) == 2 + 2 * 4
+
+    def test_regular_step_looks_up_its_cell_once(self):
+        # A step with no crossing looks its cell up once and then calls the
+        # callable directly at each of the four RK4 stages.
+        lookups, calls = [], []
+
+        def rotation(x):
+            calls.append(1)
+            return np.array([-x[1], x[0]])
+
+        def rule(sigma):
+            lookups.append(sigma)
+            return rotation if sigma == (-1,) else None
+
+        far = SwitchingSurface.affine([1.0, 0.0], -10.0)  # x1 = 10, never reached
+        F = PiecewiseField(2, [far], rule)
+        n = 7
+        tr = integrate_filippov(F, [1.0, 0.0], n * 0.01, IntegratorConfig(dt_max=0.01))
+        assert len(tr.times) == n + 1 and not tr.events
+        assert lookups == [(-1,)] * n
+        assert len(calls) == 4 * n
+        assert tr.modes[1:] == ["R:-"] * n
