@@ -22,6 +22,7 @@ from .fields import (
     PiecewiseField,
     SurfaceClassification,
     SwitchingSurface,
+    affine_cell,
     classify_point,
     control_inclusion,
     field_from_config,

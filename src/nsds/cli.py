@@ -171,6 +171,10 @@ def _cmd_simulate(args) -> int:
     consts = dict(file_cfg.get("constants", {}))
     consts.update(_parse_consts(args.const))
     cfg = _config_from_args(args, file_cfg.get("cfg"))
+    if not args.x0 and "x0" not in file_cfg:
+        raise UnsupportedError("no start state given: pass --x0 or a --config that holds x0")
+    if args.t_end is None and "t_end" not in file_cfg:
+        raise UnsupportedError("no horizon given: pass --t-end or a --config that holds t_end")
     x0 = _parse_point(args.x0) if args.x0 else np.asarray(file_cfg["x0"], dtype=float)
     t_end = args.t_end if args.t_end is not None else float(file_cfg["t_end"])
     tr = scenario.simulate(x0, t_end, cfg, overrides=consts)

@@ -84,7 +84,9 @@ class PiecewiseField:
     Empty cells are simply not declared.  ``m = 0`` (no switches, one cell
     keyed by the empty tuple) models a globally smooth field.  ``cell`` is
     the one lookup, read by :meth:`adjacent_cells` and :meth:`_cell_fn`; an
-    ``integrate`` step calls ``_cell_fn`` once, then its callable per RK4 stage.
+    ``integrate`` step calls ``_cell_fn`` once, then steps a cell declared by
+    :func:`affine_cell` by its exact RK4 map and calls any other callable
+    once per RK4 stage.
     """
 
     def __init__(
@@ -156,6 +158,44 @@ class PiecewiseField:
         if any(s == 0 for s in sigma):
             raise ModelError("field value queried on a switching surface")
         return self.cell_value(sigma, x)
+
+
+class AffineField:
+    """The field x -> A x + c of a declared cell, with A None for a constant
+    cell, and the RK4 step map of the last step size asked for."""
+
+    def __init__(self, A: np.ndarray | None, c: np.ndarray):
+        self.A, self.c = A, c
+        self._h, self._map = None, None
+
+    def step_map(self, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """(M, k) with one RK4 step of size h from x equal to M x + k: with
+        Z = hA and T = I + Z/2 + Z^2/6 + Z^3/24, M = I + T Z and k = h T c.
+        One entry is kept, so the cache never grows."""
+        if h != self._h:
+            eye = np.eye(self.c.shape[0])
+            Z = h * self.A
+            T = eye + Z @ (eye / 2.0 + Z @ (eye / 6.0 + Z / 24.0))
+            self._h, self._map = h, (eye + T @ Z, h * (T @ self.c))
+        return self._map
+
+
+def affine_cell(A, c, fn: CellField | None = None) -> CellField:
+    """Declare the cell field x -> A x + c (a constant c when A is None).
+    Returns ``fn``, by default ``A @ x + c`` or a copy of c, carrying
+    ``.affine``, an :class:`AffineField`; ``fn`` must be a Python function
+    and compute that same field, since queries at a point call it while
+    integration steps by the declared map."""
+    c = np.asarray(c, dtype=float)
+    if A is not None:
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        if c.ndim != 1 or A.shape != (c.shape[0],) * 2:
+            raise ModelError(f"affine cell needs a vector c and a square A of its length, "
+                             f"got shapes {A.shape} and {c.shape}")
+    if fn is None:
+        fn = (lambda x: c.copy()) if A is None else (lambda x: A @ x + c)
+    fn.affine = AffineField(A, c)
+    return fn
 
 
 @dataclass(frozen=True)
@@ -459,20 +499,9 @@ _SWITCH_FORMS = {
 }
 
 
-def _constant_field(v):
-    v = np.asarray(v, dtype=float)
-    return lambda x: v.copy()
-
-
-def _affine_field(A, b):
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float)
-    return lambda x: A @ x + b
-
-
 _CELL_FORMS = {
-    "constant": lambda spec: _constant_field(spec["value"]),
-    "affine": lambda spec: _affine_field(spec["A"], spec.get("b", np.zeros(len(spec["A"])))),
+    "constant": lambda spec: affine_cell(None, spec["value"]),
+    "affine": lambda spec: affine_cell(spec["A"], spec.get("b", np.zeros(len(spec["A"])))),
 }
 
 
@@ -493,8 +522,8 @@ def field_from_config(config: dict | str) -> PiecewiseField:
          "cells": {"+-": {"form": "constant", "value": [0, 1]}, ...}}
 
     Switch forms: ``affine`` (a.x + b), ``coordinate`` (x_i).  Cell forms:
-    ``constant``, ``affine`` (A x + b).  Cell keys are sign strings over the
-    switches, most significant first.
+    ``constant``, ``affine`` (A x + b), both declared by :func:`affine_cell`.
+    Cell keys are sign strings over the switches, most significant first.
     """
     if isinstance(config, str):
         with open(config, encoding="utf-8") as fh:

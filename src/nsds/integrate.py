@@ -52,6 +52,7 @@ from .fields import (
     _sides,
     _tangent_combination,
     _tangent_pair,
+    affine_cell,
     default_active_tol,
 )
 from .geometry import _least_norm_point, as_point, vector_norm
@@ -78,6 +79,9 @@ SLIDING_EXIT_MARGIN = 1e-6
 # 3.7e-12 s off); this sits far above that drift, and IntegratorConfig
 # rejects a dt_max below 1000 TIME_SLACK, so it stays within 0.1% of a step.
 TIME_SLACK = 1e-9
+# Intervals a partition may have, as many as a grid may have points
+# (lie.MAX_GRID_POINTS); bounds a schedule's memory and a run's time.
+MAX_PARTITION_INTERVALS = 1_000_000
 
 MODE_STOP = "STOP"
 
@@ -425,11 +429,33 @@ def _first_crossing(flow, switches, start_vals, end_vals, x_end, watched, refine
 
 def _cell_flow(F: PiecewiseField, sigma, x: np.ndarray, h: float):
     """flow(s): the RK4 step of cell sigma's field, looked up once, from x
-    over s h; the field at x is evaluated once and shared by every fraction."""
+    over s h.  A cell declared by :func:`~nsds.fields.affine_cell` takes it
+    exactly, with no call of its callable: flow(1.0) is the cached map
+    M x + k, and a bisection trial the quartic x + s d1 + ... + s^4 d4 with
+    d_j = (h^j / j!) A^(j-1) (A x + c), whose terms its first trial builds.
+    For any other callable the field at x is evaluated once and shared by
+    every fraction."""
     fn = F._cell_fn(sigma)
-    fcell = lambda y: np.asarray(fn(y), dtype=float)
-    k1 = fcell(x)
-    return lambda s: rk4_step(fcell, x, s * h, k1)
+    aff = getattr(fn, "affine", None)
+    if aff is None:
+        fcell = lambda y: np.asarray(fn(y), dtype=float)
+        k1 = fcell(x)
+        return lambda s: rk4_step(fcell, x, s * h, k1)
+    if aff.A is None:
+        return lambda s: x + (s * h) * aff.c
+    M, k = aff.step_map(h)
+    d = []
+
+    def flow(s: float) -> np.ndarray:
+        if s == 1.0:
+            return M @ x + k
+        if not d:
+            d.append(h * (aff.A @ x + aff.c))
+            for j in (2, 3, 4):
+                d.append((h / j) * (aff.A @ d[-1]))
+        return x + s * (d[0] + s * (d[1] + s * (d[2] + s * d[3])))
+
+    return flow
 
 
 def _cut_step(F: PiecewiseField, b: _Builder, flow, h: float, g, watched,
@@ -806,7 +832,7 @@ def sign_consensus_field(G: Graph) -> PiecewiseField:
             return None
         v = np.zeros(n)
         v[agents] = -np.array(sigma, dtype=float)
-        return lambda p: v.copy()
+        return affine_cell(None, v)
 
     return PiecewiseField(n, switches, rule, name="sign_consensus")
 
@@ -823,7 +849,7 @@ def consensus_flow(G: Graph, variant: str, p0, t_end: float,
         raise ModelError("consensus needs at least one agent")
     if variant == "smooth":
         L = G.laplacian()
-        field = PiecewiseField(G.n, [], {(): lambda p: -(L @ p)}, name="laplacian_flow")
+        field = PiecewiseField(G.n, [], {(): affine_cell(-L, np.zeros(G.n))}, name="laplacian_flow")
         tr = integrate_filippov(field, p0, t_end, cfg)
     elif variant == "norm":
         tr = gradient_flow(disagreement_function(G), "normalized", p0, t_end, cfg)
@@ -865,6 +891,9 @@ class PartitionSchedule:
         span = t1 - t0
         if not (0 < diam < math.inf and 0 < span < math.inf):
             raise ValueError(f"diam={diam} and time span={span} must be finite and positive")
+        if span / diam > MAX_PARTITION_INTERVALS:  # checked before anything is allocated
+            raise ValueError(f"diam={diam} splits the span {span} into more than "
+                             f"{MAX_PARTITION_INTERVALS} intervals")
         n = max(1, int(math.ceil(span / diam)))
         return cls.uniform(t0, t1, n)
 

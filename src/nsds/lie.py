@@ -209,7 +209,10 @@ class GridSpec:
 
 
 def exclude_band(band: float, axes: tuple[int, ...] | None = None):
-    """Predicate dropping points within ``band`` of any listed coordinate axis."""
+    """Predicate dropping points within ``band`` of any listed coordinate axis.
+    A NaN band would drop no point: a negative or non-finite band is a ValueError."""
+    if not 0.0 <= band < math.inf:
+        raise ValueError(f"exclusion band must be finite and nonnegative, got {band}")
 
     def pred(p: np.ndarray) -> bool:
         idx = range(len(p)) if axes is None else axes

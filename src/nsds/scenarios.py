@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ModelError, UnsupportedError
-from .fields import ControlField, PiecewiseField, SwitchingSurface
+from .fields import ControlField, PiecewiseField, SwitchingSurface, affine_cell
 from .geometry import ConvexPolygon, Polytope, _least_norm_point
 from .integrate import (
     IntegratorConfig,
@@ -75,31 +75,29 @@ def _brick_field(c: dict) -> PiecewiseField:
     return PiecewiseField(
         1,
         [SwitchingSurface.coordinate(0, 1, name="v")],
-        {(-1,): lambda x: np.array([down]), (1,): lambda x: np.array([up])},
+        {(-1,): affine_cell(None, [down]), (1,): affine_cell(None, [up])},
         name="brick",
     )
+
+
+def _oscillator_cell(force: float):
+    """The cell x' = (x2, force), declared affine and evaluated by hand."""
+    return affine_cell([[0.0, 1.0], [0.0, 0.0]], [0.0, force], lambda x: np.array([x[1], force]))
 
 
 def _oscillator_field(c: dict) -> PiecewiseField:
     return PiecewiseField(
         2,
         [SwitchingSurface.coordinate(0, 2)],
-        {
-            (-1,): lambda x: np.array([x[1], 1.0]),
-            (1,): lambda x: np.array([x[1], -1.0]),
-        },
+        {(-1,): _oscillator_cell(1.0), (1,): _oscillator_cell(-1.0)},
         name="oscillator",
     )
 
 
 def _oscillator_dissipative_field(c: dict) -> PiecewiseField:
     k = c["k"]
-    cells = {}
-    for s1 in (-1, 1):
-        for s2 in (-1, 1):
-            cells[(s1, s2)] = (
-                lambda a, b: (lambda x: np.array([x[1], -a - k * b]))
-            )(float(s1), float(s2))
+    cells = {(s1, s2): _oscillator_cell(-float(s1) - k * float(s2))
+             for s1 in (-1, 1) for s2 in (-1, 1)}
     return PiecewiseField(
         2,
         [SwitchingSurface.coordinate(0, 2), SwitchingSurface.coordinate(1, 2)],
@@ -120,7 +118,7 @@ def move_away_square_field() -> PiecewiseField:
         (1, -1): np.array([1.0, 0.0]),  # left
         (1, 1): np.array([0.0, -1.0]),  # top
     }
-    cells = {k: (lambda v: (lambda x: v.copy()))(v) for k, v in consts.items()}
+    cells = {k: affine_cell(None, v) for k, v in consts.items()}
     return PiecewiseField(
         2,
         [

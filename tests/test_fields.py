@@ -16,6 +16,7 @@ from nsds.fields import (
     PiecewiseField,
     SwitchingSurface,
     _tangent_combination,
+    affine_cell,
     classify_point,
     control_inclusion,
     field_from_config,
@@ -593,3 +594,45 @@ def test_run_that_reaches_a_nan_switch_value_raises():
     F = log_switch_field({(-1,): lambda x: np.array([-1.0]), (1,): lambda x: np.array([-1.0])})
     with pytest.raises(ModelError, match="switching function log is nan"):
         integrate_filippov(F, [2.0], 2.5, IntegratorConfig(dt_max=0.1))
+
+
+def _declared_cells(F):
+    """The declared cells of F: every sign vector whose callable is not None."""
+    for sigma in itertools.product((-1, 1), repeat=len(F.switches)):
+        fn = F.cell(sigma)
+        if fn is not None:
+            yield sigma, fn
+
+
+@pytest.mark.parametrize("build", [
+    lambda: get_scenario("brick").build(),
+    lambda: get_scenario("oscillator").build(),
+    lambda: get_scenario("oscillator_dissipative").build(),
+    move_away_square_field,
+    lambda: sign_consensus_field(Graph.path(4)),
+    lambda: field_from_config({"dim": 3, "switches": [{"form": "coordinate", "index": 0}],
+                               "cells": {"-": {"form": "constant", "value": [0.5, -1.0, 2.0]},
+                                         "+": {"form": "affine", "A": np.eye(3)[::-1].tolist(),
+                                               "b": [0.1, 0.0, -0.3]}}}),
+], ids=["brick", "oscillator", "oscillator_dissipative", "move_away_1", "sign_consensus",
+        "config"])
+def test_declared_cells_evaluate_their_affine_field(build):
+    # The catalog keeps its hand-written point evaluations, which must be
+    # the declared field to the bit: queries call them, steps use (A, c).
+    F = build()
+    cells = list(_declared_cells(F))
+    assert cells and all(hasattr(fn, "affine") for _, fn in cells)
+    points = np.random.default_rng(3).uniform(-2.0, 2.0, (100, F.dim))
+    for sigma, fn in cells:
+        A, c = fn.affine.A, fn.affine.c
+        for x in points:
+            want = c if A is None else A @ x + c
+            assert fn(x).tobytes() == want.tobytes(), (sigma, x)
+
+
+def test_affine_cell_default_evaluation_is_a_fresh_array():
+    fn = affine_cell(None, [1.0, 2.0])
+    v = fn(np.zeros(2))
+    v[0] = 5.0
+    assert fn(np.zeros(2)).tolist() == [1.0, 2.0]
+    assert affine_cell([[2.0]], [1.0])(np.array([3.0])).tolist() == [7.0]

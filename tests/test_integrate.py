@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nsds.errors import DimensionMismatchError, ModelError
-from nsds.fields import PiecewiseField, SwitchingSurface, filippov_set
+from nsds.fields import PiecewiseField, SwitchingSurface, affine_cell, filippov_set
 from nsds.geometry import ConvexPolygon, Polytope, contains
 from nsds.integrate import (
     Event,
@@ -1296,3 +1296,123 @@ class TestSteppingLoop:
         assert lookups == [(-1,)] * n
         assert len(calls) == 4 * n
         assert tr.modes[1:] == ["R:-"] * n
+
+
+class TestDeclaredAffineCells:
+    """A cell declared by affine_cell steps by its exact RK4 map; results
+    agree with the same cells as plain callables up to rounding."""
+
+    @staticmethod
+    def random_model(rng, declared: bool) -> PiecewiseField:
+        d, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        switches = [SwitchingSurface.affine(a / np.linalg.norm(a), float(b))
+                    for a, b in zip(rng.standard_normal((m, d)), rng.uniform(-0.3, 0.3, m))]
+        cells = {}
+        for sigma in itertools.product((-1, 1), repeat=m):
+            A = None if rng.random() < 0.3 else 0.8 * rng.standard_normal((d, d))
+            c = rng.standard_normal(d)
+            if A is None:
+                plain = (lambda c: lambda x: c.copy())(c)
+            else:
+                plain = (lambda A, c: lambda x: A @ x + c)(A, c)
+            cells[sigma] = affine_cell(A, c) if declared else plain
+        return PiecewiseField(d, switches, cells)
+
+    def test_declared_map_matches_the_callable_path(self):
+        hits = 0
+        for seed in range(16):
+            x0 = 0.5 * np.random.default_rng([seed, 1]).standard_normal(4)
+            for run in (integrate_filippov, integrate_caratheodory):
+                trs = []
+                for declared in (False, True):
+                    F = self.random_model(np.random.default_rng(seed), declared)
+                    trs.append(run(F, x0[:F.dim], 1.0, IntegratorConfig(dt_max=0.02)))
+                plain, exact = trs
+                assert len(plain.times) == len(exact.times), (seed, run)
+                assert plain.modes == exact.modes
+                assert ([(e.kind, e.detail) for e in plain.events]
+                        == [(e.kind, e.detail) for e in exact.events])
+                assert np.max(np.abs(plain.states - exact.states)) <= 1e-12
+                if "SlideEnter" in [e.kind for e in plain.events]:
+                    # A slide step ends just before a crossing predicted from
+                    # its state, so its times carry the states' rounding.
+                    assert np.max(np.abs(plain.times - exact.times)) <= 1e-12
+                else:
+                    assert plain.times.tobytes() == exact.times.tobytes()
+                    assert [e.time for e in plain.events] == [e.time for e in exact.events]
+                hits += [e.kind for e in exact.events].count("SurfaceHit")
+        assert hits >= 20  # crossings, so the bisection trials ran
+
+    @pytest.mark.parametrize("run", [integrate_filippov, integrate_caratheodory])
+    def test_undeclared_nonlinear_runs_are_unchanged(self, run):
+        # Pinned bit for bit from the RK4 stage path before affine cells
+        # were declared: a nonlinear crossing, and the unit-circle slide.
+        F = PiecewiseField(2, [SwitchingSurface.coordinate(0, 2)], {
+            (-1,): lambda x: np.array([1.0 + x[1] ** 2, x[0]]),
+            (1,): lambda x: np.array([np.cos(x[1]), -x[0] ** 2])})
+        tr = run(F, [-0.3, 0.1], 0.6, IntegratorConfig(dt_max=0.1))
+        assert [(e.time, e.kind) for e in tr.events] == [(0.29847656823694707, "SurfaceHit")]
+        assert tr.modes == ["R:-"] * 4 + ["R:+"] * 4
+        assert tr.final_state.tolist() == [0.3010990327684456, 0.04616609283543664]
+        tr = integrate_filippov(TestFilippovIntegrator.circle_slide(), [1.0, 0.0], 1.0,
+                                IntegratorConfig(dt_max=0.1))
+        assert len(tr.times) == 11 and [e.kind for e in tr.events] == ["SlideEnter"]
+        assert tr.final_state.tolist() == [0.5403030045910238, 0.8414705361626824]
+
+    @pytest.mark.parametrize("A", [None, [[0.3, -1.2, 0.1], [0.9, -0.4, 0.0], [0.2, 0.5, -1.1]]])
+    def test_flow_is_the_rk4_step(self, A):
+        import nsds.integrate as integrate
+
+        c = np.array([0.7, -0.2, 1.3])
+        fn = affine_cell(A, c)
+        F = PiecewiseField(3, [], {(): fn})
+        x, h = np.array([0.4, -1.1, 0.25]), 0.05
+        flow = integrate._cell_flow(F, (), x, h)
+        for s in (1.0, 0.5, 0.3125, 1e-3):
+            assert np.allclose(flow(s), rk4_step(fn, x, s * h), rtol=0, atol=1e-15)
+
+    def test_step_map_keeps_one_entry(self):
+        fn = affine_cell([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.5])
+        M = fn.affine.step_map(0.1)[0]
+        assert fn.affine.step_map(0.1)[0] is M
+        fn.affine.step_map(0.05)  # replaces the entry for 0.1
+        assert fn.affine.step_map(0.1)[0] is not M
+
+    def test_declared_steps_make_no_point_call(self):
+        calls = []
+        A, c = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([0.0, 0.5])
+
+        def counted(x):
+            calls.append(1)
+            return A @ x + c
+
+        cell = affine_cell(A, c, counted)
+        far = SwitchingSurface.affine([1.0, 0.0], -10.0)  # x1 = 10, never reached
+        tr = integrate_filippov(PiecewiseField(2, [far], {(-1,): cell, (1,): cell}),
+                                [1.0, 0.0], 0.5, IntegratorConfig(dt_max=0.01))
+        assert len(tr.times) == 51 and not tr.events and calls == []
+        # A Caratheodory crossing localizes on the declared map too.
+        F = PiecewiseField(2, [SwitchingSurface.coordinate(0, 2)], {(-1,): cell, (1,): cell})
+        tr = integrate_caratheodory(F, [-0.3, 1.0], 0.5, IntegratorConfig(dt_max=0.1))
+        assert [e.kind for e in tr.events] == ["SurfaceHit"] and calls == []
+
+    def test_affine_cell_rejects_mismatched_shapes(self):
+        with pytest.raises(ModelError, match="square A"):
+            affine_cell([[1.0, 0.0]], [0.0, 1.0])
+        with pytest.raises(ModelError, match="square A"):
+            affine_cell(np.eye(2), [0.0, 1.0, 2.0])
+
+
+class TestPartitionCap:
+    @pytest.mark.parametrize("diam", [1e-300, 5e-324])
+    def test_tiny_diameter_is_a_value_error_before_allocation(self, diam, monkeypatch):
+        # 1e-300 used to reach np.linspace ("Maximum allowed size exceeded"),
+        # and 5e-324 overflowed math.ceil.
+        monkeypatch.setattr(PartitionSchedule, "uniform",
+                            classmethod(lambda *a: pytest.fail("a schedule was allocated")))
+        with pytest.raises(ValueError, match="more than 1000000 intervals"):
+            PartitionSchedule.with_diameter(0.0, 0.3, diam)
+
+    def test_a_partition_at_the_cap_is_built(self):
+        sched = PartitionSchedule.with_diameter(0.0, 0.3, 0.3 / 999_999)
+        assert len(sched.breakpoints) == 1_000_000 + 1

@@ -243,6 +243,13 @@ class TestGridSpec:
         assert np.all(np.abs(pts[:, 0]) > 1e-6)
         assert pts.shape[0] == 20 * 21
 
+    @pytest.mark.parametrize("band", [math.nan, math.inf, -1e-6])
+    def test_exclusion_band_must_be_finite_and_nonnegative(self, band):
+        # A NaN band excluded no point, while the grid reported an exclusion.
+        with pytest.raises(ValueError, match="exclusion band must be finite and nonnegative"):
+            exclude_band(band, axes=(0,))
+        assert exclude_band(0.0)(np.array([0.0, 1.0]))
+
 
 class TestMonotonicity:
     def test_cart_weak_certified(self):

@@ -344,6 +344,45 @@ class TestCli:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--scenario", "oscillator", "--t-end", "1"], "--x0"),
+        (["--scenario", "oscillator", "--x0=", "--t-end", "1"], "--x0"),
+        (["--scenario", "oscillator", "--x0", "1,0"], "--t-end"),
+    ], ids=["no-x0", "empty-x0", "no-t-end"])
+    def test_simulate_without_a_start_or_horizon_names_the_flag(self, argv, flag, tmp_path,
+                                                                 capsys):
+        # Each used to exit 1 with a bare KeyError: 'x0' or 't_end'.
+        out = tmp_path / "never.csv"
+        assert main(["simulate", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Unsupported:") and flag in err and "--config" in err
+        assert not out.exists()
+        # A config that holds the missing key is enough.
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"x0": [1.0, 0.0], "t_end": 0.01}))
+        assert main(["simulate", *argv, "--config", str(cfg_file), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("band", ["nan", "inf", "-1"])
+    def test_lyapunov_rejects_a_band_that_excludes_nothing(self, band, capsys):
+        # --exclude-band nan certified all 9 points of a grid that read
+        # "excluded": true.
+        code = main(["lyapunov", "--scenario", "oscillator", "--function", "energy_oscillator",
+                     "--theorem", "thm1", "--grid=-1:1:3,-1:1:3", "--exclude-band", band,
+                     "--exclude-axes", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: exclusion band") and "Traceback" not in err
+
+    @pytest.mark.parametrize("diam", ["1e-300", "5e-324"])
+    def test_sample_hold_caps_the_partition(self, diam, capsys):
+        # 1e-300 escaped as numpy's "Maximum allowed size exceeded", and
+        # 5e-324 as an OverflowError traceback.
+        code = main(["sample-hold", "--scenario", "cart", "--x0", "0.5,0.1", "--diam", diam,
+                     "--t-end", "0.3"])
+        assert code == 1
+        assert "more than 1000000 intervals" in capsys.readouterr().err
+
+
 class TestPlotData:
     def test_phase_closed_orbit(self, tmp_path):
         tr = get_scenario("oscillator").simulate([1.0, 0.0], 4.0 * np.sqrt(2.0),
