@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -40,11 +40,12 @@ TANGENT = "tangent"
 @dataclass(frozen=True)
 class SwitchingSurface:
     """Smooth scalar function with an analytic gradient; its zero set is one
-    switching surface."""
+    switching surface.  ``coefficients`` is (a, b) for the affine a . x + b."""
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     name: str = ""
+    coefficients: tuple[np.ndarray, float] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def affine(cls, a, b: float = 0.0, name: str = "") -> "SwitchingSurface":
@@ -53,10 +54,13 @@ class SwitchingSurface:
             value=lambda x: float(a @ x + b),
             grad=lambda x: a.copy(),
             name=name or f"affine({a.tolist()},{b})",
+            coefficients=(a, float(b)),
         )
 
     @classmethod
     def coordinate(cls, index: int, dim: int, name: str = "") -> "SwitchingSurface":
+        if not 0 <= index < dim:
+            raise DimensionMismatchError(f"coordinate switch index {index} outside 0..{dim - 1}")
         a = np.zeros(dim)
         a[index] = 1.0
         return cls.affine(a, 0.0, name=name or f"x{index + 1}")
@@ -109,6 +113,24 @@ class PiecewiseField:
                 raise ModelError("a piecewise field needs at least one declared cell")
             cells = table.get
         self.cell: Callable[[SignVector], CellField | None] = cells
+        self._switch_matrix = None  # (G, offsets): G x + offsets, when every switch is affine
+        coefficients = [s.coefficients for s in self.switches]
+        if None not in coefficients:
+            for i, (a, _) in enumerate(coefficients):
+                if a.shape != (dim,):
+                    raise DimensionMismatchError(f"switch {i} has shape {a.shape}, not ({dim},)")
+            self._switch_matrix = (np.array([a for a, _ in coefficients]).reshape(-1, dim),
+                                   np.array([b for _, b in coefficients]))
+
+    def _clear_rows(self, X: np.ndarray, signs: np.ndarray, tol: float) -> np.ndarray:
+        """Whether each row x of X is finite and every switch value there, read
+        by one product, has its sign in ``signs`` and exceeds twice the band at
+        x (widened to tol) by over 4 d 2^-52 |a| |x|, four times any rounding gap."""
+        G, offsets = self._switch_matrix
+        band = np.maximum(_BAND_AT_ORIGIN * (1.0 + np.sqrt((X * X).sum(axis=1))), tol)
+        margin = 2.0 + 4 * self.dim * 2.0**-52 / _BAND_AT_ORIGIN * np.linalg.norm(G, axis=1)
+        V = (X @ G.T + offsets) * signs
+        return np.isfinite(band) & ((V > margin * band[:, None]) & (V < math.inf)).all(axis=1)
 
     def _switch_list(self, x: np.ndarray) -> list[float]:
         """Every switching function at x; a non-finite value raises ModelError
@@ -540,5 +562,8 @@ def field_from_config(config: dict | str) -> PiecewiseField:
         form = spec["form"]
         if form not in _CELL_FORMS:
             raise ModelError(f"unknown cell form {form!r}")
-        cells[_parse_sign_key(key, len(switches))] = _CELL_FORMS[form](spec)
+        cell = _CELL_FORMS[form](spec)
+        if cell.affine.c.shape != (dim,):
+            raise DimensionMismatchError(f"cell {key!r}: shape {cell.affine.c.shape}, not ({dim},)")
+        cells[_parse_sign_key(key, len(switches))] = cell
     return PiecewiseField(dim, switches, cells, name=config.get("name", ""))

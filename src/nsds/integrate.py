@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -82,6 +83,8 @@ TIME_SLACK = 1e-9
 # Intervals a partition may have, as many as a grid may have points
 # (lie.MAX_GRID_POINTS); bounds a schedule's memory and a run's time.
 MAX_PARTITION_INTERVALS = 1_000_000
+# Steps per block (_affine_block); no option, as blocks change no result.
+AFFINE_BLOCK = 64
 
 MODE_STOP = "STOP"
 
@@ -259,12 +262,12 @@ class _Builder:
         times.append(float(t))
         self.modes.append(mode)
 
-    def hold(self, times: list[float], mode: str):
-        """Append the current state once per time; ``times`` increase past t."""
+    def extend(self, times: list[float], states: np.ndarray, mode: str):
+        """Append a sample per time and row of ``states`` (or one state for all)."""
         n, k = len(self.times), len(times)
         if n + k > len(self._buf):
             self._grow(n + k)
-        self._buf[n:n + k] = self._buf[n - 1]
+        self._buf[n:n + k] = states
         self.times.extend(times)
         self.modes.extend([mode] * k)
 
@@ -341,12 +344,12 @@ def _fill_stopped(b: _Builder, t_end: float, dt: float, budget: int) -> bool:
     while t < stop and len(times) < budget:
         t = t_end if t >= last else t + dt
         times.append(t)
-    b.hold(times, MODE_STOP)
+    b.extend(times, b.x, MODE_STOP)
     return t < stop
 
 
 def _drive(b: _Builder, t_end: float, cfg: IntegratorConfig,
-           step: Callable[[float], bool]) -> Trajectory:
+           step: Callable[[float], bool], block=None) -> Trajectory:
     """The one stepping loop: call ``step(h)`` with h = dt_max until t_end,
     the step budget, a stop, or a stretch of NO_PROGRESS_STEPS steps that
     append no sample.  The last step takes all the time left, which is
@@ -355,7 +358,8 @@ def _drive(b: _Builder, t_end: float, cfg: IntegratorConfig,
 
     ``step`` advances ``b`` by at most h and returns True once the state has
     stopped; the rest of the horizon is then filled with that state, one
-    sample per dt_max, each counted against the budget.
+    sample per dt_max, each counted against the budget.  After each other
+    step, block(t_end, budget) may take up to ``budget`` steps at once.
     """
     steps = idle = 0
     dt = cfg.dt_max
@@ -371,6 +375,8 @@ def _drive(b: _Builder, t_end: float, cfg: IntegratorConfig,
             if _fill_stopped(b, t_end, dt, cfg.max_steps - steps):
                 b.event(STEP_LIMIT, "max_steps exceeded")
             break
+        if block is not None:
+            steps += block(t_end, cfg.max_steps - steps)
         idle = 0 if len(b.times) > n else idle + 1
         if idle >= NO_PROGRESS_STEPS:
             b.event(NO_PROGRESS, f"{idle} steps without a new sample")
@@ -427,15 +433,14 @@ def _first_crossing(flow, switches, start_vals, end_vals, x_end, watched, refine
     return best
 
 
-def _cell_flow(F: PiecewiseField, sigma, x: np.ndarray, h: float):
-    """flow(s): the RK4 step of cell sigma's field, looked up once, from x
-    over s h.  A cell declared by :func:`~nsds.fields.affine_cell` takes it
-    exactly, with no call of its callable: flow(1.0) is the cached map
-    M x + k, and a bisection trial the quartic x + s d1 + ... + s^4 d4 with
+def _cell_flow(fn, x: np.ndarray, h: float):
+    """flow(s): the RK4 step of the cell callable fn from x over s h.  A cell
+    declared by :func:`~nsds.fields.affine_cell` takes it exactly, with no
+    call of its callable: flow(1.0) is the cached map M x + k, and a
+    bisection trial the quartic x + s d1 + ... + s^4 d4 with
     d_j = (h^j / j!) A^(j-1) (A x + c), whose terms its first trial builds.
     For any other callable the field at x is evaluated once and shared by
     every fraction."""
-    fn = F._cell_fn(sigma)
     aff = getattr(fn, "affine", None)
     if aff is None:
         fcell = lambda y: np.asarray(fn(y), dtype=float)
@@ -474,6 +479,35 @@ def _cut_step(F: PiecewiseField, b: _Builder, flow, h: float, g, watched,
     return i, end
 
 
+def _affine_block(F: PiecewiseField, b: _Builder, aff, sigma, read, t_end: float,
+                  budget: int, cfg: IntegratorConfig):
+    """(steps taken, last read): up to AFFINE_BLOCK and ``budget`` full dt_max
+    steps in cell sigma (declared ``aff``) from b's last sample, short of the
+    horizon's last and computed bit for bit as single steps.  It keeps the
+    prefix of plain steps: finite states, clear of twice the band on each
+    switch's start side (one product, ``F._clear_rows``), moving over twice the stall bound."""
+    if aff is None or F._switch_matrix is None:
+        return 0, read
+    h = cfg.dt_max
+    t = list(itertools.accumulate([b.t] + [h] * min(AFFINE_BLOCK, budget)))  # as single steps
+    n = len(t) - 1
+    while n and not (t[n - 1] < t_end - TIME_SLACK and _step_count(t_end - t[n - 1], h) > 1):
+        n -= 1  # step n is the horizon's last or past it, and so is every later step
+    with np.errstate(all="ignore"):  # states past a blow-up are never appended
+        if aff.A is None:  # as _cell_flow: x + h c, and M x + k, step by step
+            X = np.cumsum([b.x] + [h * aff.c] * n, axis=0)
+        else:
+            (M, k), X = aff.step_map(h), np.repeat([b.x], n + 1, axis=0)
+            rows = list(X)
+            for x, y in zip(rows, rows[1:]):
+                np.add(np.matmul(M, x, out=y), k, out=y)
+        plain = F._clear_rows(X[1:], np.array(_face(read[0], ())), cfg.event_refine_tol) & (
+            np.linalg.norm(np.diff(X, axis=0), axis=1) > 2.0 * cfg.conv_tol * STALL_WINDOW * h)
+    n = n if plain.all() else int(plain.argmin())
+    b.extend(t[1:n + 1], X[1:n + 1], regular_mode(sigma))
+    return n, _end_values(F, b.t, b.x, cfg.event_refine_tol) if n else read
+
+
 class _FilippovRun:
     """The step function of a Filippov run: one regular, surface, corner or
     sliding step per call, with ``S`` the surfaces slid along (empty off
@@ -493,6 +527,15 @@ class _FilippovRun:
         self.b = _Builder(0.0, x0, label)
         self.S: tuple[int, ...] = ()
         self.lam = np.empty(0)
+        self.stepped = (None, None)  # the last regular step's sigma, affine declaration
+
+    def block(self, t_end: float, budget: int) -> int:
+        """The steps :func:`_affine_block` takes from a sample on no surface."""
+        (g, band), (sigma, aff) = self.read, self.stepped
+        if aff is None or self.S or any(_active(v, band) for v in g) or sigma != _face(g, ()):
+            return 0
+        k, self.read = _affine_block(self.F, self.b, aff, sigma, self.read, t_end, budget, self.cfg)
+        return k
 
     def _cut(self, flow, h: float, g, watched, mode: str) -> int | None:
         """Append the step flow cut at its first watched crossing; return
@@ -526,7 +569,9 @@ class _FilippovRun:
         ``skip`` or within ``event_refine_tol`` (it cannot cross those)."""
         tol = self.cfg.event_refine_tol
         watched = [j for j, v in enumerate(g) if j not in skip and not _active(v, tol)]
-        i = self._cut(_cell_flow(self.F, sigma, self.b.x, h), h, g, watched, regular_mode(sigma))
+        fn = self.F._cell_fn(sigma)
+        self.stepped = (sigma, getattr(fn, "affine", None))
+        i = self._cut(_cell_flow(fn, self.b.x, h), h, g, watched, regular_mode(sigma))
         if i is not None:
             self.b.event(SURFACE_HIT, f"surface {i}")
 
@@ -640,7 +685,7 @@ def integrate_filippov(F: PiecewiseField, x0, t_end: float,
     cfg = cfg or IntegratorConfig()
     x0 = _check_start(x0, t_end, F.dim)
     run = _FilippovRun(F, x0, cfg)
-    return _drive(run.b, float(t_end), cfg, run.step)
+    return _drive(run.b, float(t_end), cfg, run.step, run.block)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +708,7 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
 
     # The start's read picks the cell and serves the first step, as in _FilippovRun.
     tol = cfg.event_refine_tol
-    g, band = _end_values(F, 0.0, x, tol)
+    g, band = read = _end_values(F, 0.0, x, tol)
     base = _face(g, [j for j, v in enumerate(g) if _active(v, band)])
     cells = [branch] if branch is not None and 0 in base else F.adjacent_cells(base)
     if not cells:
@@ -672,10 +717,10 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
     b = _Builder(0.0, x, regular_mode(sigma))
 
     def step(h: float) -> bool:
-        nonlocal sigma, g
-        watched = [j for j, v in enumerate(g) if not _active(v, tol)]
-        i, (g, _) = _cut_step(F, b, _cell_flow(F, sigma, b.x, h), h, g, watched, tol,
-                              regular_mode(sigma))
+        nonlocal sigma, read
+        watched = [j for j, v in enumerate(read[0]) if not _active(v, tol)]
+        i, read = _cut_step(F, b, _cell_flow(F._cell_fn(sigma), b.x, h), h, read[0], watched,
+                            tol, regular_mode(sigma))
         if i is not None:
             b.event(SURFACE_HIT, f"surface {i}")
             new_sigma = list(sigma)
@@ -684,7 +729,13 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
                 sigma = tuple(new_sigma)
         return False
 
-    return _drive(b, t_end, cfg, step)
+    def block(t_end: float, budget: int) -> int:
+        nonlocal read
+        aff = getattr(F.cell(sigma), "affine", None)
+        k, read = _affine_block(F, b, aff, sigma, read, t_end, budget, cfg)
+        return k
+
+    return _drive(b, t_end, cfg, step, block)
 
 
 # ---------------------------------------------------------------------------

@@ -196,23 +196,27 @@ class MoveAwayLaw:
 
     def random_interior_points(self, seed: int, margin: float = 0.05) -> np.ndarray:
         """Seeded initial configuration, rejection-sampled to keep agents
-        inside the polygon and away from exact ties."""
+        inside the polygon and away from exact ties.  Their disjoint discs of
+        radius ``margin`` lie in it: more than fit its area are rejected."""
+        v, t = self.polygon.vertices, self.polygon.edge_vectors
+        area = 0.5 * float((v[:, 0] * t[:, 1] - v[:, 1] * t[:, 0]).sum())
+        if self.n * math.pi * margin**2 > area:
+            raise ModelError(f"{self.n} discs of radius {margin} exceed the area {area}")
         rng = np.random.default_rng(seed)
-        lo = self.polygon.vertices.min(axis=0)
-        hi = self.polygon.vertices.max(axis=0)
-        pts: list[np.ndarray] = []
-        guard = 0
-        while len(pts) < self.n:
+        lo, hi = v.min(axis=0), v.max(axis=0)
+        pts = np.empty((self.n, 2))
+        placed = guard = 0
+        while placed < self.n:
             guard += 1
             if guard > 100_000:
                 raise ModelError("could not place agents inside the polygon")
             cand = lo + (hi - lo) * rng.random(2)
-            if not self.polygon.contains_point(cand, tol=-margin):
+            if (not self.polygon.contains_point(cand, tol=-margin)
+                    or (np.linalg.norm(pts[:placed] - cand, axis=1) < 2 * margin).any()):
                 continue
-            if any(np.linalg.norm(cand - q) < 2 * margin for q in pts):
-                continue
-            pts.append(cand)
-        flat = np.array(pts).ravel()
+            pts[placed] = cand
+            placed += 1
+        flat = pts.ravel()
         # Nudge away from exact equidistance so the start is off the
         # discontinuity set.
         for _ in range(50):

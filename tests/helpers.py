@@ -288,8 +288,9 @@ class _Rows(list):
 
 class ListBuilder:
     """``integrate._Builder`` with one copied array per sample in a list and
-    a stopped tail appended sample by sample: the reference for the builder
-    that keeps its states in one growing array."""
+    bulk writes (a block of steps, a stopped tail) appended sample by
+    sample: the reference for the builder that keeps its states in one
+    growing array."""
 
     def __init__(self, t0, x0, mode):
         self.times = [float(t0)]
@@ -312,9 +313,9 @@ class ListBuilder:
         self.states.append(np.array(x, dtype=float))
         self.modes.append(mode)
 
-    def hold(self, times, mode):
-        x = self.x.copy()
-        for t in times:
+    def extend(self, times, states, mode):
+        rows = np.broadcast_to(np.array(states, dtype=float), (len(times), len(self.x)))
+        for t, x in zip(times, rows):
             self.append(t, x, mode)
 
     def event(self, kind, detail=""):

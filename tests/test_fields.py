@@ -7,6 +7,7 @@ import pytest
 
 from nsds.errors import (
     DegenerateSurfaceError,
+    DimensionMismatchError,
     ModelError,
     NotSlidingError,
     UnsupportedError,
@@ -554,6 +555,33 @@ def test_field_from_config_roundtrip(tmp_path):
     assert np.allclose(F2.value([1.0, 0.5]), F.value([1.0, 0.5]))
     with pytest.raises(ModelError):
         field_from_config({"dim": 1, "switches": [], "cells": {"": {"form": "nope"}}})
+
+
+def _config_2d(switches=None, **cells):
+    cells = {"-": {"form": "constant", "value": [0.0, 1.0]},
+             "+": {"form": "constant", "value": [1.0, 0.0]}, **cells}
+    return {"dim": 2, "switches": switches or [{"form": "coordinate", "index": 0}],
+            "cells": cells}
+
+
+@pytest.mark.parametrize("config, error, message", [
+    (_config_2d(**{"+": {"form": "constant", "value": [1.0, 0.0, 0.0]}}),
+     DimensionMismatchError, r"cell '\+'"),
+    (_config_2d([{"form": "affine", "a": [1.0, 0.0, 0.0]}]), DimensionMismatchError, "switch 0"),
+    (_config_2d([{"form": "coordinate", "index": 5}]), DimensionMismatchError, "index 5"),
+    (_config_2d(**{"-": {"form": "affine", "A": np.eye(3).tolist()}}),
+     DimensionMismatchError, "cell '-'"),
+    ({"dim": 2, "switches": [{"form": "affine", "a": [1.0, 0.0]},
+                             {"form": "affine", "a": [1.0, 0.0, 2.0]}],
+      "cells": {"--": {"form": "constant", "value": [0.0, 1.0]}}},
+     DimensionMismatchError, "switch 1"),
+], ids=["constant_of_length_3", "affine_switch_of_length_3", "coordinate_index_5",
+        "3x3_A", "ragged_switches"])
+def test_config_dimension_errors_are_typed_at_build(config, error, message):
+    # Each of these used to build, then end a run in a bare numpy ValueError
+    # or IndexError (the coordinate index in an IndexError at build).
+    with pytest.raises(error, match=message):
+        field_from_config(config)
 
 
 def test_smooth_field_no_switches():

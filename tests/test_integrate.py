@@ -641,6 +641,31 @@ class TestMoveAwayAgents:
                     assert np.max(np.abs(law.direction(pts.ravel()) - ref)) <= 1e-12
         assert 2 in sizes and max(sizes) >= 3
 
+    def test_placement_beyond_the_area_bound_draws_nothing(self, monkeypatch):
+        # n discs of radius margin must fit the polygon's area (4 for this
+        # square); more are rejected before the first draw.  n = 300 used
+        # to spend 16 s in its draws before it failed.
+        draws, real = [], np.random.default_rng
+
+        class Counted:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def random(self, *args):
+                draws.append(1)
+                return self.rng.random(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", Counted)
+        square = ConvexPolygon.square(1.0)
+        for n, margin in ((510, 0.05), (15, 0.3)):
+            with pytest.raises(ModelError, match="exceed the area 4.0"):
+                MoveAwayLaw(square, n).random_interior_points(1, margin)
+            assert draws == []
+        pts = MoveAwayLaw(square, 14).random_interior_points(3, 0.05).reshape(14, 2)
+        assert len(draws) >= 14
+        gaps = np.linalg.norm(pts[:, None] - pts[None], axis=2) + np.eye(14)
+        assert gaps.min() >= 0.1 and np.abs(pts).max() <= 0.95
+
     def test_direction_rejects_bad_positions(self):
         # Where several checks fail, the first of finite, coincident, on an
         # edge, outside decides the message.
@@ -1365,9 +1390,8 @@ class TestDeclaredAffineCells:
 
         c = np.array([0.7, -0.2, 1.3])
         fn = affine_cell(A, c)
-        F = PiecewiseField(3, [], {(): fn})
         x, h = np.array([0.4, -1.1, 0.25]), 0.05
-        flow = integrate._cell_flow(F, (), x, h)
+        flow = integrate._cell_flow(fn, x, h)
         for s in (1.0, 0.5, 0.3125, 1e-3):
             assert np.allclose(flow(s), rk4_step(fn, x, s * h), rtol=0, atol=1e-15)
 
@@ -1401,6 +1425,121 @@ class TestDeclaredAffineCells:
             affine_cell([[1.0, 0.0]], [0.0, 1.0])
         with pytest.raises(ModelError, match="square A"):
             affine_cell(np.eye(2), [0.0, 1.0, 2.0])
+
+
+class TestAffineBlocks:
+    """Regular steps in a declared affine cell advance in blocks that must
+    give the samples, times, modes and events of single steps bit for bit.
+    The same switches wrapped as opaque ``SwitchingSurface(value, grad)``
+    carry no coefficients, so their field has no switch matrix and takes
+    single steps only: that run is the reference."""
+
+    @staticmethod
+    def outcome(run, F, x0, t_end, cfg):
+        try:
+            tr = run(F, x0, t_end, cfg)
+        except ModelError as err:
+            return str(err)
+        return tr.times.tobytes(), tr.states.tobytes(), tr.modes, tr.events
+
+    def both(self, run, F, x0, t_end, cfg, monkeypatch):
+        """(outcome with blocks, outcome with single steps, block steps taken)."""
+        import nsds.integrate as integrate
+
+        taken, block = [], integrate._affine_block
+
+        def counted(*args):
+            n, read = block(*args)
+            taken.append(n)
+            return n, read
+
+        monkeypatch.setattr(integrate, "_affine_block", counted)
+        opaque = PiecewiseField(F.dim, [SwitchingSurface(s.value, s.grad, s.name)
+                                        for s in F.switches], F.cell)
+        if not F.switches:  # nothing to wrap: drop the empty switch matrix
+            opaque._switch_matrix = None
+        single = self.outcome(run, opaque, x0, t_end, cfg)
+        assert sum(taken) == 0
+        return self.outcome(run, F, x0, t_end, cfg), single, sum(taken)
+
+    @staticmethod
+    def far_field(A, c) -> PiecewiseField:
+        """One declared cell on both sides of x1 = 10, which no run reaches."""
+        cell = affine_cell(A, c)
+        return PiecewiseField(2, [SwitchingSurface.affine([1.0, 0.0], -10.0)],
+                              {(-1,): cell, (1,): cell})
+
+    @pytest.mark.parametrize("max_steps", [2_000_000, 37], ids=["horizon", "step_limit"])
+    @pytest.mark.parametrize("run", [integrate_filippov, integrate_caratheodory])
+    def test_random_models_take_the_single_steps(self, run, max_steps, monkeypatch):
+        # 1.013 is not a multiple of dt_max, so the horizon's last step is
+        # short; 37 steps end inside what would otherwise be a block.
+        cfg = IntegratorConfig(dt_max=0.02, max_steps=max_steps)
+        blocked = hits = 0
+        for seed in range(16):
+            F = TestDeclaredAffineCells.random_model(np.random.default_rng(seed), True)
+            x0 = 0.5 * np.random.default_rng([seed, 1]).standard_normal(F.dim)
+            with_blocks, single, taken = self.both(run, F, x0, 1.013, cfg, monkeypatch)
+            assert with_blocks == single, seed
+            kinds = [e.kind for e in single[3]]
+            assert (kinds[-1:] == ["StepLimit"]) == (max_steps == 37)
+            blocked += taken
+            hits += kinds.count("SurfaceHit")
+        assert blocked >= 200 and hits >= 5
+
+    @pytest.mark.parametrize("run", [integrate_filippov, integrate_caratheodory])
+    def test_decay_to_a_stall(self, run, monkeypatch):
+        # x' = -3 x shrinks until a Filippov run declares a stall; blocks
+        # take the steps that move more than twice the stall bound.
+        F = self.far_field(-3.0 * np.eye(2), [0.0, 0.0])
+        cfg = IntegratorConfig(dt_max=0.02, conv_tol=1e-3)
+        with_blocks, single, taken = self.both(run, F, [1.0, 1.0], 4.0, cfg, monkeypatch)
+        assert with_blocks == single and taken >= 60
+        events = single[3]
+        if run is integrate_filippov:
+            assert [(e.kind, e.detail) for e in events] == [("Converged", "stall window")]
+            assert single[2].count("STOP") > 40
+        else:
+            assert events == []
+
+    @pytest.mark.parametrize("switches", [1, 0], ids=["far_switch", "no_switch"])
+    @pytest.mark.parametrize("run", [integrate_filippov, integrate_caratheodory])
+    def test_blow_up_names_the_same_time(self, run, switches, monkeypatch):
+        F = self.far_field(50.0 * np.eye(2), [0.0, 0.0])  # grows 65x per step
+        if not switches:
+            F = PiecewiseField(2, [], {(): F.cell((1,))})
+        with np.errstate(over="ignore", invalid="ignore"):  # single steps overflow
+            with_blocks, single, taken = self.both(run, F, [-1.0, 0.5], 100.0,
+                                                   IntegratorConfig(dt_max=0.1), monkeypatch)
+        assert isinstance(single, str) and "not finite at t=" in single
+        assert with_blocks == single and taken >= 60
+
+    def test_a_zero_cell_stalls_without_a_block(self, monkeypatch):
+        F = self.far_field(None, [0.0, 0.0])
+        with_blocks, single, taken = self.both(integrate_filippov, F, [1.0, 1.0], 1.0,
+                                               IntegratorConfig(dt_max=0.01), monkeypatch)
+        assert with_blocks == single and taken == 0
+        assert [(e.kind, e.detail) for e in single[3]] == [("Converged", "stall window")]
+
+    @pytest.mark.parametrize("run", [integrate_filippov, integrate_caratheodory])
+    def test_a_sample_within_the_band_is_left_to_single_steps(self, run, monkeypatch):
+        # Steps of 0.01 from x1 = -0.5 - 1e-12 reach x1 = -1e-12, inside the
+        # band of x1 = 0 without crossing it: a Filippov run records the
+        # landing there, so no block may take that sample.
+        cell = affine_cell(None, [1.0, 0.0])
+        F = PiecewiseField(2, [SwitchingSurface.coordinate(0, 2)], {(-1,): cell, (1,): cell})
+        with_blocks, single, taken = self.both(run, F, [-0.5 - 1e-12, 0.0], 1.0,
+                                               IntegratorConfig(dt_max=0.01), monkeypatch)
+        assert with_blocks == single and taken >= 80
+        if run is integrate_filippov:
+            [hit] = single[3]
+            assert hit.kind == "SurfaceHit" and abs(hit.time - 0.5) < 1e-9
+
+    def test_a_constant_cell_takes_blocks(self, monkeypatch):
+        F = get_scenario("move_away_1").build()
+        with_blocks, single, taken = self.both(integrate_filippov, F, [-0.5, 0.1], 0.6,
+                                               IntegratorConfig(dt_max=1e-3), monkeypatch)
+        assert with_blocks == single and taken >= 300
 
 
 class TestPartitionCap:
