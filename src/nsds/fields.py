@@ -122,15 +122,21 @@ class PiecewiseField:
             self._switch_matrix = (np.array([a for a, _ in coefficients]).reshape(-1, dim),
                                    np.array([b for _, b in coefficients]))
 
-    def _clear_rows(self, X: np.ndarray, signs: np.ndarray, tol: float) -> np.ndarray:
+    def _clear_rows(self, X: np.ndarray, face: np.ndarray, tol: float, floor) -> np.ndarray:
         """Whether each row x of X is finite and every switch value there, read
-        by one product, has its sign in ``signs`` and exceeds twice the band at
-        x (widened to tol) by over 4 d 2^-52 |a| |x|, four times any rounding gap."""
+        by one product, lies as ``face`` says: on the side of its sign beyond
+        twice the band at x (widened to tol) and ``floor``, or within tol where
+        it is 0.  Each bound has 4 (d + 1) 2^-52 (|a| (1 + |x|) + |b|) to spare,
+        four times any gap between this read and one of :meth:`_switch_list`."""
         G, offsets = self._switch_matrix
-        band = np.maximum(_BAND_AT_ORIGIN * (1.0 + np.sqrt((X * X).sum(axis=1))), tol)
-        margin = 2.0 + 4 * self.dim * 2.0**-52 / _BAND_AT_ORIGIN * np.linalg.norm(G, axis=1)
-        V = (X @ G.T + offsets) * signs
-        return np.isfinite(band) & ((V > margin * band[:, None]) & (V < math.inf)).all(axis=1)
+        norm = np.sqrt((X * X).sum(axis=1))[:, None]
+        band = np.maximum(_BAND_AT_ORIGIN * (1.0 + norm), tol)
+        gap = 4 * (self.dim + 1) * 2.0**-52 * (np.linalg.norm(G, axis=1) * (1.0 + norm)
+                                               + np.abs(offsets))
+        V = X @ G.T + offsets
+        side = np.where(face == 0, np.abs(V) <= tol - gap,
+                        V * face > np.maximum(2.0 * band, floor) + gap)
+        return np.isfinite(norm[:, 0]) & (side & np.isfinite(V)).all(axis=1)
 
     def _switch_list(self, x: np.ndarray) -> list[float]:
         """Every switching function at x; a non-finite value raises ModelError

@@ -479,32 +479,39 @@ def _cut_step(F: PiecewiseField, b: _Builder, flow, h: float, g, watched,
     return i, end
 
 
-def _affine_block(F: PiecewiseField, b: _Builder, aff, sigma, read, t_end: float,
-                  budget: int, cfg: IntegratorConfig):
+def _affine_block(F: PiecewiseField, b: _Builder, step, mode: str, read, t_end: float,
+                  budget: int, cfg: IntegratorConfig, S=()):
     """(steps taken, last read): up to AFFINE_BLOCK and ``budget`` full dt_max
-    steps in cell sigma (declared ``aff``) from b's last sample, short of the
-    horizon's last and computed bit for bit as single steps.  It keeps the
-    prefix of plain steps: finite states, clear of twice the band on each
-    switch's start side (one product, ``F._clear_rows``), moving over twice the stall bound."""
-    if aff is None or F._switch_matrix is None:
+    steps from b's last sample, short of the horizon's last and computed bit for
+    bit as single steps: in a cell declared ``step`` (an AffineField), or along
+    S = (i,) by ``step``, the sliding vector of two constant cells.  It keeps the
+    prefix that single steps take unchanged: finite states moving over twice the
+    stall bound, read by one product (``F._clear_rows``) off the surfaces beyond
+    twice the band on their start sides and, on a slide, within event_refine_tol
+    of surface i (so _project moves none) and 2.5 steps short of any predicted
+    crossing at each step's end (so no step is clamped)."""
+    if step is None or F._switch_matrix is None:
         return 0, read
     h = cfg.dt_max
     t = list(itertools.accumulate([b.t] + [h] * min(AFFINE_BLOCK, budget)))  # as single steps
     n = len(t) - 1
     while n and not (t[n - 1] < t_end - TIME_SLACK and _step_count(t_end - t[n - 1], h) > 1):
         n -= 1  # step n is the horizon's last or past it, and so is every later step
+    face = np.array(_face(read[0], S))
     with np.errstate(all="ignore"):  # states past a blow-up are never appended
-        if aff.A is None:  # as _cell_flow: x + h c, and M x + k, step by step
-            X = np.cumsum([b.x] + [h * aff.c] * n, axis=0)
-        else:
-            (M, k), X = aff.step_map(h), np.repeat([b.x], n + 1, axis=0)
+        if S or step.A is None:  # as rk4_step with every stage v, or _cell_flow: x + h c
+            D = (h / 6.0) * (step + 2.0 * step + 2.0 * step + step) if S else h * step.c
+            X = np.cumsum([b.x] + [D] * n, axis=0)
+        else:  # as _cell_flow: M x + k, step by step
+            (M, k), X = step.step_map(h), np.repeat([b.x], n + 1, axis=0)
             rows = list(X)
             for x, y in zip(rows, rows[1:]):
                 np.add(np.matmul(M, x, out=y), k, out=y)
-        plain = F._clear_rows(X[1:], np.array(_face(read[0], ())), cfg.event_refine_tol) & (
+        floor = 2.5 * np.maximum(-(F._switch_matrix[0] @ D) * face, 0.0) if S else 0.0
+        plain = F._clear_rows(X[1:], face, cfg.event_refine_tol, floor) & (
             np.linalg.norm(np.diff(X, axis=0), axis=1) > 2.0 * cfg.conv_tol * STALL_WINDOW * h)
     n = n if plain.all() else int(plain.argmin())
-    b.extend(t[1:n + 1], X[1:n + 1], regular_mode(sigma))
+    b.extend(t[1:n + 1], X[1:n + 1], mode)
     return n, _end_values(F, b.t, b.x, cfg.event_refine_tol) if n else read
 
 
@@ -527,14 +534,21 @@ class _FilippovRun:
         self.b = _Builder(0.0, x0, label)
         self.S: tuple[int, ...] = ()
         self.lam = np.empty(0)
-        self.stepped = (None, None)  # the last regular step's sigma, affine declaration
+        self.stepped = None  # (step, sigma or S) of the step just taken, for block
 
     def block(self, t_end: float, budget: int) -> int:
-        """The steps :func:`_affine_block` takes from a sample on no surface."""
-        (g, band), (sigma, aff) = self.read, self.stepped
-        if aff is None or self.S or any(_active(v, band) for v in g) or sigma != _face(g, ()):
+        """The steps :func:`_affine_block` takes after the step just taken: a
+        regular step in cell sigma, declared by the AffineField ``step``, that
+        ended on no surface, or a full, unclamped slide along S = (i,) between
+        constant cells, by the sliding vector ``step``."""
+        if self.stepped is None:
             return 0
-        k, self.read = _affine_block(self.F, self.b, aff, sigma, self.read, t_end, budget, self.cfg)
+        (g, band), (step, key) = self.read, self.stepped
+        if not self.S and (any(_active(v, band) for v in g) or key != _face(g, ())):
+            return 0
+        mode = sliding_mode(key) if self.S else regular_mode(key)
+        k, self.read = _affine_block(self.F, self.b, step, mode, self.read, t_end, budget,
+                                     self.cfg, self.S)
         return k
 
     def _cut(self, flow, h: float, g, watched, mode: str) -> int | None:
@@ -550,7 +564,7 @@ class _FilippovRun:
     def step(self, h: float) -> bool:
         g, band = self.read
         active = [j for j, v in enumerate(g) if _active(v, band)]
-        stopped = False
+        stopped, self.stepped = False, None
         if self.S:
             stopped = self._slide_step(h, g)
         elif not active:
@@ -570,7 +584,7 @@ class _FilippovRun:
         tol = self.cfg.event_refine_tol
         watched = [j for j, v in enumerate(g) if j not in skip and not _active(v, tol)]
         fn = self.F._cell_fn(sigma)
-        self.stepped = (sigma, getattr(fn, "affine", None))
+        self.stepped = (getattr(fn, "affine", None), sigma)
         i = self._cut(_cell_flow(fn, self.b.x, h), h, g, watched, regular_mode(sigma))
         if i is not None:
             self.b.event(SURFACE_HIT, f"surface {i}")
@@ -676,6 +690,9 @@ class _FilippovRun:
             # The next step, on S and j, stops, slides on all, or leaves.
             self.b.event(SURFACE_HIT, f"surface {j} while sliding on {','.join(map(str, S))}")
             self.S = ()
+        elif h == cfg.dt_max and len(S) == 1 and all(
+                getattr(getattr(fn, "affine", None), "A", 0) is None for fn in fns):
+            self.stepped = (v, S)  # constant cells: every stage and step slides by v
         return False
 
 
@@ -732,7 +749,7 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
     def block(t_end: float, budget: int) -> int:
         nonlocal read
         aff = getattr(F.cell(sigma), "affine", None)
-        k, read = _affine_block(F, b, aff, sigma, read, t_end, budget, cfg)
+        k, read = _affine_block(F, b, aff, regular_mode(sigma), read, t_end, budget, cfg)
         return k
 
     return _drive(b, t_end, cfg, step, block)
@@ -896,6 +913,8 @@ def consensus_flow(G: Graph, variant: str, p0, t_end: float,
     cfg = cfg or IntegratorConfig()
     if variant not in ("smooth", "norm", "sign"):
         raise ValueError("variant must be smooth, norm, or sign")
+    if not 0.0 <= spread_tol < math.inf:  # NaN fails too: no spread falls below it
+        raise ValueError(f"spread_tol must be finite and nonnegative, got {spread_tol}")
     if G.n == 0:
         raise ModelError("consensus needs at least one agent")
     if variant == "smooth":

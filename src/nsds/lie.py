@@ -298,6 +298,8 @@ def _sweep(theorem: str, f: NsFunction, F: FieldSource, region: GridSpec, *,
     """Check one theorem's clauses point by point; the first point that
     fails or blocks a clause ends the sweep and is counted."""
     lie_set, positivity, strict, bound_clause = _CHECKS[theorem]
+    if not (math.isfinite(tol) and math.isfinite(margin)):  # NaN compares false: nothing fails
+        raise ValueError(f"tol={tol} and margin={margin} must be finite")
     details = details or {}
     grid = region.describe()
     checked = 0
@@ -376,6 +378,8 @@ def lyapunov_certify(
     if theorem not in _THEOREMS:
         raise ValueError(f"theorem must be one of {_THEOREMS}")
     x_e = np.asarray(x_e, dtype=float)
+    if not np.all(np.isfinite(x_e)):  # f(x) - nan <= 0 is false: positivity never fails
+        raise ValueError(f"equilibrium must be finite, got {x_e.tolist()}")
     f0 = f.value(x_e)
     details: dict = {"offset": f0, "tol": tol, "margin": margin}
     if _CHECKS[theorem][0] == "gradient" and not f.regular:

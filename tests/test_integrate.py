@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import re
@@ -204,6 +205,28 @@ class TestFilippovIntegrator:
             errors.append(float(np.linalg.norm(tr.final_state - exact)))
         assert errors[0] <= 1e-6
         assert math.log2(errors[0] / errors[1]) >= 3.5
+
+    @pytest.mark.parametrize("declared", [False, True], ids=["callable", "affine_cell"])
+    def test_transversal_crossing_against_its_closed_form(self, declared):
+        # x' = x + 2 below x = 1 and x' = 1 + x above it, from x0 = 0: the
+        # hit is at t* = ln 1.5, and x(t) = 2 e^(t - t*) - 1 after it.
+        if declared:
+            cells = {(-1,): affine_cell([[1.0]], [2.0]), (1,): affine_cell([[1.0]], [1.0])}
+        else:
+            cells = {(-1,): lambda x: x + 2.0, (1,): lambda x: 1.0 + x}
+        F = PiecewiseField(1, [SwitchingSurface.affine([1.0], -1.0)], cells)
+        t_star = math.log(1.5)
+        errors = []
+        for dt in (0.2, 0.1, 0.05, 0.025):
+            tr = integrate_filippov(F, [0.0], 1.0, IntegratorConfig(dt_max=dt))
+            [hit] = tr.events
+            assert hit.kind == "SurfaceHit" and tr.final_time == 1.0
+            before = tr.times < hit.time
+            assert np.max(np.abs(tr.states[before, 0] - 2.0 * np.expm1(tr.times[before]))) <= 5e-5
+            errors.append(abs(tr.final_state[0] - (2.0 * math.exp(1.0 - t_star) - 1.0)))
+        assert errors[0] <= 5e-5
+        assert min(math.log2(a / b) for a, b in zip(errors, errors[1:])) >= 3.5
+        assert abs(hit.time - t_star) <= 1e-8
 
     def test_an_unprojected_step_leaves_the_circle(self):
         # RK4 does not keep |x| = 1 under the rotation, so the slide above
@@ -469,6 +492,18 @@ class TestConsensus:
     def test_consensus_scenario_rejects_zero_agents(self):
         with pytest.raises(ModelError, match="at least one agent"):
             get_scenario("consensus").simulate([], 1.0)
+
+    @pytest.mark.parametrize("variant", ["smooth", "norm", "sign"])
+    @pytest.mark.parametrize("tol", [math.nan, -1e-3, math.inf])
+    def test_spread_tol_must_be_finite_and_nonnegative(self, variant, tol):
+        # A NaN tolerance ran to t_end and reported no consensus: no spread
+        # falls below it.
+        with pytest.raises(ValueError, match="spread_tol must be finite and nonnegative"):
+            consensus_flow(Graph.path(2), variant, [0.0, 1.0], 0.1, spread_tol=tol)
+
+    def test_a_zero_spread_tol_is_allowed(self):
+        res = consensus_flow(Graph.path(2), "sign", [0.0, 1.0], 1.0, spread_tol=0.0)
+        assert res.final_spread >= 0.0
 
     def test_isolated_agent_stays_still(self):
         res = consensus_flow(Graph(3, ((0, 1),)), "sign", [0.0, 1.0, 5.0], 1.0)
@@ -1428,8 +1463,9 @@ class TestDeclaredAffineCells:
 
 
 class TestAffineBlocks:
-    """Regular steps in a declared affine cell advance in blocks that must
-    give the samples, times, modes and events of single steps bit for bit.
+    """Regular steps in a declared affine cell, and slides on one affine
+    surface between two constant cells, advance in blocks that must give
+    the samples, times, modes and events of single steps bit for bit.
     The same switches wrapped as opaque ``SwitchingSurface(value, grad)``
     carry no coefficients, so their field has no switch matrix and takes
     single steps only: that run is the reference."""
@@ -1443,14 +1479,15 @@ class TestAffineBlocks:
         return tr.times.tobytes(), tr.states.tobytes(), tr.modes, tr.events
 
     def both(self, run, F, x0, t_end, cfg, monkeypatch):
-        """(outcome with blocks, outcome with single steps, block steps taken)."""
+        """(outcome with blocks, outcome with single steps, block steps taken);
+        ``self.slid`` maps each sliding mode to the block steps taken in it."""
         import nsds.integrate as integrate
 
-        taken, block = [], integrate._affine_block
+        taken, block = collections.Counter(), integrate._affine_block
 
         def counted(*args):
             n, read = block(*args)
-            taken.append(n)
+            taken[args[3]] += n  # keyed by the mode of its samples
             return n, read
 
         monkeypatch.setattr(integrate, "_affine_block", counted)
@@ -1459,8 +1496,10 @@ class TestAffineBlocks:
         if not F.switches:  # nothing to wrap: drop the empty switch matrix
             opaque._switch_matrix = None
         single = self.outcome(run, opaque, x0, t_end, cfg)
-        assert sum(taken) == 0
-        return self.outcome(run, F, x0, t_end, cfg), single, sum(taken)
+        assert sum(taken.values()) == 0
+        with_blocks = self.outcome(run, F, x0, t_end, cfg)
+        self.slid = {mode: n for mode, n in taken.items() if mode.startswith("S:") and n}
+        return with_blocks, single, sum(taken.values())
 
     @staticmethod
     def far_field(A, c) -> PiecewiseField:
@@ -1540,6 +1579,129 @@ class TestAffineBlocks:
         with_blocks, single, taken = self.both(integrate_filippov, F, [-0.5, 0.1], 0.6,
                                                IntegratorConfig(dt_max=1e-3), monkeypatch)
         assert with_blocks == single and taken >= 300
+
+    @pytest.mark.parametrize("name", ["move_away_1", "smq_flow"])
+    @pytest.mark.parametrize("x0", [[-0.5, 0.1], [0.3, -0.7], [0.9, 0.2]])
+    def test_move_away_slides_take_blocks(self, name, x0, monkeypatch):
+        F = get_scenario(name).build()
+        with_blocks, single, _ = self.both(integrate_filippov, F, x0, 1.0, IntegratorConfig(),
+                                           monkeypatch)
+        assert with_blocks == single
+        assert [e.kind for e in single[3]][:2] == ["SurfaceHit", "SlideEnter"]
+        assert sum(self.slid.values()) >= 190
+
+    def test_path_sign_consensus_slides_take_blocks(self, monkeypatch):
+        # Agent values slide at |g| of about 7e-11, inside event_refine_tol.
+        F = sign_consensus_field(Graph.path(3))
+        with_blocks, single, _ = self.both(integrate_filippov, F, [0.0, 0.04, 0.1], 0.3,
+                                           IntegratorConfig(), monkeypatch)
+        assert with_blocks == single and self.slid == {"S:1": 36}
+        assert single[3][-1].detail == "least-norm selection vanished"
+
+    @staticmethod
+    def random_slide_model(rng) -> PiecewiseField:
+        """Constant cells around one to three affine switches, pushed toward
+        switch 0 from both sides, so most runs slide on it."""
+        d, m = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        switches = [SwitchingSurface.affine(a / np.linalg.norm(a), float(b))
+                    for a, b in zip(rng.standard_normal((m, d)), rng.uniform(-0.3, 0.3, m))]
+        a = switches[0].coefficients[0]
+        return PiecewiseField(d, switches, {
+            sigma: affine_cell(None, rng.standard_normal(d) - 3.0 * sigma[0] * a)
+            for sigma in itertools.product((-1, 1), repeat=m)})
+
+    @pytest.mark.parametrize("max_steps", [2_000_000, 37], ids=["horizon", "step_limit"])
+    def test_random_slide_models_take_the_single_steps(self, max_steps, monkeypatch):
+        # 1.013 is not a multiple of dt_max, so the horizon's last step is
+        # short; 37 steps end inside what would otherwise be a block.
+        cfg = IntegratorConfig(dt_max=0.01, max_steps=max_steps)
+        blocked = slides = 0
+        for seed in range(16):
+            F = self.random_slide_model(np.random.default_rng(seed))
+            x0 = 0.5 * np.random.default_rng([seed, 1]).standard_normal(F.dim)
+            with_blocks, single, _ = self.both(integrate_filippov, F, x0, 1.013, cfg, monkeypatch)
+            assert with_blocks == single, seed
+            kinds = [e.kind for e in single[3]]
+            assert (kinds[-1:] == ["StepLimit"]) == (max_steps == 37)
+            blocked += sum(n for mode, n in self.slid.items() if "," not in mode)
+            slides += kinds.count("SlideEnter")
+        assert slides >= 15 and blocked >= (300 if max_steps == 37 else 1000)
+
+    @staticmethod
+    def two_speed_slide() -> PiecewiseField:
+        """Constant cells whose slide on x2 = 0 moves at speed 1 while
+        x1 < 0.5 and at speed 2 beyond."""
+        c = lambda *v: affine_cell(None, list(v))
+        return PiecewiseField(2, [SwitchingSurface.coordinate(1, 2),
+                                  SwitchingSurface.affine([1.0, 0.0], -0.5)],
+                              {(-1, -1): c(1.0, 1.0), (1, -1): c(1.0, -1.0),
+                               (-1, 1): c(2.0, 1.0), (1, 1): c(2.0, -1.0)})
+
+    def test_a_second_surface_inside_a_block_is_left_to_single_steps(self, monkeypatch):
+        # x1 reaches 0.5 at t = 0.4963, between samples: the slide steps
+        # before it are clamped, and the hit is found by a single step.
+        with_blocks, single, _ = self.both(integrate_filippov, self.two_speed_slide(),
+                                           [0.0037, 0.0537], 0.6, IntegratorConfig(dt_max=0.01),
+                                           monkeypatch)
+        assert with_blocks == single and self.slid["S:0"] >= 35
+        hit = next(e for e in single[3] if e.detail == "surface 1 while sliding on 0")
+        assert abs(hit.time - 0.4963) <= 1e-9
+
+    def test_a_slide_reentered_with_new_side_cells_moves_at_their_speed(self, monkeypatch):
+        # The slide on x2 = 0 is left at x1 = 0.5 and entered again on the
+        # same surface, now between the cells of speed 2.
+        with_blocks, single, _ = self.both(integrate_filippov, self.two_speed_slide(),
+                                           [0.0, 0.0537], 1.0, IntegratorConfig(dt_max=0.01),
+                                           monkeypatch)
+        assert with_blocks == single and self.slid["S:0"] >= 80
+        times, states, modes, events = single
+        assert [e.kind for e in events].count("SlideEnter") == 2
+        t, x = np.frombuffer(times), np.frombuffer(states).reshape(-1, 2)
+        assert x[-1, 0] == pytest.approx(0.5 + 2.0 * (1.0 - 0.5), abs=1e-9)
+        late = t > 0.53
+        assert np.allclose(np.diff(x[late, 0]), 2.0 * np.diff(t[late]), rtol=0.0, atol=1e-12)
+
+    def test_a_slide_that_drifts_off_its_surface_is_left_to_single_steps(self, monkeypatch):
+        # With normal parts of 3e6 and -2.1e6, the sliding vector is tangent
+        # to a . x = 0 only up to rounding, and a slide step moves g by about
+        # 1e-11; a single step projects back each time |g| passes
+        # event_refine_tol, and no block may take such a step.
+        a, tau = np.array([0.6, 0.8]), np.array([0.8, -0.6])
+        F = PiecewiseField(2, [SwitchingSurface.affine(a, 0.0)],
+                           {(-1,): affine_cell(None, tau + 3e6 * a),
+                            (1,): affine_cell(None, tau - 2.1e6 * a)})
+        with_blocks, single, _ = self.both(integrate_filippov, F, [0.1, -0.2], 5.0,
+                                           IntegratorConfig(dt_max=0.01), monkeypatch)
+        assert with_blocks == single and self.slid["S:0"] >= 300
+        g = (np.frombuffer(single[1]).reshape(-1, 2) @ a)[np.array(single[2]) == "S:0"]
+        assert (np.abs(np.diff(g)) > 5e-11).sum() >= 5  # the projections
+
+    def test_the_brick_stalls_without_a_slide_block(self, monkeypatch):
+        # The brick's sliding vector on v = 0 is zero: single steps declare
+        # the stall.
+        with_blocks, single, _ = self.both(integrate_filippov, get_scenario("brick").build(),
+                                           [0.5], 0.3, IntegratorConfig(), monkeypatch)
+        assert with_blocks == single and self.slid == {}
+        assert (single[3][-1].kind, single[3][-1].detail) == ("Converged", "sliding stall")
+
+    def test_callable_and_multi_surface_slides_take_single_steps(self, monkeypatch):
+        plain = lambda v: (lambda x: np.array(v))
+        F = PiecewiseField(1, [SwitchingSurface.coordinate(0, 1)],
+                           {(-1,): plain([1.0]), (1,): plain([-2.0])})
+        with_blocks, single, _ = self.both(integrate_filippov, F, [0.3], 1.0,
+                                           IntegratorConfig(dt_max=0.01), monkeypatch)
+        assert with_blocks == single and self.slid == {}
+        assert "SlideEnter" in [e.kind for e in single[3]]
+        # Constant cells pushing onto x1 = x2 = 0 from all four sides slide
+        # along x3 on both surfaces at once.
+        c = lambda *v: affine_cell(None, list(v))
+        F = PiecewiseField(3, [SwitchingSurface.coordinate(0, 3),
+                               SwitchingSurface.coordinate(1, 3)],
+                           {(s1, s2): c(-s1, -0.5 * s2, 1.0) for s1 in (-1, 1) for s2 in (-1, 1)})
+        with_blocks, single, _ = self.both(integrate_filippov, F, [0.0, 0.0, 0.0], 1.0,
+                                           IntegratorConfig(dt_max=0.01), monkeypatch)
+        assert with_blocks == single and self.slid == {}
+        assert set(single[2]) == {"S:0,1"}
 
 
 class TestPartitionCap:

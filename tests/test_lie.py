@@ -348,6 +348,31 @@ class TestLyapunovCertify:
         assert rep.grid == grid.describe()
         assert rep.details == {"offset": 0.0, "tol": 1e-9, "margin": 1e-6}
 
+    @pytest.mark.parametrize("theorem,kw", [
+        ("thm1", {"tol": math.nan}), ("thm1p", {"margin": math.nan}),
+        ("thm3", {"tol": math.inf}), ("prop13w", {"tol": math.nan})])
+    def test_a_tolerance_that_is_not_finite_is_rejected(self, theorem, kw):
+        # A NaN tol falsified the oscillator's energy at its first point
+        # (0.0 <= nan is false); a NaN margin did the same for thm1p.
+        osc = get_scenario("oscillator").build()
+        f = make_function("energy_oscillator")
+        source = lambda x: filippov_set(osc, x)
+        grid = GridSpec.parse("-1:1:3,-1:1:3")
+        with pytest.raises(ValueError, match="must be finite"):
+            if theorem == "prop13w":
+                monotonicity_verdict("weak", f, source, grid, **kw)
+            else:
+                lyapunov_certify(theorem, f, source, [0.0, 0.0], grid, **kw)
+
+    @pytest.mark.parametrize("x_e", [[math.nan, math.nan], [0.0, math.inf]])
+    def test_an_equilibrium_that_is_not_finite_is_rejected(self, x_e):
+        # A NaN equilibrium certified 9 of 9 points with offset NaN, since
+        # f(x) - nan <= 0 is false and positivity never failed.
+        osc = get_scenario("oscillator").build()
+        with pytest.raises(ValueError, match="equilibrium must be finite"):
+            lyapunov_certify("thm1", make_function("energy_oscillator"),
+                             lambda x: filippov_set(osc, x), x_e, GridSpec.parse("-1:1:3,-1:1:3"))
+
     def test_dissipative_thm1p_off_axes(self):
         dis = get_scenario("oscillator_dissipative").build()
         f = make_function("energy_oscillator")

@@ -373,6 +373,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("ValueError: exclusion band") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,err", [
+        (["--theorem", "thm1", "--tol", "nan"], "ValueError: tol=nan"),
+        (["--theorem", "thm1p", "--margin", "nan"], "ValueError: tol=1e-09 and margin=nan"),
+        (["--theorem", "prop13w", "--tol", "nan"], "ValueError: tol=nan"),
+        (["--theorem", "thm1", "--equilibrium", "nan,nan"], "ValueError: equilibrium"),
+    ], ids=["tol", "margin", "prop13w-tol", "equilibrium"])
+    def test_lyapunov_rejects_a_value_that_is_not_finite(self, argv, err, capsys):
+        # Each exited 0: a NaN tol or margin falsified the first point, and
+        # a NaN equilibrium certified 9 of 9 points with offset NaN.
+        code = main(["lyapunov", "--scenario", "oscillator", "--function", "energy_oscillator",
+                     "--grid=-1:1:3,-1:1:3", *argv])
+        assert code == 1
+        text = capsys.readouterr().err
+        assert text.startswith(err) and "Traceback" not in text
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_consensus_rejects_a_spread_tolerance_no_spread_meets(self, tol, capsys):
+        # --spread-tol nan exited 0 with consensus_value null.
+        code = main(["consensus", "--graph", "1-2", "--variant", "norm", "--p0", "0,1",
+                     "--spread-tol", tol, "--t-end", "0.1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ValueError: spread_tol must be finite")
+
     @pytest.mark.parametrize("diam", ["1e-300", "5e-324"])
     def test_sample_hold_caps_the_partition(self, diam, capsys):
         # 1e-300 escaped as numpy's "Maximum allowed size exceeded", and
