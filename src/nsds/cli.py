@@ -271,6 +271,12 @@ def _cmd_consensus(args) -> int:
 
 
 def _cmd_pack(args) -> int:
+    # MoveAwayLaw allows no agent, and numpy's seeding rejects a negative
+    # seed in its own words; a run needs an agent and names the option.
+    if args.n < 1:
+        raise ValueError(f"the number of agents n must be at least 1, got --n {args.n}")
+    if args.seed < 0:
+        raise ValueError(f"the seed must be nonnegative, got --seed {args.seed}")
     polygon = _load_polygon(args.polygon) if args.polygon else ConvexPolygon.square(1.0)
     law = MoveAwayLaw(polygon, args.n)
     x0 = law.random_interior_points(args.seed)

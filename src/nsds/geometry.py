@@ -452,18 +452,26 @@ class ConvexPolygon:
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
         if verts.shape[0] < 3 or verts.shape[1] != 2:
             raise ValueError("a polygon needs at least three 2-D vertices")
+        if not np.isfinite(verts).all():
+            raise ValueError("polygon vertices must be finite")
         verts = verts.copy()
         verts.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
         # Edge i must have length and turn left into edge i + 1; the first
-        # edge that fails decides the error.
+        # edge that fails decides the error.  Collinear vertices turn by
+        # zero and enclose no area, and a star polygon (a pentagram) turns
+        # left at every vertex but through 4 pi, where a convex one turns
+        # through 2 pi.
         t = self.edge_vectors
         u = np.roll(t, -1, axis=0)
+        cross = t[:, 0] * u[:, 1] - t[:, 1] * u[:, 0]
         short = np.linalg.norm(t, axis=1) < 1e-12
-        bad = np.flatnonzero(short | (t[:, 0] * u[:, 1] - t[:, 1] * u[:, 0] < -1e-12))
+        bad = np.flatnonzero(short | (cross < -1e-12))
         if bad.size and short[bad[0]]:
             raise ModelError("degenerate polygon: zero-length edge")
-        if bad.size:
+        if not bad.size and self.area <= 1e-12 * self._squared_lengths.sum():
+            raise ModelError("degenerate polygon: zero area")
+        if bad.size or np.arctan2(cross, (t * u).sum(axis=1)).sum() > 3 * math.pi:
             raise ValueError("polygon vertices must be counterclockwise and convex")
 
     @classmethod
@@ -501,6 +509,12 @@ class ConvexPolygon:
         return c
 
     @functools.cached_property
+    def area(self) -> float:
+        """The enclosed area, by the shoelace formula."""
+        v, t = self.vertices, self.edge_vectors
+        return 0.5 * float((v[:, 0] * t[:, 1] - v[:, 1] * t[:, 0]).sum())
+
+    @functools.cached_property
     def _squared_lengths(self) -> np.ndarray:
         """Squared length of every edge, shape (n_edges,)."""
         t = self.edge_vectors
@@ -511,7 +525,8 @@ class ConvexPolygon:
         every point p, shape (n_points, n_edges, 2)."""
         pts = np.asarray(points, dtype=float).reshape(-1, 1, 2)
         t = self.edge_vectors
-        s = ((pts - self.vertices) * t).sum(axis=2) / self._squared_lengths
+        q = (pts - self.vertices) * t
+        s = (q[:, :, 0] + q[:, :, 1]) / self._squared_lengths
         # Clamp to [0, 1] as np.clip does, which keeps a -0.0 (np.maximum
         # may not) and a NaN, at a fraction of its call overhead.
         s[s < 0.0] = 0.0

@@ -156,34 +156,34 @@ class MoveAwayLaw:
             raise ValueError(f"the number of agents n must be nonnegative, got {self.n}")
 
     def direction(self, p_flat: np.ndarray) -> np.ndarray:
-        pts = np.asarray(p_flat, dtype=float).reshape(self.n, 2)
+        n = self.n
+        pts = np.asarray(p_flat, dtype=float).reshape(n, 2)
         if not all(map(math.isfinite, pts.ravel().tolist())):  # cheaper than np.isfinite
             raise ModelError("agent positions must be finite")
-        # Away directions and distances per (agent, entity): the other agents
-        # first (at half separation), then the edges.  An agent's own column
-        # is at infinite distance, so it never ties.
-        pair = pts[:, None, :] - pts[None, :, :]
-        # Axis norms as np.linalg.norm computes them, without its overhead.
-        r = np.sqrt((pair * pair).sum(axis=2))
-        r.flat[::self.n + 1] = np.inf
-        # One reduction per distance check.  fmin skips a NaN (an edge offset
-        # of an overflowing position), as an elementwise <= test does.
+        # Away offsets per (agent, entity) in one array: the other agents
+        # first, then the edges.  An agent's own column is at infinite
+        # distance, so it never ties.
+        off = np.concatenate([pts[:, None] - pts, self.polygon.edge_offsets(pts)], axis=1)
+        # The norm of the length-2 axis as np.linalg.norm computes it.
+        sq = off * off
+        r = np.sqrt(sq[:, :, 0] + sq[:, :, 1])
+        r.flat[::r.shape[1] + 1] = np.inf
+        # One reduction for both distance checks.  fmin skips a NaN (an edge
+        # offset of an overflowing position), as an elementwise <= test does.
         if np.fmin.reduce(r, axis=None, initial=np.inf) <= 1e-12:
-            raise ModelError("coincident agents: the law is undefined")
-        edge = self.polygon.edge_offsets(pts)
-        re = np.sqrt((edge * edge).sum(axis=2))
-        if np.fmin.reduce(re, axis=None, initial=np.inf) <= 1e-12:
+            if np.fmin.reduce(r[:, :n], axis=None, initial=np.inf) <= 1e-12:
+                raise ModelError("coincident agents: the law is undefined")
             raise ModelError("agent sits on the boundary")
         # Outside is beyond an edge's line, decided on the positions, which
         # stay finite where the edge offsets overflow to NaN.
         if (pts @ self.polygon.inward_normals.T < self.polygon.line_offsets).any():
             raise ModelError("agent outside the polygon")
-        dists = np.concatenate([0.5 * r, re], axis=1)
-        dirs = np.concatenate([pair / r[:, :, None], edge / re[:, :, None]], axis=1)
-        tied = dists <= dists.min(axis=1, keepdims=True) + self.tie_band
-        out = dirs[np.arange(self.n), np.argmin(dists, axis=1)]
-        for i in np.flatnonzero(tied.sum(axis=1) > 1):
-            out[i] = _least_norm_point(dirs[i, tied[i]])
+        off /= r[:, :, None]
+        r[:, :n] *= 0.5  # agents count at half separation
+        tied = r <= r.min(axis=1, keepdims=True) + self.tie_band
+        out = off[np.arange(n), r.argmin(axis=1)]
+        for i in (tied.sum(axis=1) > 1).nonzero()[0]:
+            out[i] = _least_norm_point(off[i, tied[i]])
         return out.ravel()
 
     def packing_radius(self, p_flat: np.ndarray) -> float:
@@ -198,8 +198,7 @@ class MoveAwayLaw:
         """Seeded initial configuration, rejection-sampled to keep agents
         inside the polygon and away from exact ties.  Their disjoint discs of
         radius ``margin`` lie in it: more than fit its area are rejected."""
-        v, t = self.polygon.vertices, self.polygon.edge_vectors
-        area = 0.5 * float((v[:, 0] * t[:, 1] - v[:, 1] * t[:, 0]).sum())
+        v, area = self.polygon.vertices, self.polygon.area
         if self.n * math.pi * margin**2 > area:
             raise ModelError(f"{self.n} discs of radius {margin} exceed the area {area}")
         rng = np.random.default_rng(seed)

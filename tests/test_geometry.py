@@ -1,12 +1,13 @@
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsds.errors import DimensionMismatchError, EmptySetError, SolverError
+from nsds.errors import DimensionMismatchError, EmptySetError, ModelError, SolverError
 from nsds.fields import transversality_test
 from nsds.geometry import (
     ConvexPolygon,
@@ -329,6 +330,36 @@ def test_convex_polygon_validation():
     assert not square.contains_point([1.5, 0.0])
     assert square.boundary_distance([0.5, 0.0]) == pytest.approx(0.5)
     assert square.boundary_distance([2.0, 0.0]) == pytest.approx(-1.0)
+
+
+def test_convex_polygon_rejects_a_vertex_that_is_not_finite():
+    # A NaN vertex used to be accepted, and placing agents then spent its
+    # 100,000 draws before it failed.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^polygon vertices must be finite$"):
+            ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [bad, 1.0]])
+
+
+def test_convex_polygon_rejects_collinear_vertices():
+    # Collinear vertices turn by zero, and the segment they span used to
+    # contain points such as (0.9, 0).
+    for verts in ([[0, 0], [1, 0], [2, 0]], [[0, 0], [2, 0], [1, 0]],
+                  [[0, 0], [1, 1], [3, 3], [2, 2]]):
+        with pytest.raises(ModelError, match="^degenerate polygon: zero area$"):
+            ConvexPolygon(verts)
+    assert ConvexPolygon([[0, 0], [2, 0], [1, 1e-6]]).area == pytest.approx(1e-6)
+
+
+def test_convex_polygon_rejects_a_pentagram():
+    # A regular pentagon's vertices in pentagram order turn left at every
+    # vertex, but their edges turn through 4 pi: packing used to run in the
+    # inner pentagon.
+    angles = 2 * np.pi * np.arange(0, 10, 2) / 5
+    with pytest.raises(ValueError, match="^polygon vertices must be counterclockwise and convex$"):
+        ConvexPolygon(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    angles = 2 * np.pi * np.arange(5) / 5
+    assert ConvexPolygon(np.stack([np.cos(angles), np.sin(angles)], axis=1)).area == (
+        pytest.approx(2.5 * np.sin(2 * np.pi / 5)))
 
 
 def test_maximin_grid_search_is_lower_bound():

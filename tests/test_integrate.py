@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 import re
@@ -648,10 +649,12 @@ class TestMoveAwayAgents:
         m0 = law.min_pairwise(x0)
         assert min(law.min_pairwise(x) for x in tr.states) >= m0 - 1e-6
 
-    @pytest.mark.parametrize("polygon", [
-        ConvexPolygon.square(1.0),
-        ConvexPolygon([[-1.0, -0.8], [1.2, -1.0], [1.4, 0.5], [0.1, 1.3], [-1.1, 0.6]]),
-    ], ids=["square", "pentagon"])
+    POLYGONS = {
+        "square": ConvexPolygon.square(1.0),
+        "pentagon": ConvexPolygon([[-1.0, -0.8], [1.2, -1.0], [1.4, 0.5], [0.1, 1.3], [-1.1, 0.6]]),
+    }
+
+    @pytest.mark.parametrize("polygon", POLYGONS.values(), ids=POLYGONS.keys())
     def test_direction_matches_loop_reference(self, polygon):
         rng = np.random.default_rng(8)
         V = polygon.vertices
@@ -675,6 +678,48 @@ class TestMoveAwayAgents:
                     ref = move_away_direction_loop(polygon, n, tie_band, pts.ravel(), sizes)
                     assert np.max(np.abs(law.direction(pts.ravel()) - ref)) <= 1e-12
         assert 2 in sizes and max(sizes) >= 3
+
+    def test_direction_is_pinned_bit_for_bit(self):
+        # The sha256 of every output's bytes, or error message, over 1,080
+        # seeded configurations: n from 0 to 8 and 20 in both polygons, three
+        # tie bands, every third configuration with agent 0 a hair off a
+        # corner's bisector and every third rounded to 0.1, which makes
+        # exact ties, coincident agents and agents on an edge.  The loop
+        # reference above allows 1e-12; this sees rounding drift.
+        rng = np.random.default_rng(24)
+        digest, messages = hashlib.sha256(), collections.Counter()
+        for polygon in self.POLYGONS.values():
+            V = polygon.vertices
+            lo, hi = V.min(axis=0), V.max(axis=0)
+            for n in (*range(9), 20):
+                for tie_band in (1e-6, 4e-3, 0.05):
+                    law = MoveAwayLaw(polygon, n, tie_band=tie_band)
+                    for k in range(18):
+                        cand = lo + (hi - lo) * rng.random((10 * n + 10, 2))
+                        pts = cand[(cand @ polygon.inward_normals.T
+                                    > polygon.line_offsets).all(axis=1)][:n]
+                        assert pts.shape == (n, 2)
+                        if k % 3 == 1 and n:
+                            j = k % V.shape[0]
+                            e0, e1 = V[j - 1] - V[j], V[(j + 1) % V.shape[0]] - V[j]
+                            u = e0 / np.linalg.norm(e0) + e1 / np.linalg.norm(e1)
+                            pts[0] = (V[j] + (0.1 + 0.2 * rng.random()) * u / np.linalg.norm(u)
+                                      + 0.25 * tie_band * (2 * rng.random(2) - 1))
+                        elif k % 3 == 2:
+                            pts = np.round(pts, 1)
+                        try:
+                            digest.update(law.direction(pts.ravel()).tobytes())
+                            messages["ok"] += 1
+                        except ModelError as exc:
+                            digest.update(str(exc).encode())
+                            messages[str(exc)] += 1
+        assert sum(messages.values()) == 1080
+        assert set(messages) == {"ok", "coincident agents: the law is undefined",
+                                 "agent sits on the boundary", "agent outside the polygon"}
+        # Recorded from the per-part form of MoveAwayLaw.direction, whose
+        # ties in these configurations join 2 to 6 entities.
+        assert digest.hexdigest() == (
+            "e64faa1872c0f6e02a39f34230073e90c94bcbfdafbb029c1ff05fe284ab1ed9")
 
     def test_placement_beyond_the_area_bound_draws_nothing(self, monkeypatch):
         # n discs of radius margin must fit the polygon's area (4 for this

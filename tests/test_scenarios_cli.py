@@ -260,6 +260,32 @@ class TestCli:
         assert main(["pack", "--n", "-1", "--seed", "1"]) == 1
         assert capsys.readouterr().err.startswith("ValueError: the number of agents n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "0", "--seed", "1"], "ValueError: the number of agents n must be at least 1, "
+                                      "got --n 0\n"),
+        (["--n", "2", "--seed", "-1"], "ValueError: the seed must be nonnegative, "
+                                       "got --seed -1\n"),
+    ], ids=["no-agent", "negative-seed"])
+    def test_pack_checks_n_and_seed_before_drawing(self, argv, message, capsys, monkeypatch):
+        # --n 0 used to run the whole flow before hsp failed, and --seed -1
+        # ended in numpy's own message.
+        monkeypatch.setattr(MoveAwayLaw, "random_interior_points",
+                            lambda *a: pytest.fail("drew a start"))
+        assert main(["pack", *argv]) == 1
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 0\n1 0\nnan 1\n", "ValueError: polygon vertices must be finite"),
+        ("0 0\n1 0\n2 0\n", "Model: degenerate polygon: zero area"),
+        ("1 0\n-0.809 0.588\n0.309 -0.951\n0.309 0.951\n-0.809 -0.588\n",
+         "ValueError: polygon vertices must be counterclockwise and convex"),
+    ], ids=["nan", "collinear", "pentagram"])
+    def test_pack_rejects_an_invalid_polygon(self, text, message, tmp_path, capsys):
+        poly_file = tmp_path / "polygon.txt"
+        poly_file.write_text(text)
+        assert main(["pack", "--n", "3", "--seed", "1", "--polygon", str(poly_file)]) == 1
+        assert capsys.readouterr().err == message + "\n"
+
     def test_json_trajectory_feeds_plot_data(self, tmp_path):
         traj, table = tmp_path / "orbit.json", tmp_path / "orbit.dat"
         code, out = run_cli("simulate", "--scenario", "oscillator", "--x0", "1,0",
