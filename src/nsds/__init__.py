@@ -1,9 +1,9 @@
 """Discontinuous dynamical systems toolkit.
 
-Simulation under convexified (Filippov-style), integral (Caratheodory-style),
-and sample-and-hold solution semantics; generalized gradients and proximal
-subdifferentials for a closed nonsmooth function class; set-valued Lie
-derivatives and sample-based Lyapunov certification.
+Filippov, Caratheodory and sample-and-hold solutions; generalized gradients
+and proximal subdifferentials of a closed nonsmooth function class; set-valued
+Lie derivatives and sample-grid checks of the stability theorems.  The names
+imported here are the public API, listed by paper object in README "Python API".
 """
 
 from .errors import (
@@ -34,13 +34,8 @@ from .fields import (
 from .geometry import (
     ConvexPolygon,
     Polytope,
-    affine_image,
-    contains,
-    hausdorff_distance,
     least_norm,
     maximin_value,
-    minkowski_sum,
-    support,
 )
 from .integrate import (
     ConsensusResult,

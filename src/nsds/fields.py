@@ -467,6 +467,8 @@ def one_sided_lipschitz_test(
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
+    if not (0 < eps < math.inf and math.isfinite(L) and 0 <= tol < math.inf):  # NaN fails
+        raise ValueError("eps must be finite and positive, L finite, tol finite and nonnegative")
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
 

@@ -4,7 +4,8 @@ Everything here works on the convex hull of an explicit, finite vertex list.
 Least-norm points are computed with Wolfe's nearest-point algorithm (in
 closed form for segments), and the linear programs behind maximin values and
 polytope slicing are solved by a dense two-phase simplex with Bland's rule.
-No external solver is used.
+No external solver is used.  It holds only what the package itself calls;
+README "Python API" lists the names of it that ``nsds`` exports.
 """
 
 from __future__ import annotations
@@ -312,31 +313,6 @@ def _least_norm_coefficients(V: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def distance_to_hull(P: Polytope, y) -> float:
-    """Euclidean distance from the point y to the hull of P."""
-    y = np.asarray(y, dtype=float)
-    if P.is_empty:
-        raise EmptySetError("distance to the empty polytope")
-    if y.shape[0] != P.dim:
-        raise DimensionMismatchError("point dimension mismatch")
-    return float(np.linalg.norm(_least_norm_point(P.vertices - y)))
-
-
-def contains(P: Polytope, y, tol: float = MEMBERSHIP_TOL) -> bool:
-    """True iff y is within Euclidean distance tol of the hull of P."""
-    return distance_to_hull(P, y) <= tol
-
-
-def support(P: Polytope, direction) -> float:
-    """Support value max over the hull of direction . v (attained at a vertex)."""
-    if P.is_empty:
-        raise EmptySetError("support of the empty polytope")
-    d = np.asarray(direction, dtype=float)
-    if d.shape[0] != P.dim:
-        raise DimensionMismatchError("direction dimension mismatch")
-    return float(np.max(P.vertices @ d))
-
-
 def maximin_value(A: Polytope, B: Polytope) -> float:
     """sup over zeta in A of min over v in B of zeta . v.
 
@@ -381,55 +357,12 @@ def _maximin_rows(A: np.ndarray, B: np.ndarray) -> float:
     return -res.value
 
 
-def affine_image(P: Polytope, M, b=None) -> Polytope:
-    """Image hull {M v + b} of every vertex; exact because affine maps commute
-    with convex hulls."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[1] != P.dim:
-        raise DimensionMismatchError(
-            f"matrix has {M.shape[1]} columns, polytope dimension is {P.dim}"
-        )
-    out_dim = M.shape[0]
-    if b is None:
-        b = np.zeros(out_dim)
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape[0] != out_dim:
-        raise DimensionMismatchError("offset dimension mismatch")
-    if P.is_empty:
-        return Polytope.empty(out_dim)
-    return Polytope(P.vertices @ M.T + b, out_dim)
-
-
-def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
-    """Hull of all pairwise vertex sums (the Minkowski sum of the hulls)."""
-    if P.dim != Q.dim:
-        raise DimensionMismatchError("minkowski_sum dimension mismatch")
-    return Polytope(_minkowski_rows(P.vertices, Q.vertices), P.dim)
-
-
 def _minkowski_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Every pairwise sum a_i + b_j of two vertex-row arrays, with i major;
     no row when either side has none."""
     if A.shape[0] == 1 or B.shape[0] == 1:
         return A + B
     return (A[:, None, :] + B[None, :, :]).reshape(-1, A.shape[1])
-
-
-def hausdorff_distance(P: Polytope, Q: Polytope) -> float:
-    """Hausdorff distance between two hulls.
-
-    For convex sets the supremum of dist(., other) is attained at a vertex,
-    so vertex-to-hull distances suffice.
-    """
-    if P.dim != Q.dim:
-        raise DimensionMismatchError("hausdorff dimension mismatch")
-    if P.is_empty and Q.is_empty:
-        return 0.0
-    if P.is_empty or Q.is_empty:
-        return np.inf
-    d1 = max(distance_to_hull(Q, v) for v in P.vertices)
-    d2 = max(distance_to_hull(P, v) for v in Q.vertices)
-    return max(d1, d2)
 
 
 # ---------------------------------------------------------------------------

@@ -937,6 +937,11 @@ def consensus_flow(G: Graph, variant: str, p0, t_end: float,
 # ---------------------------------------------------------------------------
 
 
+def _cap_intervals(count: float) -> None:
+    if count > MAX_PARTITION_INTERVALS:  # checked before anything is allocated
+        raise ValueError(f"{count:.6g} intervals are more than {MAX_PARTITION_INTERVALS} intervals")
+
+
 @dataclass(frozen=True)
 class PartitionSchedule:
     """Increasing breakpoints s_0 < s_1 < ... < s_N of a time interval."""
@@ -954,6 +959,9 @@ class PartitionSchedule:
 
     @classmethod
     def uniform(cls, t0: float, t1: float, n_intervals: int) -> "PartitionSchedule":
+        if not isinstance(n_intervals, (int, np.integer)) or n_intervals < 1:
+            raise ValueError(f"n_intervals={n_intervals!r} is not a positive integer")
+        _cap_intervals(n_intervals)
         return cls(np.linspace(t0, t1, n_intervals + 1))
 
     @classmethod
@@ -961,11 +969,8 @@ class PartitionSchedule:
         span = t1 - t0
         if not (0 < diam < math.inf and 0 < span < math.inf):
             raise ValueError(f"diam={diam} and time span={span} must be finite and positive")
-        if span / diam > MAX_PARTITION_INTERVALS:  # checked before anything is allocated
-            raise ValueError(f"diam={diam} splits the span {span} into more than "
-                             f"{MAX_PARTITION_INTERVALS} intervals")
-        n = max(1, int(math.ceil(span / diam)))
-        return cls.uniform(t0, t1, n)
+        _cap_intervals(span / diam)  # before math.ceil, which overflows on inf
+        return cls.uniform(t0, t1, max(1, math.ceil(span / diam)))
 
     @property
     def diameter(self) -> float:
@@ -1027,6 +1032,8 @@ def limit_set_estimate(tr: Trajectory, tail_fraction: float,
     numerical estimate of the positive limit set."""
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must lie in (0, 1]")
+    if not 0 < radius < math.inf:  # a NaN radius joined no two samples
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     n = tr.times.shape[0]
     start = int(n * (1.0 - tail_fraction))
     tail = tr.states[start:]

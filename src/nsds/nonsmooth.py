@@ -563,6 +563,9 @@ class DescentCheck:
 
 def descent_inequality_check(f: NsFunction, x, steps) -> DescentCheck:
     """Check f(x - t*LN) <= f(x) - (t/2)*||LN||^2 at each supplied step."""
+    steps = [float(t) for t in steps]
+    if not all(0 < t < np.inf for t in steps):  # a NaN step passed every check
+        raise ValueError(f"steps must be finite and positive, got {steps}")
     x = f._check(x)
     ln = _least_norm_point(f._rows(x)[0])
     if float(np.linalg.norm(ln)) <= MEMBERSHIP_TOL:

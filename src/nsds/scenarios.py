@@ -164,8 +164,15 @@ class MoveAwayLaw:
         # first, then the edges.  An agent's own column is at infinite
         # distance, so it never ties.
         off = np.concatenate([pts[:, None] - pts, self.polygon.edge_offsets(pts)], axis=1)
+        # Outside is beyond an edge's line, decided on the positions, which
+        # stay finite where the edge offsets overflow to NaN.
+        outside = (pts @ self.polygon.inward_normals.T < self.polygon.line_offsets).any()
         # The norm of the length-2 axis as np.linalg.norm computes it.
-        sq = off * off
+        if outside:  # far outside, the squares may overflow before the messages
+            with np.errstate(over="ignore"):
+                sq = off * off
+        else:
+            sq = off * off
         r = np.sqrt(sq[:, :, 0] + sq[:, :, 1])
         r.flat[::r.shape[1] + 1] = np.inf
         # One reduction for both distance checks.  fmin skips a NaN (an edge
@@ -174,9 +181,7 @@ class MoveAwayLaw:
             if np.fmin.reduce(r[:, :n], axis=None, initial=np.inf) <= 1e-12:
                 raise ModelError("coincident agents: the law is undefined")
             raise ModelError("agent sits on the boundary")
-        # Outside is beyond an edge's line, decided on the positions, which
-        # stay finite where the edge offsets overflow to NaN.
-        if (pts @ self.polygon.inward_normals.T < self.polygon.line_offsets).any():
+        if outside:
             raise ModelError("agent outside the polygon")
         off /= r[:, :, None]
         r[:, :n] *= 0.5  # agents count at half separation
@@ -188,11 +193,6 @@ class MoveAwayLaw:
 
     def packing_radius(self, p_flat: np.ndarray) -> float:
         return hsp(self.polygon, p_flat.reshape(self.n, 2))
-
-    def min_pairwise(self, p_flat: np.ndarray) -> float:
-        pts = p_flat.reshape(self.n, 2)
-        i, j = np.triu_indices(self.n, 1)
-        return float(np.linalg.norm(pts[i] - pts[j], axis=1).min(initial=np.inf))
 
     def random_interior_points(self, seed: int, margin: float = 0.05) -> np.ndarray:
         """Seeded initial configuration, rejection-sampled to keep agents

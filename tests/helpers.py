@@ -14,8 +14,8 @@ import math
 import numpy as np
 import scipy.optimize
 
-from nsds.errors import ModelError
-from nsds.geometry import ConvexPolygon, Polytope, least_norm
+from nsds.errors import DimensionMismatchError, EmptySetError, ModelError
+from nsds.geometry import MEMBERSHIP_TOL, ConvexPolygon, Polytope, least_norm
 from nsds.integrate import Event, Trajectory
 from nsds.nonsmooth import (
     ALL_SPACE,
@@ -211,6 +211,73 @@ def random_polytope(rng, dim: int, max_vertices: int, scale: float = 1.0) -> Pol
 
 
 # ---------------------------------------------------------------------------
+# Polytope queries that only the tests ask: membership, support values,
+# affine images and Hausdorff distances of vertex-represented hulls.
+# ---------------------------------------------------------------------------
+
+
+def distance_to_hull(P: Polytope, y) -> float:
+    """Euclidean distance from the point y to the hull of P."""
+    y = np.asarray(y, dtype=float)
+    if P.is_empty:
+        raise EmptySetError("distance to the empty polytope")
+    if y.shape[0] != P.dim:
+        raise DimensionMismatchError("point dimension mismatch")
+    return float(np.linalg.norm(least_norm(Polytope(P.vertices - y)).point))
+
+
+def contains(P: Polytope, y, tol: float = MEMBERSHIP_TOL) -> bool:
+    """True iff y is within Euclidean distance tol of the hull of P."""
+    return distance_to_hull(P, y) <= tol
+
+
+def support(P: Polytope, direction) -> float:
+    """Support value max over the hull of direction . v (attained at a vertex)."""
+    if P.is_empty:
+        raise EmptySetError("support of the empty polytope")
+    d = np.asarray(direction, dtype=float)
+    if d.shape[0] != P.dim:
+        raise DimensionMismatchError("direction dimension mismatch")
+    return float(np.max(P.vertices @ d))
+
+
+def affine_image(P: Polytope, M, b=None) -> Polytope:
+    """Image hull {M v + b} of every vertex; exact because affine maps commute
+    with convex hulls."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.shape[1] != P.dim:
+        raise DimensionMismatchError(
+            f"matrix has {M.shape[1]} columns, polytope dimension is {P.dim}"
+        )
+    out_dim = M.shape[0]
+    if b is None:
+        b = np.zeros(out_dim)
+    b = np.asarray(b, dtype=float).ravel()
+    if b.shape[0] != out_dim:
+        raise DimensionMismatchError("offset dimension mismatch")
+    if P.is_empty:
+        return Polytope.empty(out_dim)
+    return Polytope(P.vertices @ M.T + b, out_dim)
+
+
+def hausdorff_distance(P: Polytope, Q: Polytope) -> float:
+    """Hausdorff distance between two hulls.
+
+    For convex sets the supremum of dist(., other) is attained at a vertex,
+    so vertex-to-hull distances suffice.
+    """
+    if P.dim != Q.dim:
+        raise DimensionMismatchError("hausdorff dimension mismatch")
+    if P.is_empty and Q.is_empty:
+        return 0.0
+    if P.is_empty or Q.is_empty:
+        return np.inf
+    d1 = max(distance_to_hull(Q, v) for v in P.vertices)
+    d2 = max(distance_to_hull(P, v) for v in Q.vertices)
+    return max(d1, d2)
+
+
+# ---------------------------------------------------------------------------
 # Per-pair loop references for the vectorized packing code.
 # ---------------------------------------------------------------------------
 
@@ -235,6 +302,14 @@ def _segment_offset(polygon: ConvexPolygon, e: int, p) -> np.ndarray:
     t = polygon.vertices[(e + 1) % polygon.n_edges] - a
     s = float(np.clip((p - a) @ t / (t @ t), 0.0, 1.0))
     return p - (a + s * t)
+
+
+def min_pairwise(p_flat) -> float:
+    """Least distance between two planar agents at the flat positions
+    p_flat, inf for fewer than two agents."""
+    pts = np.asarray(p_flat, dtype=float).reshape(-1, 2)
+    i, j = np.triu_indices(pts.shape[0], 1)
+    return float(np.linalg.norm(pts[i] - pts[j], axis=1).min(initial=np.inf))
 
 
 def move_away_direction_loop(polygon: ConvexPolygon, n: int, tie_band: float, p_flat,
@@ -345,9 +420,11 @@ class ListBuilder:
 # ---------------------------------------------------------------------------
 
 
-def _minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
+def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     """Hull of all pairwise vertex sums, P's index major, written out here
     so the reference shares no row arithmetic with the package."""
+    if P.dim != Q.dim:
+        raise DimensionMismatchError("minkowski_sum dimension mismatch")
     if P.is_empty or Q.is_empty:
         return Polytope.empty(P.dim)
     sums = P.vertices[:, None, :] + Q.vertices[None, :, :]
@@ -372,19 +449,19 @@ def chain_gradient(f: NsFunction, x) -> GradientResult:
         for c, g in f.terms:
             child = chain_gradient(g, x)
             exact = exact and child.exact
-            acc = _minkowski_sum(acc, child.polytope.scaled(c))
+            acc = minkowski_sum(acc, child.polytope.scaled(c))
         return GradientResult(acc, exact=exact)
     if isinstance(f, Product):
         v1, v2 = f.f1.value(x), f.f2.value(x)
         g1, g2 = chain_gradient(f.f1, x), chain_gradient(f.f2, x)
-        poly = _minkowski_sum(g1.polytope.scaled(v2), g2.polytope.scaled(v1))
+        poly = minkowski_sum(g1.polytope.scaled(v2), g2.polytope.scaled(v1))
         exact = g1.exact and g2.exact and (
             f.smooth or (f.f1.regular and f.f2.regular and v1 >= 0 and v2 >= 0))
         return GradientResult(poly, exact=exact)
     if isinstance(f, Quotient):
         v1, v2 = f.f1.value(x), f.f2.value(x)
         g1, g2 = chain_gradient(f.f1, x), chain_gradient(f.f2, x)
-        poly = _minkowski_sum(g1.polytope.scaled(1.0 / v2), g2.polytope.scaled(-v1 / (v2 * v2)))
+        poly = minkowski_sum(g1.polytope.scaled(1.0 / v2), g2.polytope.scaled(-v1 / (v2 * v2)))
         exact = g1.exact and g2.exact and (
             f.smooth or (f.f1.regular and f.f2.smooth and v1 >= 0 and v2 > 0))
         return GradientResult(poly, exact=exact)

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 from nsds.fields import PiecewiseField, SwitchingSurface, filippov_set
-from nsds.geometry import ConvexPolygon, Polytope, hausdorff_distance
+from nsds.geometry import ConvexPolygon, Polytope
 from nsds.integrate import (
     IntegratorConfig,
     PartitionSchedule,
@@ -21,7 +21,12 @@ from nsds.lie import GridSpec, exclude_band, lower_upper_lie, monotonicity_verdi
 from nsds.nonsmooth import Graph, MaxOf, affine_atom, make_function, smq
 from nsds.scenarios import MoveAwayLaw, cart_feedback, cart_input_field, get_scenario
 
-from helpers import central_difference_gradient, maximin_lp_oracle
+from helpers import (
+    central_difference_gradient,
+    hausdorff_distance,
+    maximin_lp_oracle,
+    min_pairwise,
+)
 
 
 def report(num: int, ok: bool, text: str):
@@ -225,8 +230,8 @@ def test_criterion_09_sphere_packing():
     hs = np.array([law.packing_radius(x) for x in tr.states])
     monotone = float(np.max(-np.diff(hs), initial=0.0)) <= 1e-6
     stationary = any(e.kind == "Converged" for e in tr.events)
-    m0 = law.min_pairwise(x0)
-    collision_free = min(law.min_pairwise(x) for x in tr.states) >= m0 - 1e-6
+    m0 = min_pairwise(x0)
+    collision_free = min(min_pairwise(x) for x in tr.states) >= m0 - 1e-6
     report(9, monotone and stationary and collision_free,
            f"radius {hs[0]:.3f} -> {hs[-1]:.3f}, monotone {monotone}, "
            f"stationary {stationary}, collision-free {collision_free}")

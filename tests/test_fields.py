@@ -26,12 +26,12 @@ from nsds.fields import (
     sliding_field,
     transversality_test,
 )
-from nsds.geometry import Polytope, affine_image, hausdorff_distance, minkowski_sum
+from nsds.geometry import Polytope
 from nsds.integrate import sign_consensus_field
 from nsds.nonsmooth import Graph
 from nsds.scenarios import get_scenario, move_away_square_field
 
-from helpers import filippov_ball_oracle
+from helpers import affine_image, filippov_ball_oracle, hausdorff_distance, minkowski_sum
 
 
 def neg_sign_field():
@@ -325,7 +325,7 @@ class TestSlidingField:
             res = sliding_field(F, x, 0)
             n = F.switches[0].grad(x)
             assert abs(n @ res.vector) <= 1e-10
-            from nsds.geometry import contains
+            from helpers import contains
 
             assert contains(filippov_set(F, x), res.vector, 1e-8)
             assert 0.0 <= res.lam <= 1.0
@@ -453,6 +453,16 @@ class TestUniquenessChecks:
         # A ball far thinner than the surface band has no point off the surface.
         with pytest.raises(ModelError):
             one_sided_lipschitz_test(neg_sign_field(), [0.0], 1e-20, 0.0, 2)
+
+    @pytest.mark.parametrize("bad", [{"L": math.nan}, {"tol": math.nan}, {"eps": -0.1},
+                                     {"eps": math.inf}, {"L": math.inf}, {"tol": -1.0}])
+    def test_parameters_must_be_finite(self, bad):
+        # A NaN L or tol reported no violation, since every comparison with
+        # NaN is false, and a negative eps sampled as if it were positive.
+        params = {"eps": 0.1, "L": 0.0, "tol": 1e-12, **bad}
+        with pytest.raises(ValueError, match="must be finite"):
+            one_sided_lipschitz_test(get_scenario("oscillator").build(), [0.0, 0.5],
+                                     params["eps"], params["L"], 50, tol=params["tol"])
 
     def test_smooth_field_with_jacobian_bound(self):
         F = PiecewiseField(1, [], {(): lambda x: np.array([3.0 * x[0]])})

@@ -12,23 +12,23 @@ from nsds.fields import transversality_test
 from nsds.geometry import (
     ConvexPolygon,
     Polytope,
-    affine_image,
-    contains,
-    distance_to_hull,
-    hausdorff_distance,
     least_norm,
     maximin_value,
-    minkowski_sum,
     solve_lp,
-    support,
 )
 from nsds.nonsmooth import make_function
 
 from helpers import (
+    affine_image,
+    contains,
+    distance_to_hull,
     grid_projection_oracle,
+    hausdorff_distance,
     least_norm_scipy_oracle,
     maximin_grid_search,
     maximin_lp_oracle,
+    minkowski_sum,
+    support,
 )
 
 

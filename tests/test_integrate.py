@@ -9,7 +9,7 @@ import pytest
 
 from nsds.errors import DimensionMismatchError, ModelError
 from nsds.fields import PiecewiseField, SwitchingSurface, affine_cell, filippov_set
-from nsds.geometry import ConvexPolygon, Polytope, contains
+from nsds.geometry import ConvexPolygon, Polytope
 from nsds.integrate import (
     Event,
     IntegratorConfig,
@@ -36,7 +36,14 @@ from nsds.scenarios import (
 )
 from nsds.fields import ControlField
 
-from helpers import ListBuilder, count_polytopes, move_away_direction_loop, sign_cell_lp_oracle
+from helpers import (
+    ListBuilder,
+    contains,
+    count_polytopes,
+    min_pairwise,
+    move_away_direction_loop,
+    sign_cell_lp_oracle,
+)
 
 
 def neg_sign_field():
@@ -228,6 +235,26 @@ class TestFilippovIntegrator:
         assert errors[0] <= 5e-5
         assert min(math.log2(a / b) for a, b in zip(errors, errors[1:])) >= 3.5
         assert abs(hit.time - t_star) <= 1e-8
+
+    def test_corner_slide_against_its_closed_form(self):
+        # Cells (-s1 (1 + s1/2), -s2 (2 - s2), x3 (1 + s1/2)(1 + s2/4)) around
+        # x1 = 0 and x2 = 0.  The bilinear weights (0.25, 0.75) of the s = +1
+        # sides zero the first two components, so from (0, 0, 1) the run
+        # slides on the corner with x3' = 0.75 * 1.125 x3 = 0.84375 x3.
+        cell = lambda s1, s2: lambda x: np.array(
+            [-s1 * (1 + 0.5 * s1), -s2 * (2 - s2), x[2] * (1 + 0.5 * s1) * (1 + 0.25 * s2)])
+        switches = [SwitchingSurface.coordinate(0, 3), SwitchingSurface.coordinate(1, 3)]
+        F = PiecewiseField(3, switches,
+                           {(s1, s2): cell(s1, s2) for s1 in (-1, 1) for s2 in (-1, 1)})
+        errors = []
+        for dt in (0.2, 0.1, 0.05, 0.025):
+            tr = integrate_filippov(F, [0.0, 0.0, 1.0], 1.0, IntegratorConfig(dt_max=dt))
+            assert [(e.kind, e.detail) for e in tr.events] == [("SlideEnter", "surface 0,1")]
+            assert set(tr.modes) == {"S:0,1"} and tr.final_time == 1.0
+            assert np.all(tr.states[:, :2] == 0.0)
+            errors.append(abs(tr.final_state[2] - math.exp(0.84375)))
+        assert errors[0] <= 2e-5
+        assert min(math.log2(a / b) for a, b in zip(errors, errors[1:])) >= 3.5
 
     def test_an_unprojected_step_leaves_the_circle(self):
         # RK4 does not keep |x| = 1 under the rotation, so the slide above
@@ -637,6 +664,14 @@ class TestLimitSets:
         with pytest.raises(ValueError):
             limit_set_estimate(tr, 0.5)
 
+    @pytest.mark.parametrize("radius", [math.nan, -1.0, 0.0, math.inf])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        # A NaN or negative radius joined no two samples, and returned each
+        # of the 400 tail samples as its own cluster.
+        tr = get_scenario("oscillator").simulate([1.0, 0.0], 3.0)
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            limit_set_estimate(tr, 0.5, radius=radius)
+
 
 class TestMoveAwayAgents:
     def test_hsp_monotone_and_collision_free(self):
@@ -646,8 +681,8 @@ class TestMoveAwayAgents:
         hs = [law.packing_radius(x) for x in tr.states]
         assert all(b >= a - 1e-6 for a, b in zip(hs, hs[1:]))
         assert hs[-1] > hs[0]
-        m0 = law.min_pairwise(x0)
-        assert min(law.min_pairwise(x) for x in tr.states) >= m0 - 1e-6
+        m0 = min_pairwise(x0)
+        assert min(min_pairwise(x) for x in tr.states) >= m0 - 1e-6
 
     POLYGONS = {
         "square": ConvexPolygon.square(1.0),
@@ -773,6 +808,17 @@ class TestMoveAwayAgents:
         with np.errstate(all="ignore"), pytest.raises(ModelError,
                                                       match="^agent outside the polygon$"):
             law.direction(np.array([1e308, -1e308, 10.0, 0.0]))
+
+    @pytest.mark.parametrize("p, message", [
+        ([1e300, 0.0, 1e300, 0.0], "coincident agents: the law is undefined"),
+        ([1e300, 0.0, 0.0, 0.0], "agent outside the polygon"),
+    ])
+    def test_direction_far_outside_raises_no_overflow_warning(self, p, message):
+        # Squaring these offsets overflows; warnings are errors here, and
+        # the overflow used to escape as a RuntimeWarning before the message.
+        law = MoveAwayLaw(ConvexPolygon.square(1.0), 2)
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            law.direction(np.array(p))
 
     def test_direction_with_no_agent_or_one(self):
         square = ConvexPolygon.square(1.0)
@@ -1758,6 +1804,19 @@ class TestPartitionCap:
                             classmethod(lambda *a: pytest.fail("a schedule was allocated")))
         with pytest.raises(ValueError, match="more than 1000000 intervals"):
             PartitionSchedule.with_diameter(0.0, 0.3, diam)
+
+    @pytest.mark.parametrize("n, message", [
+        (10**12, "more than 1000000 intervals"),  # numpy's MemoryError for 7.28 TiB
+        (1_000_001, "more than 1000000 intervals"),
+        (2.5, "not a positive integer"),  # a TypeError
+        (-3, "not a positive integer"),  # numpy's own ValueError
+        (0, "not a positive integer"),
+    ])
+    def test_uniform_checks_its_count_before_allocation(self, n, message, monkeypatch):
+        monkeypatch.setattr(np, "linspace",
+                            lambda *a, **k: pytest.fail("a schedule was allocated"))
+        with pytest.raises(ValueError, match=message):
+            PartitionSchedule.uniform(0.0, 1.0, n)
 
     def test_a_partition_at_the_cap_is_built(self):
         sched = PartitionSchedule.with_diameter(0.0, 0.3, 0.3 / 999_999)

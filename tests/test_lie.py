@@ -460,7 +460,8 @@ class TestDescentFlowNegativity:
         # Along the convexified descent flow of a catalog function, every Lie
         # value at a noncritical point equals the negated squared norm of the
         # least-norm gradient element.
-        from nsds.geometry import contains, least_norm
+        from helpers import contains
+        from nsds.geometry import least_norm
 
         rng = np.random.default_rng(8)
         cases = [

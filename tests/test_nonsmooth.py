@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nsds.errors import DimensionMismatchError, ModelError, SingularityError, UnsupportedError
-from nsds.geometry import ConvexPolygon, Polytope, contains, hausdorff_distance, least_norm
+from nsds.geometry import ConvexPolygon, Polytope, least_norm
 from nsds.nonsmooth import (
     ALL_SPACE,
     UNSUPPORTED,
@@ -37,7 +37,9 @@ from helpers import (
     central_difference_gradient,
     chain_gradient,
     chain_proximal,
+    contains,
     forward_directional_derivative,
+    hausdorff_distance,
     hsp_loop,
 )
 
@@ -101,7 +103,7 @@ class TestGeneralizedGradient:
                 assert hausdorff_distance(gr.polytope, oracle) <= 1e-8
 
     def test_directional_derivative_consistency_on_regular_nodes(self):
-        from nsds.geometry import support
+        from helpers import support
 
         rng = np.random.default_rng(2)
         funcs = [make_function("abs_sum", 2), make_function("energy_oscillator"),
@@ -249,6 +251,12 @@ class TestDescent:
         f = MaxOf([affine_atom([1.0], 0.0), affine_atom([2.0], 0.0)])
         assert descent_inequality_check(f, [-1.0], [0.1]).ok
         assert descent_inequality_check(make_function("abs_sum", 2), [1.0, 1.0], [0.2]).ok
+
+    @pytest.mark.parametrize("steps", [[math.nan], [math.inf], [-0.1], [0.0], [0.1, math.nan]])
+    def test_descent_inequality_steps_must_be_finite_and_positive(self, steps):
+        # A NaN step passed, as f(x - nan * LN) > ... is false.
+        with pytest.raises(ValueError, match="steps must be finite and positive"):
+            descent_inequality_check(make_function("abs_sum", 2), [1.0, 0.5], steps)
 
     def test_descent_inequality_needs_noncritical_point(self):
         with pytest.raises(ValueError):

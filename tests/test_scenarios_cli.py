@@ -1,5 +1,7 @@
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nsds
 from nsds.cli import emit_plot_data, main
 from nsds.errors import ModelError, UnsupportedError
 from nsds.fields import ControlField, PiecewiseField
@@ -534,3 +537,15 @@ def test_package_and_cli_never_import_scipy():
                          timeout=120, env=_src_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_python_api_lists_exactly_the_public_names():
+    # Every public name of the package is in the README list, and every
+    # listed name is exported: neither side can grow alone.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bullets = readme.split("## Python API", 1)[1].split("```python", 1)[0].split("\n- ", 1)[1]
+    listed = re.findall(r"`(\w+)`", bullets)
+    public = [name for name, value in vars(nsds).items()
+              if not name.startswith("_") and not inspect.ismodule(value)]
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(public)
