@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .errors import DimensionMismatchError, NsdsError, UnsupportedError
-from .fields import ControlField, PiecewiseField, control_inclusion, filippov_set
+from .fields import ControlField, PiecewiseField
 from .geometry import MEMBERSHIP_TOL, ConvexPolygon, Polytope
 from .integrate import (
     IntegratorConfig,
@@ -30,7 +30,14 @@ from .integrate import (
     consensus_flow,
     sample_and_hold,
 )
-from .lie import _CHECKS, GridSpec, exclude_band, lyapunov_certify, monotonicity_verdict
+from .lie import (
+    _CHECKS,
+    GridSpec,
+    _field_source,
+    exclude_band,
+    lyapunov_certify,
+    monotonicity_verdict,
+)
 from .nonsmooth import ALL_SPACE, UNSUPPORTED, Graph, NsFunction, hsp, make_function
 from .scenarios import MoveAwayLaw, cart_feedback, get_scenario, move_away_flow
 
@@ -130,15 +137,13 @@ def emit_plot_data(tr: Trajectory, kind: str, f: NsFunction | None = None,
     return "\n".join(lines) + "\n"
 
 
-def _direction_source(name: str, consts: dict):
-    """A scenario's model and the map from a point to its direction set:
-    the Filippov set of a piecewise field, the inclusion of a control one."""
+def _direction_model(name: str, consts: dict) -> PiecewiseField | ControlField:
+    """A scenario's model with a direction set: the Filippov set of a
+    piecewise field, the inclusion of a control one."""
     model = get_scenario(name).build(consts)
-    if isinstance(model, PiecewiseField):
-        return model, lambda x: filippov_set(model, x)
-    if isinstance(model, ControlField):
-        return model, lambda x: control_inclusion(model, x)
-    raise UnsupportedError(f"scenario {name} has no direction set")
+    if not isinstance(model, (PiecewiseField, ControlField)):
+        raise UnsupportedError(f"scenario {name} has no direction set")
+    return model
 
 
 def _config_from_args(args, settings: dict | None = None) -> IntegratorConfig:
@@ -200,8 +205,7 @@ def _cmd_filippov_set(args) -> int:
             raise UnsupportedError("descent-field set needs an exact gradient")
         P = gr.polytope.scaled(-1.0)
     else:
-        _, source = _direction_source(args.scenario, _parse_consts(args.const))
-        P = source(point)
+        P = _field_source(_direction_model(args.scenario, _parse_consts(args.const)))(point)
     print(json.dumps(_polytope_json(P)))
     return 0
 
@@ -228,7 +232,7 @@ def _cmd_gradient(args) -> int:
 
 
 def _cmd_lyapunov(args) -> int:
-    model, source = _direction_source(args.scenario, _parse_consts(args.const))
+    model = _direction_model(args.scenario, _parse_consts(args.const))
     point_dim = model.dim
     f = make_function(args.function, dim=point_dim)
     grid = GridSpec.parse(args.grid)
@@ -242,10 +246,10 @@ def _cmd_lyapunov(args) -> int:
         grid = dataclasses.replace(grid, exclude=exclude_band(args.exclude_band, axes))
     if args.theorem in ("prop13w", "prop13s"):
         kind = "weak" if args.theorem == "prop13w" else "strong"
-        report = monotonicity_verdict(kind, f, source, grid, tol=args.tol)
+        report = monotonicity_verdict(kind, f, model, grid, tol=args.tol)
     else:
         x_e = _parse_point(args.equilibrium) if args.equilibrium else np.zeros(point_dim)
-        report = lyapunov_certify(args.theorem, f, source, x_e, grid,
+        report = lyapunov_certify(args.theorem, f, model, x_e, grid,
                                   tol=args.tol, margin=args.margin)
     print(json.dumps(report.to_json_dict()))
     return 0

@@ -119,8 +119,12 @@ class PiecewiseField:
             for i, (a, _) in enumerate(coefficients):
                 if a.shape != (dim,):
                     raise DimensionMismatchError(f"switch {i} has shape {a.shape}, not ({dim},)")
-            self._switch_matrix = (np.array([a for a, _ in coefficients]).reshape(-1, dim),
-                                   np.array([b for _, b in coefficients]))
+            G, offsets = (np.array([a for a, _ in coefficients]).reshape(-1, dim),
+                          np.array([b for _, b in coefficients]))
+            self._switch_matrix = (G, offsets)
+            # The rounding allowance of _clear_rows is scale (|a| (1 + |x|) + |b|).
+            self._allowance = (4 * (dim + 1) * 2.0**-52, np.linalg.norm(G, axis=1),
+                               np.abs(offsets))
 
     def _clear_rows(self, X: np.ndarray, face: np.ndarray, tol: float, floor) -> np.ndarray:
         """Whether each row x of X is finite and every switch value there, read
@@ -129,13 +133,14 @@ class PiecewiseField:
         it is 0.  Each bound has 4 (d + 1) 2^-52 (|a| (1 + |x|) + |b|) to spare,
         four times any gap between this read and one of :meth:`_switch_list`."""
         G, offsets = self._switch_matrix
+        scale, norms, abs_offsets = self._allowance
         norm = np.sqrt((X * X).sum(axis=1))[:, None]
         band = np.maximum(_BAND_AT_ORIGIN * (1.0 + norm), tol)
-        gap = 4 * (self.dim + 1) * 2.0**-52 * (np.linalg.norm(G, axis=1) * (1.0 + norm)
-                                               + np.abs(offsets))
+        gap = scale * (norms * (1.0 + norm) + abs_offsets)
         V = X @ G.T + offsets
-        side = np.where(face == 0, np.abs(V) <= tol - gap,
-                        V * face > np.maximum(2.0 * band, floor) + gap)
+        side = V * face > np.maximum(2.0 * band, floor) + gap
+        if not face.all():
+            side = np.where(face == 0, np.abs(V) <= tol - gap, side)
         return np.isfinite(norm[:, 0]) & (side & np.isfinite(V)).all(axis=1)
 
     def _switch_list(self, x: np.ndarray) -> list[float]:

@@ -484,32 +484,52 @@ def _affine_block(F: PiecewiseField, b: _Builder, step, mode: str, read, t_end: 
     """(steps taken, last read): up to AFFINE_BLOCK and ``budget`` full dt_max
     steps from b's last sample, short of the horizon's last and computed bit for
     bit as single steps: in a cell declared ``step`` (an AffineField), or along
-    S = (i,) by ``step``, the sliding vector of two constant cells.  It keeps the
-    prefix that single steps take unchanged: finite states moving over twice the
-    stall bound, read by one product (``F._clear_rows``) off the surfaces beyond
-    twice the band on their start sides and, on a slide, within event_refine_tol
-    of surface i (so _project moves none) and 2.5 steps short of any predicted
-    crossing at each step's end (so no step is clamped)."""
-    if step is None or F._switch_matrix is None:
+    S by ``step``, the sliding vector of constant cells.  It keeps the prefix
+    that single steps take unchanged: finite states moving over twice the stall
+    bound, read by one product (``F._clear_rows``) off the surfaces beyond twice
+    the band on their start sides and, on a slide, within event_refine_tol of
+    the surfaces in S (so _project moves none) and 2.5 steps short of any
+    predicted crossing at each step's end (so no step is clamped).  Before it
+    builds any row, it declines when the first step cannot be kept: it is the
+    horizon's last, it moves no more than twice the stall bound, or it ends on
+    the far side of a surface off S or, on a slide, within its 2.5-step floor."""
+    h, t0, x = cfg.dt_max, b.t, b.x
+    if (step is None or F._switch_matrix is None or budget < 1
+            or not (t0 < t_end - TIME_SLACK and _step_count(t_end - t0, h) > 1)):
         return 0, read
-    h = cfg.dt_max
-    t = list(itertools.accumulate([b.t] + [h] * min(AFFINE_BLOCK, budget)))  # as single steps
-    n = len(t) - 1
-    while n and not (t[n - 1] < t_end - TIME_SLACK and _step_count(t_end - t[n - 1], h) > 1):
-        n -= 1  # step n is the horizon's last or past it, and so is every later step
+    G, offsets = F._switch_matrix
     face = np.array(_face(read[0], S))
+    moves = 2.0 * cfg.conv_tol * STALL_WINDOW * h
     with np.errstate(all="ignore"):  # states past a blow-up are never appended
         if S or step.A is None:  # as rk4_step with every stage v, or _cell_flow: x + h c
             D = (h / 6.0) * (step + 2.0 * step + 2.0 * step + step) if S else h * step.c
-            X = np.cumsum([b.x] + [D] * n, axis=0)
-        else:  # as _cell_flow: M x + k, step by step
-            (M, k), X = step.step_map(h), np.repeat([b.x], n + 1, axis=0)
+            x1 = x + D
+        else:  # as _cell_flow: M x + k
+            M, k = step.step_map(h)
+            x1 = M @ x + k
+        d1 = x1 - x
+        if not math.sqrt((d1 * d1).sum()) > moves:  # the read's stall test of step 1
+            return 0, read
+        floor = 2.5 * np.maximum(-(G @ D) * face, 0.0) if S else 0.0
+        if ((G @ x1 + offsets) * face <= floor)[face != 0].any():
+            return 0, read  # the read asks for more: the floor plus an allowance
+        t = list(itertools.accumulate([t0] + [h] * min(AFFINE_BLOCK, budget)))  # as single steps
+        n = len(t) - 1
+        while not (t[n - 1] < t_end - TIME_SLACK and _step_count(t_end - t[n - 1], h) > 1):
+            n -= 1  # step n is the horizon's last or past it, and so is every later step
+        X = np.empty((n + 1, x.shape[0]))
+        X[0] = x
+        if S or step.A is None:  # x + D, x + D + D, ...: the sums single steps make
+            X[1:] = D
+            np.cumsum(X, axis=0, out=X)
+        else:  # M x + k, step by step
+            X[1] = x1
             rows = list(X)
-            for x, y in zip(rows, rows[1:]):
-                np.add(np.matmul(M, x, out=y), k, out=y)
-        floor = 2.5 * np.maximum(-(F._switch_matrix[0] @ D) * face, 0.0) if S else 0.0
+            for y0, y in zip(rows[1:], rows[2:]):
+                np.add(np.matmul(M, y0, out=y), k, out=y)
+        d = np.diff(X, axis=0)
         plain = F._clear_rows(X[1:], face, cfg.event_refine_tol, floor) & (
-            np.linalg.norm(np.diff(X, axis=0), axis=1) > 2.0 * cfg.conv_tol * STALL_WINDOW * h)
+            np.sqrt((d * d).sum(axis=1)) > moves)
     n = n if plain.all() else int(plain.argmin())
     b.extend(t[1:n + 1], X[1:n + 1], mode)
     return n, _end_values(F, b.t, b.x, cfg.event_refine_tol) if n else read
@@ -657,6 +677,7 @@ class _FilippovRun:
             normals = np.array([self.F.switches[j].grad(y) for j in S])
             return _tangent_combination(np.array(values), normals, self.lam)
         try:
+            lam0 = self.lam
             v, self.lam = combination(x)
             lam = self.lam[0]
             if len(S) == 1 and (lam <= SLIDING_EXIT_MARGIN or lam >= 1.0 - SLIDING_EXIT_MARGIN):
@@ -690,9 +711,11 @@ class _FilippovRun:
             # The next step, on S and j, stops, slides on all, or leaves.
             self.b.event(SURFACE_HIT, f"surface {j} while sliding on {','.join(map(str, S))}")
             self.S = ()
-        elif h == cfg.dt_max and len(S) == 1 and all(
+        elif h == cfg.dt_max and (len(S) == 1 or np.array_equal(self.lam, lam0)) and all(
                 getattr(getattr(fn, "affine", None), "A", 0) is None for fn in fns):
-            self.stepped = (v, S)  # constant cells: every stage and step slides by v
+            # Constant cells, and on several surfaces weights that Newton left
+            # as they were: every stage and step slides by v.
+            self.stepped = (v, S)
         return False
 
 
@@ -884,8 +907,8 @@ def sign_consensus_field(G: Graph) -> PiecewiseField:
     still."""
     n = G.n
     if n > 12:
-        raise ModelError("sign consensus is limited to 12 agents: a slide on the intersection "
-                         "of |S| switching surfaces evaluates 2^|S| cells per RK4 stage")
+        raise ModelError("sign consensus is limited to 12 agents: a single slide step on the "
+                         "intersection of |S| switching surfaces evaluates its 2^|S| cells")
     L = G.laplacian()
     agents = [i for i in range(n) if L[i, i] > 0]
     groups = [[agents.index(a) for a in comp] for comp in G.components() if len(comp) >= 2]

@@ -22,6 +22,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptySetError, SolverError, UnsupportedError
+from .fields import ControlField, PiecewiseField, control_inclusion, filippov_set
 from .geometry import (
     INFEASIBLE,
     OPTIMAL,
@@ -246,6 +247,20 @@ class StabilityReport:
 
 FieldSource = Callable[[np.ndarray], Polytope]
 
+
+def _field_source(F: PiecewiseField | ControlField | FieldSource) -> FieldSource:
+    """The map from a point to its direction set: the Filippov set of a
+    PiecewiseField, the inclusion of a ControlField, or F itself when it is
+    a callable x -> Polytope.  A sweep resolves it once."""
+    if isinstance(F, PiecewiseField):
+        return lambda x: filippov_set(F, x)
+    if isinstance(F, ControlField):
+        return lambda x: control_inclusion(F, x)
+    if callable(F):
+        return F
+    raise UnsupportedError(f"the field must be a PiecewiseField, a ControlField or a callable "
+                           f"x -> Polytope, not {type(F).__name__}")
+
 # Per theorem: the Lie set whose supremum is bounded (``gradient``: the
 # set-valued Lie derivative of the generalized gradient; ``lower``/``upper``:
 # the lower/upper Lie derivative of the proximal subdifferential), whether
@@ -331,7 +346,7 @@ def _sweep(theorem: str, f: NsFunction, F: FieldSource, region: GridSpec, *,
 def monotonicity_verdict(
     kind: str,
     f: NsFunction,
-    F: FieldSource,
+    F: PiecewiseField | ControlField | FieldSource,
     region: GridSpec,
     *,
     tol: float = 1e-9,
@@ -343,10 +358,12 @@ def monotonicity_verdict(
     every sample) or ``"strong"`` (same for the upper one).  The strong form
     additionally needs regularity hypotheses on F and f that cannot be
     verified numerically; the caller asserts them with
-    ``strong_hypotheses_ok``.
+    ``strong_hypotheses_ok``.  F is a PiecewiseField, a ControlField or a
+    callable x -> Polytope (see :func:`_field_source`).
     """
     if kind not in ("weak", "strong"):
         raise ValueError("kind must be 'weak' or 'strong'")
+    F = _field_source(F)
     theorem = "prop13w" if kind == "weak" else "prop13s"
     if kind == "strong" and not strong_hypotheses_ok:
         return StabilityReport(INCONCLUSIVE, theorem, 0,
@@ -360,7 +377,7 @@ _THEOREMS = tuple(t for t in _CHECKS if t.startswith("thm"))
 def lyapunov_certify(
     theorem: str,
     f: NsFunction,
-    F: FieldSource,
+    F: PiecewiseField | ControlField | FieldSource,
     x_e,
     region: GridSpec,
     *,
@@ -373,10 +390,12 @@ def lyapunov_certify(
     derivative (nonpositive, resp. below -margin off the equilibrium);
     thm3 / thm3p use the proximal subdifferential and the upper Lie
     derivative.  The value at the equilibrium is subtracted first, so clause
-    one holds by normalization and is recorded.
+    one holds by normalization and is recorded.  F is as in
+    :func:`monotonicity_verdict`.
     """
     if theorem not in _THEOREMS:
         raise ValueError(f"theorem must be one of {_THEOREMS}")
+    F = _field_source(F)
     x_e = np.asarray(x_e, dtype=float)
     if not np.all(np.isfinite(x_e)):  # f(x) - nan <= 0 is false: positivity never fails
         raise ValueError(f"equilibrium must be finite, got {x_e.tolist()}")
@@ -393,15 +412,17 @@ def lyapunov_certify(
 
 def invariance_candidate_set(
     f: NsFunction,
-    F: FieldSource,
+    F: PiecewiseField | ControlField | FieldSource,
     region: GridSpec,
     tol: float = 1e-8,
 ) -> np.ndarray:
     """Sampled points where 0 belongs to the set-valued Lie derivative.
 
     This is the candidate convergence locus of the invariance principle;
-    trajectory limit sets should be intersected with it by the caller.
+    trajectory limit sets should be intersected with it by the caller.  F
+    is as in :func:`monotonicity_verdict`.
     """
+    F = _field_source(F)
     hits = []
     for x in _grid_points(f, region):
         G, exact = f._rows(x)

@@ -1775,7 +1775,7 @@ class TestAffineBlocks:
         assert with_blocks == single and self.slid == {}
         assert (single[3][-1].kind, single[3][-1].detail) == ("Converged", "sliding stall")
 
-    def test_callable_and_multi_surface_slides_take_single_steps(self, monkeypatch):
+    def test_callable_slides_take_single_steps(self, monkeypatch):
         plain = lambda v: (lambda x: np.array(v))
         F = PiecewiseField(1, [SwitchingSurface.coordinate(0, 1)],
                            {(-1,): plain([1.0]), (1,): plain([-2.0])})
@@ -1783,6 +1783,8 @@ class TestAffineBlocks:
                                            IntegratorConfig(dt_max=0.01), monkeypatch)
         assert with_blocks == single and self.slid == {}
         assert "SlideEnter" in [e.kind for e in single[3]]
+
+    def test_a_two_surface_slide_takes_blocks(self, monkeypatch):
         # Constant cells pushing onto x1 = x2 = 0 from all four sides slide
         # along x3 on both surfaces at once.
         c = lambda *v: affine_cell(None, list(v))
@@ -1791,8 +1793,95 @@ class TestAffineBlocks:
                            {(s1, s2): c(-s1, -0.5 * s2, 1.0) for s1 in (-1, 1) for s2 in (-1, 1)})
         with_blocks, single, _ = self.both(integrate_filippov, F, [0.0, 0.0, 0.0], 1.0,
                                            IntegratorConfig(dt_max=0.01), monkeypatch)
-        assert with_blocks == single and self.slid == {}
+        assert with_blocks == single and self.slid == {"S:0,1": 97}
         assert set(single[2]) == {"S:0,1"}
+
+    @staticmethod
+    def random_corner_model(rng) -> PiecewiseField:
+        """Constant cells around two or three affine switches with
+        orthonormal normals, each cell pushing toward every switch and all
+        drifting alike, so most runs slide on several switches at once."""
+        m = int(rng.integers(2, 4))
+        d = m + int(rng.integers(1, 3))
+        normals = np.linalg.qr(rng.standard_normal((d, d)))[0][:m]
+        switches = [SwitchingSurface.affine(a, float(b))
+                    for a, b in zip(normals, rng.uniform(-0.3, 0.3, m))]
+        drift = 0.5 * rng.standard_normal(d)
+        return PiecewiseField(d, switches, {
+            sigma: affine_cell(None, drift - 2.0 * np.array(sigma, dtype=float) @ normals)
+            for sigma in itertools.product((-1, 1), repeat=m)})
+
+    @pytest.mark.parametrize("max_steps", [2_000_000, 37], ids=["horizon", "step_limit"])
+    def test_random_multi_surface_slides_take_the_single_steps(self, max_steps, monkeypatch):
+        cfg = IntegratorConfig(dt_max=0.01, max_steps=max_steps)
+        blocked = slides = 0
+        for seed in range(12):
+            F = self.random_corner_model(np.random.default_rng([seed, 7]))
+            x0 = 0.3 * np.random.default_rng([seed, 8]).standard_normal(F.dim)
+            with_blocks, single, _ = self.both(integrate_filippov, F, x0, 1.013, cfg, monkeypatch)
+            assert with_blocks == single, seed
+            kinds = [e.kind for e in single[3]]
+            assert (kinds[-1:] == ["StepLimit"]) == (max_steps == 37)
+            blocked += sum(n for mode, n in self.slid.items() if "," in mode)
+            slides += sum("," in mode for mode in set(single[2]))
+        assert slides >= 10 and blocked >= (100 if max_steps == 37 else 500)
+
+    @staticmethod
+    def reads(monkeypatch) -> list:
+        """The result of every ``_clear_rows`` read from now on: one bool
+        per row, whether single steps would take it as a plain step."""
+        results, clear = [], PiecewiseField._clear_rows
+
+        def counted(self, X, *args):
+            results.append(clear(self, X, *args))
+            return results[-1]
+
+        monkeypatch.setattr(PiecewiseField, "_clear_rows", counted)
+        return results
+
+    def test_the_brick_at_rest_reads_no_block(self, monkeypatch):
+        # Its sliding vector is -8.9e-16, so a block's first step moves less
+        # than twice the stall bound; only blocks in R:+ are read.
+        results = self.reads(monkeypatch)
+        get_scenario("brick").simulate([0.5], 0.3)
+        assert len(results) <= 3
+
+    def test_no_block_is_read_at_the_horizon(self, monkeypatch):
+        results = self.reads(monkeypatch)
+        get_scenario("oscillator").simulate([0.012, 0.1549], 0.4)
+        assert len(results) == 7 and all(len(plain) for plain in results)
+
+    @pytest.mark.parametrize("name, x0, t_end", [
+        ("oscillator_dissipative", [0.005, 0.1], 0.7),  # first steps that cross
+        ("smq_flow", [0.125, 0.055], 0.3),  # first slide steps inside the floor
+        ("move_away_1", [0.055, 0.055], 0.16),
+    ])
+    def test_every_block_read_keeps_its_first_step(self, name, x0, t_end, monkeypatch):
+        # A block whose first step single steps must take declines before
+        # it builds and reads any row.
+        results = self.reads(monkeypatch)
+        get_scenario(name).simulate(x0, t_end)
+        assert results and all(plain[0] for plain in results)
+
+    @pytest.mark.parametrize("name, x0, t_end, taken", [
+        ("brick", [0.5], 0.3, {"R:+": 136}),
+        ("oscillator", [0.012, 0.1549], 0.4, {"R:+": 367, "R:-": 25}),
+        ("smq_flow", [0.125, 0.055], 0.3, {"R:-+": 67, "S:0": 105}),
+    ])
+    def test_blocks_take_as_many_steps_as_before_the_first_step_checks(self, name, x0, t_end,
+                                                                       taken, monkeypatch):
+        import nsds.integrate as integrate
+
+        counts, block = collections.Counter(), integrate._affine_block
+
+        def counted(*args):
+            n, read = block(*args)
+            counts[args[3]] += n
+            return n, read
+
+        monkeypatch.setattr(integrate, "_affine_block", counted)
+        get_scenario(name).simulate(x0, t_end)
+        assert {mode: n for mode, n in counts.items() if n} == taken
 
 
 class TestPartitionCap:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nsds.errors import EmptySetError, UnsupportedError
-from nsds.fields import filippov_set
+from nsds.fields import control_inclusion, filippov_set
 from nsds.geometry import Polytope
 from nsds.lie import (
     GridSpec,
@@ -521,6 +521,44 @@ class TestInvarianceCandidates:
         for p in cand:
             assert np.max(p) - np.min(p) <= 1e-9
         assert cand.shape[0] == 3  # the three diagonal grid points
+
+
+class TestModelAsFieldSource:
+    """The certifiers take the model itself, as every other public call
+    does; given a PiecewiseField they used to raise a bare TypeError
+    ('PiecewiseField' object is not callable)."""
+
+    def test_a_piecewise_field_reads_as_its_filippov_set(self):
+        osc = get_scenario("oscillator").build()
+        f = make_function("energy_oscillator")
+        grid = GridSpec.parse("-1:1:11,-1:1:11")
+        source = lambda x: filippov_set(osc, x)
+        for theorem in ("thm1", "thm3"):
+            got = lyapunov_certify(theorem, f, osc, [0.0, 0.0], grid)
+            assert got == lyapunov_certify(theorem, f, source, [0.0, 0.0], grid)
+        got = monotonicity_verdict("strong", f, osc, grid)
+        assert got == monotonicity_verdict("strong", f, source, grid)
+        grid = GridSpec.parse("-1:1:11,-1:1:11", exclude=exclude_band(1e-9, axes=(0,)))
+        got = invariance_candidate_set(f, osc, grid)
+        assert np.array_equal(got, invariance_candidate_set(f, source, grid))
+
+    def test_a_control_field_reads_as_its_inclusion(self):
+        cart = get_scenario("cart").build()
+        f = make_function("cart_lyapunov")
+        grid = GridSpec.parse("-1:1:9,-1:1:9", exclude=exclude_band(1e-6, axes=(0,)))
+        got = monotonicity_verdict("weak", f, cart, grid)
+        assert got == monotonicity_verdict("weak", f, lambda x: control_inclusion(cart, x), grid)
+        assert got.verdict == "certified"
+
+    @pytest.mark.parametrize("call", [
+        lambda F, f, grid: lyapunov_certify("thm1", f, F, [0.0, 0.0], grid),
+        lambda F, f, grid: monotonicity_verdict("weak", f, F, grid),
+        lambda F, f, grid: invariance_candidate_set(f, F, grid),
+    ], ids=["lyapunov_certify", "monotonicity_verdict", "invariance_candidate_set"])
+    def test_anything_else_is_unsupported(self, call):
+        f = make_function("energy_oscillator")
+        with pytest.raises(UnsupportedError, match="PiecewiseField, a ControlField or a callable"):
+            call(Polytope([[0.0, 0.0]]), f, GridSpec.parse("-1:1:3,-1:1:3"))
 
 
 def _count_lps(monkeypatch) -> list:
