@@ -261,6 +261,7 @@ def _field_source(F: PiecewiseField | ControlField | FieldSource) -> FieldSource
     raise UnsupportedError(f"the field must be a PiecewiseField, a ControlField or a callable "
                            f"x -> Polytope, not {type(F).__name__}")
 
+
 # Per theorem: the Lie set whose supremum is bounded (``gradient``: the
 # set-valued Lie derivative of the generalized gradient; ``lower``/``upper``:
 # the lower/upper Lie derivative of the proximal subdifferential), whether
@@ -358,8 +359,9 @@ def monotonicity_verdict(
     every sample) or ``"strong"`` (same for the upper one).  The strong form
     additionally needs regularity hypotheses on F and f that cannot be
     verified numerically; the caller asserts them with
-    ``strong_hypotheses_ok``.  F is a PiecewiseField, a ControlField or a
-    callable x -> Polytope (see :func:`_field_source`).
+    ``strong_hypotheses_ok``.  F is a PiecewiseField (read through its
+    Filippov set), a ControlField (through its control inclusion) or a
+    callable x -> Polytope.
     """
     if kind not in ("weak", "strong"):
         raise ValueError("kind must be 'weak' or 'strong'")
