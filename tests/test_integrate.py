@@ -1554,8 +1554,8 @@ class TestDeclaredAffineCells:
 
 
 class TestAffineBlocks:
-    """Regular steps in a declared affine cell, and slides on one affine
-    surface between two constant cells, advance in blocks that must give
+    """Regular steps in a declared affine cell, and slides on affine
+    surfaces between constant cells, advance in blocks that must give
     the samples, times, modes and events of single steps bit for bit.
     The same switches wrapped as opaque ``SwitchingSurface(value, grad)``
     carry no coefficients, so their field has no switch matrix and takes
