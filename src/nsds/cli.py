@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -42,8 +43,11 @@ from .nonsmooth import ALL_SPACE, UNSUPPORTED, Graph, NsFunction, hsp, make_func
 from .scenarios import MoveAwayLaw, cart_feedback, get_scenario, move_away_flow
 
 
-def _parse_point(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")])
+def _parse_point(text: str, option: str) -> np.ndarray:
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ValueError(f"{option} expects comma-separated numbers, got {text!r}") from None
 
 
 def _parse_consts(items) -> dict:
@@ -52,17 +56,29 @@ def _parse_consts(items) -> dict:
         if "=" not in item:
             raise ValueError(f"--const expects k=v, got {item!r}")
         k, v = item.split("=", 1)
-        out[k] = float(v)
+        try:
+            out[k] = float(v)
+        except ValueError:
+            raise ValueError(f"--const expects k=v with a number v, got {item!r}") from None
     return out
 
 
 def _parse_graph(text: str, n: int) -> Graph:
     """Graph on n agents from 1-indexed "i-j" pairs; agents in no pair are
-    isolated."""
-    edges = []
+    isolated.  A part that is not a new pair of two agents 1 to n raises
+    ValueError naming it as given."""
+    edges, pairs = [], set()
     for part in text.split(","):
-        a, b = part.strip().split("-")
-        edges.append((int(a) - 1, int(b) - 1))
+        try:
+            a, b = (int(v) for v in part.strip().split("-"))
+        except ValueError:
+            a = b = 0
+        pair = (min(a, b), max(a, b))
+        if not 0 < pair[0] < pair[1] <= n or pair in pairs:
+            raise ValueError(f"bad edge {part.strip()!r} in --graph: expected i-j, each pair "
+                             f"once, for two of the {n} agents of --p0, numbered from 1")
+        pairs.add(pair)
+        edges.append((a - 1, b - 1))
     return Graph(n, tuple(edges))
 
 
@@ -180,7 +196,7 @@ def _cmd_simulate(args) -> int:
         raise UnsupportedError("no start state given: pass --x0 or a --config that holds x0")
     if args.t_end is None and "t_end" not in file_cfg:
         raise UnsupportedError("no horizon given: pass --t-end or a --config that holds t_end")
-    x0 = _parse_point(args.x0) if args.x0 else np.asarray(file_cfg["x0"], dtype=float)
+    x0 = _parse_point(args.x0, "--x0") if args.x0 else np.asarray(file_cfg["x0"], dtype=float)
     t_end = args.t_end if args.t_end is not None else float(file_cfg["t_end"])
     tr = scenario.simulate(x0, t_end, cfg, overrides=consts)
     _write_trajectory(tr, args.out, args.format)
@@ -197,7 +213,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_filippov_set(args) -> int:
-    point = _parse_point(args.point)
+    point = _parse_point(args.point, "--point")
     if args.function:
         f = make_function(args.function, dim=point.shape[0])
         gr = f.gradient(point)
@@ -211,7 +227,7 @@ def _cmd_filippov_set(args) -> int:
 
 
 def _cmd_gradient(args) -> int:
-    point = _parse_point(args.point)
+    point = _parse_point(args.point, "--point")
     f = make_function(args.function, dim=point.shape[0])
     if args.proximal:
         prox = f.proximal(point)
@@ -248,7 +264,8 @@ def _cmd_lyapunov(args) -> int:
         kind = "weak" if args.theorem == "prop13w" else "strong"
         report = monotonicity_verdict(kind, f, model, grid, tol=args.tol)
     else:
-        x_e = _parse_point(args.equilibrium) if args.equilibrium else np.zeros(point_dim)
+        x_e = (_parse_point(args.equilibrium, "--equilibrium") if args.equilibrium
+               else np.zeros(point_dim))
         report = lyapunov_certify(args.theorem, f, model, x_e, grid,
                                   tol=args.tol, margin=args.margin)
     print(json.dumps(report.to_json_dict()))
@@ -256,7 +273,7 @@ def _cmd_lyapunov(args) -> int:
 
 
 def _cmd_consensus(args) -> int:
-    p0 = _parse_point(args.p0)
+    p0 = _parse_point(args.p0, "--p0")
     graph = _parse_graph(args.graph, len(p0))
     cfg = _config_from_args(args)
     res = consensus_flow(graph, args.variant, p0, args.t_end, cfg,
@@ -306,7 +323,7 @@ def _cmd_sample_hold(args) -> int:
     scenario = get_scenario("cart")
     model = scenario.build(consts)
     sigma = scenario.merged(consts)["sigma"]
-    x0 = _parse_point(args.x0)
+    x0 = _parse_point(args.x0, "--x0")
     schedule = PartitionSchedule.with_diameter(0.0, args.t_end, args.diam)
     tr = sample_and_hold(model, cart_feedback(sigma), schedule, x0,
                          _config_from_args(args))
@@ -339,7 +356,10 @@ def _cmd_plot_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parse_args
+    leaves it as built."""
     p = argparse.ArgumentParser(prog="nsds",
                                 description="Discontinuous dynamical systems toolkit.")
     sub = p.add_subparsers(dest="command", required=True)

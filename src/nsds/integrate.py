@@ -359,7 +359,10 @@ def _drive(b: _Builder, t_end: float, cfg: IntegratorConfig,
     ``step`` advances ``b`` by at most h and returns True once the state has
     stopped; the rest of the horizon is then filled with that state, one
     sample per dt_max, each counted against the budget.  After each other
-    step, block(t_end, budget) may take up to ``budget`` steps at once.
+    step, block(t_end, budget) may take up to ``budget`` steps at once, and
+    a block that took all AFFINE_BLOCK steps is followed by the next block:
+    it ends on a sample from which the single step would compute that
+    block's first row.
     """
     steps = idle = 0
     dt = cfg.dt_max
@@ -375,8 +378,10 @@ def _drive(b: _Builder, t_end: float, cfg: IntegratorConfig,
             if _fill_stopped(b, t_end, dt, cfg.max_steps - steps):
                 b.event(STEP_LIMIT, "max_steps exceeded")
             break
-        if block is not None:
-            steps += block(t_end, cfg.max_steps - steps)
+        k = AFFINE_BLOCK if block is not None else 0
+        while k == AFFINE_BLOCK:
+            k = block(t_end, cfg.max_steps - steps)
+            steps += k
         idle = 0 if len(b.times) > n else idle + 1
         if idle >= NO_PROGRESS_STEPS:
             b.event(NO_PROGRESS, f"{idle} steps without a new sample")
@@ -479,20 +484,36 @@ def _cut_step(F: PiecewiseField, b: _Builder, flow, h: float, g, watched,
     return i, end
 
 
+def _off_window(b: _Builder, X: np.ndarray, rows: np.ndarray, moves: float) -> np.ndarray:
+    """Whether each row ``rows`` of X, whose row 0 is b's last sample, lies
+    more than ``moves`` from the sample STALL_WINDOW steps before it, or has
+    no such sample: either way :meth:`_Builder.stalled` fails there."""
+    lead = b.states[max(0, len(b.times) - STALL_WINDOW):-1]
+    Y = np.concatenate([lead, X])  # X[j] is Y[len(lead) + j]
+    back = rows + (len(lead) - STALL_WINDOW)
+    off = back < 0
+    near = ~off
+    d = Y[rows[near] + len(lead)] - Y[back[near]]
+    off[near] = np.sqrt((d * d).sum(axis=1)) > moves
+    return off
+
+
 def _affine_block(F: PiecewiseField, b: _Builder, step, mode: str, read, t_end: float,
                   budget: int, cfg: IntegratorConfig, S=()):
     """(steps taken, last read): up to AFFINE_BLOCK and ``budget`` full dt_max
     steps from b's last sample, short of the horizon's last and computed bit for
     bit as single steps: in a cell declared ``step`` (an AffineField), or along
     S by ``step``, the sliding vector of constant cells.  It keeps the prefix
-    that single steps take unchanged: finite states moving over twice the stall
-    bound, read by one product (``F._clear_rows``) off the surfaces beyond twice
-    the band on their start sides and, on a slide, within event_refine_tol of
-    the surfaces in S (so _project moves none) and 2.5 steps short of any
-    predicted crossing at each step's end (so no step is clamped).  Before it
-    builds any row, it declines when the first step cannot be kept: it is the
-    horizon's last, it moves no more than twice the stall bound, or it ends on
-    the far side of a surface off S or, on a slide, within its 2.5-step floor."""
+    that single steps take unchanged: finite states that fail the stall check,
+    because their step moves over twice the stall bound or, where it does not,
+    they lie over that bound from the sample STALL_WINDOW steps back (see
+    :func:`_off_window`), read by one product (``F._clear_rows``) off the
+    surfaces beyond twice the band on their start sides and, on a slide, within
+    event_refine_tol of the surfaces in S (so _project moves none) and 2.5 steps
+    short of any predicted crossing at each step's end (so no step is clamped).
+    Before it builds any row, it declines when the first step cannot be kept:
+    it is the horizon's last, it fails both stall tests, or it ends on the far
+    side of a surface off S or, on a slide, within its 2.5-step floor."""
     h, t0, x = cfg.dt_max, b.t, b.x
     if (step is None or F._switch_matrix is None or budget < 1
             or not (t0 < t_end - TIME_SLACK and _step_count(t_end - t0, h) > 1)):
@@ -508,7 +529,8 @@ def _affine_block(F: PiecewiseField, b: _Builder, step, mode: str, read, t_end: 
             M, k = step.step_map(h)
             x1 = M @ x + k
         d1 = x1 - x
-        if not math.sqrt((d1 * d1).sum()) > moves:  # the read's stall test of step 1
+        if not (math.sqrt((d1 * d1).sum()) > moves  # the read's stall tests of step 1
+                or _off_window(b, np.array([x, x1]), np.array([1]), moves)[0]):
             return 0, read
         floor = 2.5 * np.maximum(-(G @ D) * face, 0.0) if S else 0.0
         if ((G @ x1 + offsets) * face <= floor)[face != 0].any():
@@ -528,8 +550,11 @@ def _affine_block(F: PiecewiseField, b: _Builder, step, mode: str, read, t_end: 
             for y0, y in zip(rows[1:], rows[2:]):
                 np.add(np.matmul(M, y0, out=y), k, out=y)
         d = np.diff(X, axis=0)
-        plain = F._clear_rows(X[1:], face, cfg.event_refine_tol, floor) & (
-            np.sqrt((d * d).sum(axis=1)) > moves)
+        moving = np.sqrt((d * d).sum(axis=1)) > moves
+        if not moving.all():  # the window test, only for the rows that fail the step test
+            slow = np.flatnonzero(~moving)
+            moving[slow] = _off_window(b, X, slow + 1, moves)
+        plain = F._clear_rows(X[1:], face, cfg.event_refine_tol, floor) & moving
     n = n if plain.all() else int(plain.argmin())
     b.extend(t[1:n + 1], X[1:n + 1], mode)
     return n, _end_values(F, b.t, b.x, cfg.event_refine_tol) if n else read
@@ -557,10 +582,11 @@ class _FilippovRun:
         self.stepped = None  # (step, sigma or S) of the step just taken, for block
 
     def block(self, t_end: float, budget: int) -> int:
-        """The steps :func:`_affine_block` takes after the step just taken: a
-        regular step in cell sigma, declared by the AffineField ``step``, that
-        ended on no surface, or a full, unclamped slide along S = (i,) between
-        constant cells, by the sliding vector ``step``."""
+        """The steps :func:`_affine_block` takes after the step just taken,
+        or after the full blocks that followed it: a regular step in cell
+        sigma, declared by the AffineField ``step``, that ended on no surface,
+        or a full, unclamped slide along S between constant cells, by the
+        sliding vector ``step``."""
         if self.stepped is None:
             return 0
         (g, band), (step, key) = self.read, self.stepped

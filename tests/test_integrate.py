@@ -1644,11 +1644,13 @@ class TestAffineBlocks:
         assert isinstance(single, str) and "not finite at t=" in single
         assert with_blocks == single and taken >= 60
 
-    def test_a_zero_cell_stalls_without_a_block(self, monkeypatch):
+    def test_a_zero_cell_stalls_after_a_block(self, monkeypatch):
+        # Samples 2 to 19 have no sample STALL_WINDOW steps back, so a block
+        # takes them; sample 20 is left to the single step that stalls.
         F = self.far_field(None, [0.0, 0.0])
         with_blocks, single, taken = self.both(integrate_filippov, F, [1.0, 1.0], 1.0,
                                                IntegratorConfig(dt_max=0.01), monkeypatch)
-        assert with_blocks == single and taken == 0
+        assert with_blocks == single and taken == 18
         assert [(e.kind, e.detail) for e in single[3]] == [("Converged", "stall window")]
 
     @pytest.mark.parametrize("run", [integrate_filippov, integrate_caratheodory])
@@ -1767,13 +1769,17 @@ class TestAffineBlocks:
         g = (np.frombuffer(single[1]).reshape(-1, 2) @ a)[np.array(single[2]) == "S:0"]
         assert (np.abs(np.diff(g)) > 5e-11).sum() >= 5  # the projections
 
-    def test_the_brick_stalls_without_a_slide_block(self, monkeypatch):
-        # The brick's sliding vector on v = 0 is zero: single steps declare
-        # the stall.
+    def test_the_brick_stalls_after_a_slide_block(self, monkeypatch):
+        # The brick's sliding vector on v = 0 is -8.9e-16: a slide block
+        # takes the samples whose window still reaches back to the moving
+        # brick, and a single step declares the stall.
         with_blocks, single, _ = self.both(integrate_filippov, get_scenario("brick").build(),
                                            [0.5], 0.3, IntegratorConfig(), monkeypatch)
-        assert with_blocks == single and self.slid == {}
+        assert with_blocks == single and self.slid == {"S:0": 18}
         assert (single[3][-1].kind, single[3][-1].detail) == ("Converged", "sliding stall")
+        steps = self.single_steps(monkeypatch)
+        get_scenario("brick").simulate([0.5], 0.3)
+        assert steps[1] == 2  # single slide steps, 20 before the window test
 
     def test_callable_slides_take_single_steps(self, monkeypatch):
         plain = lambda v: (lambda x: np.array(v))
@@ -1793,7 +1799,7 @@ class TestAffineBlocks:
                            {(s1, s2): c(-s1, -0.5 * s2, 1.0) for s1 in (-1, 1) for s2 in (-1, 1)})
         with_blocks, single, _ = self.both(integrate_filippov, F, [0.0, 0.0, 0.0], 1.0,
                                            IntegratorConfig(dt_max=0.01), monkeypatch)
-        assert with_blocks == single and self.slid == {"S:0,1": 97}
+        assert with_blocks == single and self.slid == {"S:0,1": 98}
         assert set(single[2]) == {"S:0,1"}
 
     @staticmethod
@@ -1839,17 +1845,53 @@ class TestAffineBlocks:
         monkeypatch.setattr(PiecewiseField, "_clear_rows", counted)
         return results
 
-    def test_the_brick_at_rest_reads_no_block(self, monkeypatch):
+    @staticmethod
+    def single_steps(monkeypatch) -> collections.Counter:
+        """The single steps of every Filippov run from now on, keyed by the
+        number of surfaces each slides on (0 for a step off a slide)."""
+        import nsds.integrate as integrate
+
+        counts, step = collections.Counter(), integrate._FilippovRun.step
+
+        def counted(self, h):
+            counts[len(self.S)] += 1
+            return step(self, h)
+
+        monkeypatch.setattr(integrate._FilippovRun, "step", counted)
+        return counts
+
+    def test_the_brick_at_rest_reads_one_block(self, monkeypatch):
         # Its sliding vector is -8.9e-16, so a block's first step moves less
-        # than twice the stall bound; only blocks in R:+ are read.
+        # than twice the stall bound: only the slide block whose first
+        # sample lies beyond that bound from the sample STALL_WINDOW steps
+        # back is read, after three in R:+.
         results = self.reads(monkeypatch)
         get_scenario("brick").simulate([0.5], 0.3)
-        assert len(results) <= 3
+        assert len(results) == 4
 
     def test_no_block_is_read_at_the_horizon(self, monkeypatch):
         results = self.reads(monkeypatch)
         get_scenario("oscillator").simulate([0.012, 0.1549], 0.4)
         assert len(results) == 7 and all(len(plain) for plain in results)
+
+    def test_a_full_block_hands_over_to_the_next_block(self, monkeypatch):
+        steps = self.single_steps(monkeypatch)
+        get_scenario("oscillator").simulate([0.012, 0.1549], 0.4)
+        assert sum(steps.values()) == 4  # 9 with a single step after each full block
+
+    def test_multi_surface_slides_hand_over_between_blocks(self, monkeypatch):
+        # From 0.3 i, path-6 sign consensus slides on four surfaces at once
+        # and path-12 on ten; a full slide block is followed by the next one.
+        F, p0 = sign_consensus_field(Graph.path(6)), [0.3 * i for i in range(6)]
+        with_blocks, single, _ = self.both(integrate_filippov, F, p0, 5.0, IntegratorConfig(),
+                                           monkeypatch)
+        assert with_blocks == single
+        steps = self.single_steps(monkeypatch)
+        integrate_filippov(F, p0, 5.0)
+        assert {k: n for k, n in steps.items() if k} == {4: 4}  # 15 before
+        steps.clear()
+        consensus_flow(Graph.path(12), "sign", [0.3 * i for i in range(12)], 5.0)
+        assert {k: n for k, n in steps.items() if k} == {10: 4}  # 29 before
 
     @pytest.mark.parametrize("name, x0, t_end", [
         ("oscillator_dissipative", [0.005, 0.1], 0.7),  # first steps that cross
@@ -1864,12 +1906,12 @@ class TestAffineBlocks:
         assert results and all(plain[0] for plain in results)
 
     @pytest.mark.parametrize("name, x0, t_end, taken", [
-        ("brick", [0.5], 0.3, {"R:+": 136}),
-        ("oscillator", [0.012, 0.1549], 0.4, {"R:+": 367, "R:-": 25}),
-        ("smq_flow", [0.125, 0.055], 0.3, {"R:-+": 67, "S:0": 105}),
+        ("brick", [0.5], 0.3, {"R:+": 138, "S:0": 18}),
+        ("oscillator", [0.012, 0.1549], 0.4, {"R:+": 372, "R:-": 25}),
+        ("smq_flow", [0.125, 0.055], 0.3, {"R:-+": 68, "S:0": 106}),
     ])
-    def test_blocks_take_as_many_steps_as_before_the_first_step_checks(self, name, x0, t_end,
-                                                                       taken, monkeypatch):
+    def test_no_block_the_read_would_keep_is_declined(self, name, x0, t_end, taken,
+                                                      monkeypatch):
         import nsds.integrate as integrate
 
         counts, block = collections.Counter(), integrate._affine_block

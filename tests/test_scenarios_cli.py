@@ -130,6 +130,53 @@ class TestCli:
         assert capsys.readouterr().err.startswith("ValueError: bad edge")
 
     @pytest.mark.parametrize("argv, err", [
+        (["simulate", "--scenario", "oscillator", "--x0", "a,b", "--t-end", "1", "--out", "OUT"],
+         "--x0 expects comma-separated numbers, got 'a,b'"),
+        (["consensus", "--graph", "1-2", "--variant", "sign", "--p0", "0,x"],
+         "--p0 expects comma-separated numbers, got '0,x'"),
+        (["gradient", "--function", "abs", "--point", "1;2"],
+         "--point expects comma-separated numbers, got '1;2'"),
+        (["lyapunov", "--scenario", "oscillator", "--function", "abs_sum", "--theorem", "thm1",
+          "--grid=-1:1:3,-1:1:3", "--equilibrium", "0,z"],
+         "--equilibrium expects comma-separated numbers, got '0,z'"),
+        (["simulate", "--scenario", "brick", "--const", "mu=abc", "--x0", "1", "--t-end", "1",
+          "--out", "OUT"], "--const expects k=v with a number v, got 'mu=abc'"),
+        (["consensus", "--graph", "1-2-3", "--variant", "sign", "--p0", "0,1,5"],
+         "bad edge '1-2-3' in --graph: expected i-j, each pair once, for two of the 3 agents"
+         " of --p0, numbered from 1"),
+        (["consensus", "--graph", "0-1", "--variant", "sign", "--p0", "0,1,5"],
+         "bad edge '0-1' in --graph: expected i-j, each pair once, for two of the 3 agents"
+         " of --p0, numbered from 1"),
+        (["consensus", "--graph", "1-3", "--variant", "sign", "--p0", "0,1"],
+         "bad edge '1-3' in --graph: expected i-j, each pair once, for two of the 2 agents"
+         " of --p0, numbered from 1"),
+        (["consensus", "--graph", "1-2, 2-1", "--variant", "sign", "--p0", "0,1"],
+         "bad edge '2-1' in --graph: expected i-j, each pair once, for two of the 2 agents"
+         " of --p0, numbered from 1"),
+    ], ids=["x0", "p0", "point", "equilibrium", "const", "graph-triple", "graph-agent-0",
+            "graph-beyond-p0", "graph-duplicate"])
+    def test_malformed_lists_name_their_option(self, argv, err, tmp_path, capsys):
+        argv = [str(tmp_path / "never.csv") if a == "OUT" else a for a in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"ValueError: {err}\n"
+
+    def test_main_builds_one_parser(self, tmp_path, capsys):
+        from nsds.cli import build_parser
+
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--no-such-option"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        argv = ["simulate", "--scenario", "brick", "--x0", "1", "--t-end", "0.5",
+                "--out", str(tmp_path / "tr.csv")]
+        assert main(argv) == 0
+        assert build_parser.cache_info().misses == 1
+        fresh = subprocess.run([sys.executable, "-m", "nsds.cli", *argv], capture_output=True,
+                               text=True, timeout=120, env=_src_env())
+        assert fresh.returncode == 0 and capsys.readouterr().out == fresh.stdout
+
+    @pytest.mark.parametrize("argv, err", [
         (["sample-hold", "--scenario", "cart", "--x0", "1", "--diam", "0.1", "--t-end", "1"],
          "DimensionMismatch:"),
         (["simulate", "--scenario", "oscillator", "--x0", "1", "--t-end", "1",
