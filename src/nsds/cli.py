@@ -1,10 +1,12 @@
 """Command-line surface.
 
 Subcommands: ``simulate``, ``filippov-set``, ``gradient``, ``lyapunov``,
-``consensus``, ``pack``, ``sample-hold``, ``plot-data``.  Machine-readable
-results go to stdout (JSON with a top-level schema tag where the format is
-versioned); trajectories go to ``--out`` files.  Exit codes: 0 on success,
-1 on model errors (the error name is printed), 2 on argument errors.
+``consensus``, ``pack``, ``sample-hold``, ``plot-data``.  Each handler
+returns its result as a dict, and :func:`main` prints it: a command that
+exits 0 prints exactly one JSON line to stdout (with a top-level schema tag
+where the format is versioned), and one that exits 1 prints nothing to
+stdout and ``Kind: message`` to stderr.  Exit 2 is an argument error.
+Trajectories go to ``--out`` files, written by :func:`_write_trajectory`.
 
 Set NSDS_LOG=DEBUG|INFO|WARNING for logging verbosity.
 """
@@ -99,14 +101,13 @@ def _polytope_json(P: Polytope) -> dict:
     return d
 
 
-def _write_trajectory(tr: Trajectory, path: str, fmt: str):
-    if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(tr.to_json_dict(), fh)
-            fh.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(tr.to_csv())
+def _write_trajectory(tr: Trajectory, path: str | None, fmt: str = "csv"):
+    """Write tr to path as CSV or as one JSON line; no path writes nothing."""
+    if path is None:
+        return
+    text = json.dumps(tr.to_json_dict()) + "\n" if fmt == "json" else tr.to_csv()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _load_trajectory(path: str) -> Trajectory:
@@ -117,13 +118,16 @@ def _load_trajectory(path: str) -> Trajectory:
     return Trajectory.from_csv(text)
 
 
-def emit_plot_data(tr: Trajectory, kind: str, f: NsFunction | None = None,
-                   grid_n: int = 61) -> str:
+PLOT_GRID_N = 61
+
+
+def emit_plot_data(tr: Trajectory, kind: str, f: NsFunction | None = None) -> str:
     """Whitespace tables ready for plotting tools.
 
     ``phase`` writes x1 x2 rows (planar trajectories only); ``time`` writes
-    t x1 .. xd; ``level_overlay`` appends a function-value grid over the
-    trajectory's bounding box, one blank line between scan lines.
+    t x1 .. xd; ``level_overlay`` appends a function-value grid of PLOT_GRID_N
+    points per axis over the trajectory's bounding box, one blank line between
+    scan lines.
     """
     lines = []
     if kind == "time":
@@ -144,8 +148,8 @@ def emit_plot_data(tr: Trajectory, kind: str, f: NsFunction | None = None,
         lines.append("")
         lo = tr.states.min(axis=0) - 0.1
         hi = tr.states.max(axis=0) + 0.1
-        xs = np.linspace(lo[0], hi[0], grid_n)
-        ys = np.linspace(lo[1], hi[1], grid_n)
+        xs = np.linspace(lo[0], hi[0], PLOT_GRID_N)
+        ys = np.linspace(lo[1], hi[1], PLOT_GRID_N)
         for xv in xs:
             for yv in ys:
                 lines.append(f"{float(xv)!r} {float(yv)!r} {float(f(np.array([xv, yv])))!r}")
@@ -156,9 +160,10 @@ def emit_plot_data(tr: Trajectory, kind: str, f: NsFunction | None = None,
 def _direction_model(name: str, consts: dict) -> PiecewiseField | ControlField:
     """A scenario's model with a direction set: the Filippov set of a
     piecewise field, the inclusion of a control one."""
-    model = get_scenario(name).build(consts)
+    scenario = get_scenario(name)
+    model = scenario.build(consts)
     if not isinstance(model, (PiecewiseField, ControlField)):
-        raise UnsupportedError(f"scenario {name} has no direction set")
+        raise UnsupportedError(f"scenario {scenario.name} has no direction set")
     return model
 
 
@@ -175,11 +180,11 @@ def _config_from_args(args, settings: dict | None = None) -> IntegratorConfig:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.
+# Subcommand handlers: each returns its JSON-ready result and prints nothing.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     # A run-config file provides defaults; explicit flags win.
     file_cfg = {}
     if args.config:
@@ -200,7 +205,7 @@ def _cmd_simulate(args) -> int:
     t_end = args.t_end if args.t_end is not None else float(file_cfg["t_end"])
     tr = scenario.simulate(x0, t_end, cfg, overrides=consts)
     _write_trajectory(tr, args.out, args.format)
-    print(json.dumps({
+    return {
         "schema": 1,
         "scenario": name,
         "samples": int(tr.times.shape[0]),
@@ -208,11 +213,10 @@ def _cmd_simulate(args) -> int:
         "final_state": tr.final_state.tolist(),
         "events": [dataclasses.asdict(e) for e in tr.events],
         "out": args.out,
-    }))
-    return 0
+    }
 
 
-def _cmd_filippov_set(args) -> int:
+def _cmd_filippov_set(args) -> dict:
     point = _parse_point(args.point, "--point")
     if args.function:
         f = make_function(args.function, dim=point.shape[0])
@@ -222,11 +226,10 @@ def _cmd_filippov_set(args) -> int:
         P = gr.polytope.scaled(-1.0)
     else:
         P = _field_source(_direction_model(args.scenario, _parse_consts(args.const)))(point)
-    print(json.dumps(_polytope_json(P)))
-    return 0
+    return _polytope_json(P)
 
 
-def _cmd_gradient(args) -> int:
+def _cmd_gradient(args) -> dict:
     point = _parse_point(args.point, "--point")
     f = make_function(args.function, dim=point.shape[0])
     if args.proximal:
@@ -236,18 +239,13 @@ def _cmd_gradient(args) -> int:
                 f"no closed-form proximal subdifferential for {args.function} here"
             )
         if prox is ALL_SPACE:
-            print(json.dumps({"dim": point.shape[0], "all_space": True}))
-        else:
-            print(json.dumps(_polytope_json(prox)))
-        return 0
+            return {"dim": point.shape[0], "all_space": True}
+        return _polytope_json(prox)
     gr = f.gradient(point)
-    payload = _polytope_json(gr.polytope)
-    payload["exact"] = gr.exact
-    print(json.dumps(payload))
-    return 0
+    return {**_polytope_json(gr.polytope), "exact": gr.exact}
 
 
-def _cmd_lyapunov(args) -> int:
+def _cmd_lyapunov(args) -> dict:
     model = _direction_model(args.scenario, _parse_consts(args.const))
     point_dim = model.dim
     f = make_function(args.function, dim=point_dim)
@@ -268,30 +266,27 @@ def _cmd_lyapunov(args) -> int:
                else np.zeros(point_dim))
         report = lyapunov_certify(args.theorem, f, model, x_e, grid,
                                   tol=args.tol, margin=args.margin)
-    print(json.dumps(report.to_json_dict()))
-    return 0
+    return report.to_json_dict()
 
 
-def _cmd_consensus(args) -> int:
+def _cmd_consensus(args) -> dict:
     p0 = _parse_point(args.p0, "--p0")
     graph = _parse_graph(args.graph, len(p0))
     cfg = _config_from_args(args)
     res = consensus_flow(graph, args.variant, p0, args.t_end, cfg,
                          spread_tol=args.spread_tol)
-    if args.out:
-        _write_trajectory(res.trajectory, args.out, "csv")
-    print(json.dumps({
+    _write_trajectory(res.trajectory, args.out)
+    return {
         "schema": 1,
         "variant": args.variant,
         "consensus_value": res.consensus_value,
         "consensus_time": res.consensus_time,
         "final_spread": res.final_spread,
         "final_state": res.trajectory.final_state.tolist(),
-    }))
-    return 0
+    }
 
 
-def _cmd_pack(args) -> int:
+def _cmd_pack(args) -> dict:
     # MoveAwayLaw allows no agent, and numpy's seeding rejects a negative
     # seed in its own words; a run needs an agent and names the option.
     if args.n < 1:
@@ -302,9 +297,8 @@ def _cmd_pack(args) -> int:
     law = MoveAwayLaw(polygon, args.n)
     x0 = law.random_interior_points(args.seed)
     tr = move_away_flow(law, x0, args.t_end, _config_from_args(args))
-    if args.out:
-        _write_trajectory(tr, args.out, "csv")
-    print(json.dumps({
+    _write_trajectory(tr, args.out)
+    return {
         "schema": 1,
         "n": args.n,
         "seed": args.seed,
@@ -312,11 +306,10 @@ def _cmd_pack(args) -> int:
         "final_hsp": hsp(polygon, tr.final_state.reshape(args.n, 2)),
         "converged": any(e.kind == "Converged" for e in tr.events),
         "final_state": tr.final_state.tolist(),
-    }))
-    return 0
+    }
 
 
-def _cmd_sample_hold(args) -> int:
+def _cmd_sample_hold(args) -> dict:
     if args.scenario != "cart":
         raise UnsupportedError("sample-and-hold feedback is packaged for the cart only")
     consts = _parse_consts(args.const)
@@ -327,28 +320,23 @@ def _cmd_sample_hold(args) -> int:
     schedule = PartitionSchedule.with_diameter(0.0, args.t_end, args.diam)
     tr = sample_and_hold(model, cart_feedback(sigma), schedule, x0,
                          _config_from_args(args))
-    if args.out:
-        _write_trajectory(tr, args.out, "csv")
-    f = make_function("cart_lyapunov")
-    print(json.dumps({
+    _write_trajectory(tr, args.out)
+    return {
         "schema": 1,
         "diameter": schedule.diameter,
         "final_state": tr.final_state.tolist(),
         "final_norm": float(np.linalg.norm(tr.final_state)),
-        "final_lyapunov": f(tr.final_state),
-    }))
-    return 0
+        "final_lyapunov": make_function("cart_lyapunov")(tr.final_state),
+    }
 
 
-def _cmd_plot_data(args) -> int:
+def _cmd_plot_data(args) -> dict:
     tr = _load_trajectory(args.traj)
     f = make_function(args.function, dim=tr.dim) if args.function else None
     text = emit_plot_data(tr, args.kind, f)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
-    print(json.dumps({"schema": 1, "kind": args.kind, "out": args.out,
-                      "rows": text.count("\n")}))
-    return 0
+    return {"schema": 1, "kind": args.kind, "out": args.out, "rows": text.count("\n")}
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +435,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        print(json.dumps(args.handler(args)))
+        return 0
     except NsdsError as exc:
         name = type(exc).__name__.removesuffix("Error")
         print(f"{name}: {exc}", file=sys.stderr)

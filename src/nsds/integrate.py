@@ -780,24 +780,26 @@ def integrate_caratheodory(F: PiecewiseField, x0, t_end: float,
     if not cells:
         raise ModelError(f"no declared cell adjacent to {x.tolist()}")
     sigma = tuple(cells[0])
+    fn = None  # the callable of sigma from the last step's lookups, read by the block
     b = _Builder(0.0, x, regular_mode(sigma))
 
     def step(h: float) -> bool:
-        nonlocal sigma, read
+        nonlocal sigma, read, fn
+        fn = F._cell_fn(sigma)
         watched = [j for j, v in enumerate(read[0]) if not _active(v, tol)]
-        i, read = _cut_step(F, b, _cell_flow(F._cell_fn(sigma), b.x, h), h, read[0], watched,
+        i, read = _cut_step(F, b, _cell_flow(fn, b.x, h), h, read[0], watched,
                             tol, regular_mode(sigma))
         if i is not None:
             b.event(SURFACE_HIT, f"surface {i}")
-            new_sigma = list(sigma)
-            new_sigma[i] = -sigma[i]
-            if F.adjacent_cells(tuple(new_sigma)):
-                sigma = tuple(new_sigma)
+            new_sigma = sigma[:i] + (-sigma[i],) + sigma[i + 1:]
+            new_fn = F.cell(new_sigma)
+            if new_fn is not None:
+                sigma, fn = new_sigma, new_fn
         return False
 
     def block(t_end: float, budget: int) -> int:
         nonlocal read
-        aff = getattr(F.cell(sigma), "affine", None)
+        aff = getattr(fn, "affine", None)
         k, read = _affine_block(F, b, aff, regular_mode(sigma), read, t_end, budget, cfg)
         return k
 

@@ -1,7 +1,7 @@
 """Packaged scenario catalog.
 
-Each scenario bundles a builder for its dynamic model, default constants and
-a default candidate Lyapunov function from the nonsmooth catalog; README's
+Each scenario bundles a builder for its dynamic model, its default constants
+and, for a flow that is not a field, the runner that simulates it; README's
 catalog table describes each one.  Builders validate through the underlying
 module constructors.
 """
@@ -32,7 +32,6 @@ from .nonsmooth import Graph, hsp
 class Scenario:
     name: str
     constants: dict
-    lyapunov: str | None
     builder: Callable[[dict], object]
     runner: Callable[..., Trajectory] | None = None
 
@@ -288,38 +287,32 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
     Scenario(
         name="brick",
         constants={"theta": math.pi / 6.0, "nu": 1.0, "g": 9.8},
-        lyapunov=None,
         builder=_brick_field,
     ),
     Scenario(
         name="oscillator",
         constants={},
-        lyapunov="energy_oscillator",
         builder=_oscillator_field,
     ),
     Scenario(
         name="oscillator_dissipative",
         constants={"k": 0.75},
-        lyapunov="energy_oscillator",
         builder=_oscillator_dissipative_field,
     ),
     Scenario(
         name="move_away_1",
         constants={},
-        lyapunov="neg_smq",
         builder=lambda c: move_away_square_field(),
     ),
     Scenario(
         name="sphere_packing",
         constants={"n": 5},
-        lyapunov="hsp",
         builder=lambda c: MoveAwayLaw(ConvexPolygon.square(1.0), int(c["n"])),
         runner=move_away_flow,
     ),
     Scenario(
         name="consensus",
         constants={},
-        lyapunov="disagreement",
         builder=lambda c: Graph.path(3),
         # The built path is a 3-agent default; the runner sizes its path from
         # x0's size, and the run's start check rejects a start that is not 1-D.
@@ -329,13 +322,11 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
     Scenario(
         name="cart",
         constants={"sigma": 1.0},
-        lyapunov="cart_lyapunov",
         builder=_cart_control,
     ),
     Scenario(
         name="nonholonomic_integrator",
         constants={},
-        lyapunov=None,
         builder=_nonholonomic_control,
     ),
 )}

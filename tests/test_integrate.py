@@ -159,6 +159,30 @@ class TestFilippovIntegrator:
             assert np.max(np.abs(tr.at(t) - expected)) <= 1e-5
         assert np.linalg.norm(tr.final_state) <= 1e-6
 
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_slide_exits_by_the_weight_margin(self, declared):
+        # A slide on x2 = 0 whose weight on the + side tends to 1 as x1 rises
+        # slowly to 0: the run leaves by the SLIDING_EXIT_MARGIN test before
+        # tangency is lost.  Hit at t_h = 2.004e-4, then x1' = e (1 - 10 x1) /
+        # (1 - x1) up to x1 = 0, whose closed form gives the exit time.
+        e, dt = 0.01, 1e-4
+        if declared:
+            cells = {(1,): affine_cell([[0.0, 0.0], [1.0, 0.0]], [e, 0.0]),
+                     (-1,): affine_cell(None, [10 * e, 1.0])}
+        else:
+            cells = {(1,): lambda x: np.array([e, x[0]]),
+                     (-1,): lambda x: np.array([10 * e, 1.0])}
+        F = PiecewiseField(2, [SwitchingSurface.coordinate(1, 2)], cells)
+        tr = integrate_filippov(F, [-5e-4, 1e-7], 0.075, IntegratorConfig(dt_max=dt))
+        assert [ev.kind for ev in tr.events] == ["SurfaceHit", "SlideEnter", "SlideExit"]
+        assert tr.events[2].detail.startswith("surface 0: lambda=")
+        assert tr.final_time == 0.075
+        t_hit = (5e-4 - math.sqrt(25e-8 - 2e-9)) / e
+        u0 = -5e-4 + e * t_hit
+        t_exit = t_hit + (-u0 / 10.0 + 0.09 * math.log(1.0 - 10.0 * u0)) / e
+        assert abs(t_exit - 0.049889) <= 1e-6
+        assert abs(tr.events[2].time - t_exit) <= 2 * dt
+
     def test_brick_stopping_and_free_sliding(self):
         brick = get_scenario("brick")
         tr = brick.simulate([1.0], 1.0)
@@ -1445,6 +1469,28 @@ class TestSteppingLoop:
         tr = integrate_filippov(F, [1.0, 0.0], n * 0.01, IntegratorConfig(dt_max=0.01))
         assert len(tr.times) == n + 1 and not tr.events
         assert lookups == [(-1,)] * n
+        assert len(calls) == 4 * n
+        assert tr.modes[1:] == ["R:-"] * n
+
+    def test_caratheodory_step_looks_up_its_cell_once(self):
+        # As above, plus the start's lookup: the block after each step reads
+        # the callable that step looked up, not the rule again.
+        lookups, calls = [], []
+
+        def rotation(x):
+            calls.append(1)
+            return np.array([-x[1], x[0]])
+
+        def rule(sigma):
+            lookups.append(sigma)
+            return rotation if sigma == (-1,) else None
+
+        far = SwitchingSurface.affine([1.0, 0.0], -10.0)
+        F = PiecewiseField(2, [far], rule)
+        n = 7
+        tr = integrate_caratheodory(F, [1.0, 0.0], n * 0.01, IntegratorConfig(dt_max=0.01))
+        assert len(tr.times) == n + 1 and not tr.events
+        assert lookups == [(-1,)] * (n + 1)
         assert len(calls) == 4 * n
         assert tr.modes[1:] == ["R:-"] * n
 

@@ -205,6 +205,31 @@ class TestProximal:
         f = MinOf([affine_atom([1.0], 0.0), affine_atom([-1.0], 0.0)])
         assert f.proximal([0.0]) is UNSUPPORTED
 
+    # x|x| is C^1 but neither C^2 nor convex: no closed form of its own.
+    C1_ATOM = SmoothAtom(1, lambda x: x[0] * abs(x[0]), lambda x: np.array([2 * abs(x[0])]),
+                         c2=False, name="x|x|")
+    HALF_SQUARE = half_square_atom(0, 1)
+
+    @pytest.mark.parametrize("f, x, expected", [
+        (C1_ATOM, 0.0, UNSUPPORTED),
+        (Dilation(2.0, make_function("sqrt_abs")), 0.0, ALL_SPACE),
+        (Dilation(2.0, C1_ATOM), 0.0, UNSUPPORTED),
+        (Sum([(1.0, HALF_SQUARE), (3.0, coordinate_atom(0, 1))]), 0.5, [[3.5]]),
+        (Sum([(1.0, make_function("sqrt_abs")), (1.0, HALF_SQUARE)]), 0.0, ALL_SPACE),
+        (Sum([(1.0, make_function("neg_abs")), (1.0, HALF_SQUARE)]), 0.0, []),
+        (Sum([(1.0, make_function("neg_abs")), (1.0, HALF_SQUARE)]), 0.3, [[-0.7]]),
+        (Sum([(1.0, C1_ATOM), (1.0, HALF_SQUARE)]), 0.0, UNSUPPORTED),
+    ], ids=["c1-atom", "dilated-all-space", "dilated-c1-atom", "c2-sum", "sum-all-space",
+            "sum-empty", "sum-shifted", "sum-c1-atom"])
+    def test_catalog_passes_its_markers_through(self, f, x, expected):
+        # Dilation and Sum hand a child's ALL_SPACE, UNSUPPORTED or empty set
+        # on as it is, and shift a single row by the C^2 terms' gradient.
+        prox = f.proximal([x])
+        if expected is UNSUPPORTED or expected is ALL_SPACE:
+            assert prox is expected
+        else:
+            assert prox.vertices.tolist() == expected
+
 
 class TestCartLyapunov:
     def test_values_and_gradient(self):

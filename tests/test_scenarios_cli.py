@@ -367,6 +367,63 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("Unsupported:") and "Traceback" not in err
+        # An alias reports as the scenario it names, as Scenario's own errors do.
+        resolved = get_scenario(name).name
+        assert err == f"Unsupported: scenario {resolved} has no direction set\n"
+
+    # One valid and one failing command line per subcommand; OUT and TRAJ
+    # name files under the test's temporary directory.
+    CONTRACT = {
+        "simulate": (
+            ["--scenario", "brick", "--x0", "1", "--t-end", "0.1", "--out", "OUT"],
+            ["--scenario", "brick", "--x0", "a,b", "--t-end", "0.1", "--out", "OUT"]),
+        "filippov-set": (
+            ["--scenario", "brick", "--point", "0"],
+            ["--scenario", "sphere_packing", "--point", "0,0"]),
+        "gradient": (
+            ["--function", "abs", "--point", "0"],
+            ["--function", "hsp", "--point", "0"]),
+        "lyapunov": (
+            ["--scenario", "oscillator", "--function", "energy_oscillator", "--theorem", "thm1",
+             "--grid=-1:1:5,-1:1:5"],
+            ["--scenario", "consensus", "--function", "abs_sum", "--theorem", "thm1",
+             "--grid=-1:1:2,-1:1:2"]),
+        "consensus": (
+            ["--graph", "1-2", "--variant", "sign", "--p0", "0,1", "--t-end", "0.1",
+             "--out", "OUT"],
+            ["--graph", "1-3", "--variant", "sign", "--p0", "0,1"]),
+        "pack": (
+            ["--n", "2", "--seed", "1", "--t-end", "0.1"],
+            ["--n", "0", "--seed", "1"]),
+        "sample-hold": (
+            ["--scenario", "cart", "--x0", "0.6,0.3", "--diam", "0.1", "--t-end", "0.5"],
+            ["--scenario", "cart", "--x0", "0.6,0.3", "--diam", "0", "--t-end", "0.5"]),
+        "plot-data": (
+            ["--traj", "TRAJ", "--kind", "time", "--out", "OUT"],
+            ["--traj", "TRAJ", "--kind", "phase", "--out", "OUT"]),
+    }
+
+    def test_stdout_and_stderr_contract(self, tmp_path, capsys):
+        # Exit 0 prints exactly one JSON object line and nothing to stderr;
+        # exit 1 prints nothing to stdout and ends stderr with "Kind: message".
+        from nsds.cli import build_parser
+
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        assert set(self.CONTRACT) == set(subcommands)
+        traj = tmp_path / "brick.csv"
+        traj.write_text(get_scenario("brick").simulate([1.0], 0.1).to_csv())
+        files = {"OUT": str(tmp_path / "out"), "TRAJ": str(traj)}
+        for command, (valid, failing) in self.CONTRACT.items():
+            for argv, code in ((valid, 0), (failing, 1)):
+                argv = [command] + [files.get(a, a) for a in argv]
+                assert main(argv) == code, argv
+                out, err = capsys.readouterr()
+                if code == 0:
+                    assert err == "" and out.endswith("\n") and out.count("\n") == 1, argv
+                    assert isinstance(json.loads(out), dict), argv
+                else:
+                    assert out == "", argv
+                    assert re.fullmatch(r"[A-Z]\w*: \S.*", err.splitlines()[-1]), (argv, err)
 
     def test_exit_codes(self, capsys):
         # Argument errors exit 2 through argparse.
@@ -505,7 +562,7 @@ class TestPlotData:
         sc = get_scenario("oscillator")
         trajectory = sc.simulate([0.4, 0.0], 1.0)
         f = make_function("cart_lyapunov")
-        text = emit_plot_data(trajectory, "level_overlay", f, grid_n=21)
+        text = emit_plot_data(trajectory, "level_overlay", f)
         grid_rows = [r for r in text.splitlines() if len(r.split()) == 3]
         assert grid_rows, "grid block missing"
         vals = np.array([[float(v) for v in r.split()] for r in grid_rows])
@@ -546,7 +603,7 @@ def test_every_scenario_through_the_cli(name, tmp_path, capsys):
     grid = ",".join(["-0.5:0.5:2"] * dim)
     runs = [
         (["filippov-set", "--scenario", name, f"--point={point}"], has_set),
-        (["lyapunov", "--scenario", name, "--function", sc.lyapunov or "abs_sum",
+        (["lyapunov", "--scenario", name, "--function", "abs_sum",
           "--theorem", "thm1", f"--grid={grid}"], has_set),
         (["simulate", "--scenario", name, f"--x0={point}", "--t-end", "0.01",
           "--out", str(tmp_path / "tr.csv")], has_flow),
