@@ -50,8 +50,10 @@ class SwitchingSurface:
     @classmethod
     def affine(cls, a, b: float = 0.0, name: str = "") -> "SwitchingSurface":
         a = np.asarray(a, dtype=float)
+        if a.ndim != 1:  # a.dot(x) reads a 0-d a as a scale factor
+            raise DimensionMismatchError(f"affine surface needs a vector a, got shape {a.shape}")
         return cls(
-            value=lambda x: float(a @ x + b),
+            value=lambda x: float(a.dot(x) + b),
             grad=lambda x: a.copy(),
             name=name or f"affine({a.tolist()},{b})",
             coefficients=(a, float(b)),
@@ -137,7 +139,7 @@ class PiecewiseField:
         norm = np.sqrt((X * X).sum(axis=1))[:, None]
         band = np.maximum(_BAND_AT_ORIGIN * (1.0 + norm), tol)
         gap = scale * (norms * (1.0 + norm) + abs_offsets)
-        V = X @ G.T + offsets
+        V = X.dot(G.T) + offsets
         side = V * face > np.maximum(2.0 * band, floor) + gap
         if not face.all():
             side = np.where(face == 0, np.abs(V) <= tol - gap, side)
@@ -208,14 +210,14 @@ class AffineField:
         if h != self._h:
             eye = np.eye(self.c.shape[0])
             Z = h * self.A
-            T = eye + Z @ (eye / 2.0 + Z @ (eye / 6.0 + Z / 24.0))
-            self._h, self._map = h, (eye + T @ Z, h * (T @ self.c))
+            T = eye + Z.dot(eye / 2.0 + Z.dot(eye / 6.0 + Z / 24.0))
+            self._h, self._map = h, (eye + T.dot(Z), h * T.dot(self.c))
         return self._map
 
 
 def affine_cell(A, c, fn: CellField | None = None) -> CellField:
     """Declare the cell field x -> A x + c (a constant c when A is None).
-    Returns ``fn``, by default ``A @ x + c`` or a copy of c, carrying
+    Returns ``fn``, by default ``A.dot(x) + c`` or a copy of c, carrying
     ``.affine``, an :class:`AffineField`; ``fn`` must be a Python function
     and compute that same field, since queries at a point call it while
     integration steps by the declared map."""
@@ -225,8 +227,14 @@ def affine_cell(A, c, fn: CellField | None = None) -> CellField:
         if c.ndim != 1 or A.shape != (c.shape[0],) * 2:
             raise ModelError(f"affine cell needs a vector c and a square A of its length, "
                              f"got shapes {A.shape} and {c.shape}")
-    if fn is None:
-        fn = (lambda x: c.copy()) if A is None else (lambda x: A @ x + c)
+    if fn is None and A is None:
+        fn = lambda x: c.copy()
+    elif fn is None:
+        def fn(x):
+            if np.ndim(x) == 0:  # A.dot would scale A by it
+                raise DimensionMismatchError(f"affine cell field needs a point of length "
+                                             f"{c.shape[0]}, got a scalar")
+            return A.dot(x) + c
     fn.affine = AffineField(A, c)
     return fn
 
@@ -292,7 +300,7 @@ def _normal_kind(n: np.ndarray, sides: np.ndarray) -> tuple[str, float, float]:
     """Kind of a point on one surface and the normal parts alpha, beta of its
     two side fields.  These are velocities, so the band they are compared
     with is the fixed _BAND_AT_ORIGIN: the state's size does not enter."""
-    alpha, beta = float(n @ sides[0]), float(n @ sides[1])
+    alpha, beta = float(sides[0].dot(n)), float(sides[1].dot(n))
     if abs(alpha) <= _BAND_AT_ORIGIN or abs(beta) <= _BAND_AT_ORIGIN:
         return TANGENT, alpha, beta
     if alpha * beta > 0:
@@ -340,7 +348,7 @@ def _tangent_pair(x_minus, x_plus, n: np.ndarray) -> tuple[np.ndarray, tuple[flo
     """(vector, (lam,)): :func:`_tangent_combination` on one surface with
     normal n, in the closed form lam = alpha / (alpha - beta) on the two side
     values themselves, clamped to [0, 1]."""
-    alpha, beta = float(n @ x_minus), float(n @ x_plus)
+    alpha, beta = float(x_minus.dot(n)), float(x_plus.dot(n))
     scale = _BAND_AT_ORIGIN * (1.0 + abs(alpha) + abs(beta))
     if abs(alpha) <= scale and abs(beta) <= scale:
         # Both one-sided fields are already tangent; any weight works.
@@ -369,22 +377,22 @@ def _tangent_combination(values: np.ndarray, normals: np.ndarray,
         raise NotSlidingError("a cell around the sliding surfaces is not declared")
     if k == 1:
         return _tangent_pair(values[0], values[1], normals[0])
-    parts = normals @ values.T
+    parts = normals.dot(values.T)
     scale = _BAND_AT_ORIGIN * (1.0 + float(np.max(np.abs(parts))))
-    jac = lambda lam: parts @ np.transpose([_cell_weights(lam, m) for m in range(k)])
+    jac = lambda lam: parts.dot(np.transpose([_cell_weights(lam, m) for m in range(k)]))
     lam = np.full(k, 0.5) if lam is None else lam
     for _ in range(30):
-        residual = parts @ _cell_weights(lam)
+        residual = parts.dot(_cell_weights(lam))
         if np.max(np.abs(residual)) <= 1e-6 * scale:
             break
         lam = lam - np.linalg.lstsq(jac(lam), residual, rcond=None)[0]
     repels = np.diag(jac(lam)) > scale  # surface m's own part grows from - to + side
-    if not np.max(np.abs(parts @ _cell_weights(lam))) <= scale or np.any(repels):
+    if not np.max(np.abs(parts.dot(_cell_weights(lam)))) <= scale or np.any(repels):
         raise NotSlidingError("no tangent combination that every surface attracts")
     if min(lam) < -1e-9 or max(lam) > 1 + 1e-9:
         raise NotSlidingError(f"tangency coefficients {lam} outside [0, 1]")
     lam = np.clip(lam, 0.0, 1.0)
-    return _cell_weights(lam) @ values, lam
+    return _cell_weights(lam).dot(values), lam
 
 
 def sliding_field(F: PiecewiseField, x, i: int) -> SlidingResult:
@@ -436,6 +444,8 @@ def control_inclusion(C: ControlField, x) -> Polytope:
     if not C.affine_in_control:
         raise UnsupportedError("control inclusion needs input-affine dynamics")
     x = np.asarray(x, dtype=float)
+    if x.shape != (C.dim,):
+        raise DimensionMismatchError(f"point has shape {x.shape}, not ({C.dim},)")
     verts = np.array([C.value(x, u) for u in C.control_set.vertices])
     return Polytope(verts)
 
@@ -490,8 +500,8 @@ def one_sided_lipschitz_test(
     for _ in range(samples):
         (y, fy), (yp, fyp) = draw(), draw()
         diff = y - yp
-        lhs = float((fy - fyp) @ diff)
-        rhs = L * float(diff @ diff) + tol
+        lhs = float((fy - fyp).dot(diff))
+        rhs = L * float(diff.dot(diff)) + tol
         if lhs > rhs:
             return OneSidedLipschitzVerdict(True, witness=(y, yp), margin=lhs - rhs)
     return OneSidedLipschitzVerdict(False)

@@ -163,7 +163,7 @@ def solve_lp(c, A, b, *, max_iter: int = 5000) -> LPResult:
     x = np.zeros(n)
     for i, bi in enumerate(basis2):
         x[bi] = T2[i, -1]
-    return LPResult(OPTIMAL, x, float(c @ x))
+    return LPResult(OPTIMAL, x, float(c.dot(x)))
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -214,7 +214,7 @@ class LeastNormResult:
 def _affine_minimizer(V: np.ndarray) -> np.ndarray:
     """Coefficients of the min-norm point in the affine hull of the rows of V."""
     k = V.shape[0]
-    G = V @ V.T
+    G = V.dot(V.T)
     K = np.zeros((k + 1, k + 1))
     K[:k, :k] = G
     K[:k, k] = 1.0
@@ -242,7 +242,7 @@ def least_norm(P: Polytope) -> LeastNormResult:
     if V.shape[0] == 1:
         return LeastNormResult(point=V[0].copy(), coefficients=np.ones(1))
     coeffs = _least_norm_coefficients(V)
-    return LeastNormResult(point=coeffs @ V, coefficients=coeffs)
+    return LeastNormResult(point=coeffs.dot(V), coefficients=coeffs)
 
 
 def _least_norm_point(rows: np.ndarray) -> np.ndarray:
@@ -250,7 +250,7 @@ def _least_norm_point(rows: np.ndarray) -> np.ndarray:
     Polytope built; a single row is its own."""
     if rows.shape[0] == 1:
         return rows[0]
-    return _least_norm_coefficients(rows) @ rows
+    return _least_norm_coefficients(rows).dot(rows)
 
 
 def _least_norm_coefficients(V: np.ndarray) -> np.ndarray:
@@ -259,8 +259,8 @@ def _least_norm_coefficients(V: np.ndarray) -> np.ndarray:
     n = V.shape[0]
     if n == 2:
         d = V[1] - V[0]
-        dd = float(d @ d)
-        t = 0.0 if dd == 0.0 else min(max(-float(V[0] @ d) / dd, 0.0), 1.0)
+        dd = float(d.dot(d))
+        t = 0.0 if dd == 0.0 else min(max(-float(V[0].dot(d)) / dd, 0.0), 1.0)
         return np.array([1.0 - t, t])
     scale = max(1.0, float(np.max(np.abs(V))))
     eps = _WOLFE_TOL * scale * scale
@@ -270,9 +270,9 @@ def _least_norm_coefficients(V: np.ndarray) -> np.ndarray:
     lam = np.array([1.0])
 
     for _ in range(_WOLFE_MAX_ITER):
-        x = lam @ V[corral]
-        xx = float(x @ x)
-        scores = V @ x
+        x = lam.dot(V[corral])
+        xx = float(x.dot(x))
+        scores = V.dot(x)
         j = int(np.argmin(scores))
         if scores[j] >= xx - eps or xx <= eps:
             break
@@ -331,7 +331,7 @@ def maximin_value(A: Polytope, B: Polytope) -> float:
 
 def _maximin_rows(A: np.ndarray, B: np.ndarray) -> float:
     """maximin_value on nonempty vertex rows of one dimension."""
-    M = A @ B.T  # (na, nb)
+    M = A.dot(B.T)  # (na, nb)
     na, nb = M.shape
     if na == 1:
         return float(M.min())

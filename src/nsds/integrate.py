@@ -458,11 +458,11 @@ def _cell_flow(fn, x: np.ndarray, h: float):
 
     def flow(s: float) -> np.ndarray:
         if s == 1.0:
-            return M @ x + k
+            return M.dot(x) + k
         if not d:
-            d.append(h * (aff.A @ x + aff.c))
+            d.append(h * (aff.A.dot(x) + aff.c))
             for j in (2, 3, 4):
-                d.append((h / j) * (aff.A @ d[-1]))
+                d.append((h / j) * aff.A.dot(d[-1]))
         return x + s * (d[0] + s * (d[1] + s * (d[2] + s * d[3])))
 
     return flow
@@ -527,13 +527,13 @@ def _affine_block(F: PiecewiseField, b: _Builder, step, mode: str, read, t_end: 
             x1 = x + D
         else:  # as _cell_flow: M x + k
             M, k = step.step_map(h)
-            x1 = M @ x + k
+            x1 = M.dot(x) + k
         d1 = x1 - x
         if not (math.sqrt((d1 * d1).sum()) > moves  # the read's stall tests of step 1
                 or _off_window(b, np.array([x, x1]), np.array([1]), moves)[0]):
             return 0, read
-        floor = 2.5 * np.maximum(-(G @ D) * face, 0.0) if S else 0.0
-        if ((G @ x1 + offsets) * face <= floor)[face != 0].any():
+        floor = 2.5 * np.maximum(-G.dot(D) * face, 0.0) if S else 0.0
+        if ((G.dot(x1) + offsets) * face <= floor)[face != 0].any():
             return 0, read  # the read asks for more: the floor plus an allowance
         t = list(itertools.accumulate([t0] + [h] * min(AFFINE_BLOCK, budget)))  # as single steps
         n = len(t) - 1
@@ -548,7 +548,8 @@ def _affine_block(F: PiecewiseField, b: _Builder, step, mode: str, read, t_end: 
             X[1] = x1
             rows = list(X)
             for y0, y in zip(rows[1:], rows[2:]):
-                np.add(np.matmul(M, y0, out=y), k, out=y)
+                M.dot(y0, out=y)
+                y += k
         d = np.diff(X, axis=0)
         moving = np.sqrt((d * d).sum(axis=1)) > moves
         if not moving.all():  # the window test, only for the rows that fail the step test
@@ -671,7 +672,7 @@ class _FilippovRun:
             except NotSlidingError:
                 pass
         sigma = list(_face(g, ()))
-        for j, rate in zip(active, normals @ v):
+        for j, rate in zip(active, normals.dot(v)):
             sigma[j] = 1 if rate > 0 else -1
         self._regular_phase(h, g, tuple(sigma), skip=active)
         return False
@@ -685,7 +686,7 @@ class _FilippovRun:
                 break
             if len(gv) == 1:
                 grad = surfaces[0].grad(y)
-                y = y - gv[0] * grad / float(grad @ grad)
+                y = y - gv[0] * grad / float(grad.dot(grad))
             else:
                 y = y - np.linalg.lstsq(np.array([s.grad(y) for s in surfaces]), gv,
                                         rcond=None)[0]
@@ -719,7 +720,7 @@ class _FilippovRun:
             for j, s in enumerate(self.F.switches):
                 if j in S:
                     continue
-                rate = float(s.grad(x) @ v)
+                rate = float(v.dot(s.grad(x)))
                 if abs(g[j]) > cfg.event_refine_tol and abs(rate) > 1e-14:
                     tau = -g[j] / rate
                     if 0.0 < tau < 1.5 * h:
@@ -1038,7 +1039,9 @@ def sample_and_hold(C: ControlField, feedback: Callable[[float, np.ndarray], np.
     takes n.  Each substep appends a sample, so a run of n substeps has
     n + 1.  A state that is not finite at the end of an interval raises
     ModelError naming the first such time.  A ``StepLimit`` event ends the
-    run before an interval whose substeps would exceed ``max_steps``."""
+    run before an interval whose substeps would exceed ``max_steps``.  A
+    feedback value of a shape other than (control_dim,) raises
+    DimensionMismatchError before its interval's first substep."""
     cfg = cfg or IntegratorConfig()
     # The schedule's span is finite and positive by construction.
     x = _check_start(x0, float(np.ptp(schedule.breakpoints)), C.dim)
@@ -1054,6 +1057,9 @@ def sample_and_hold(C: ControlField, feedback: Callable[[float, np.ndarray], np.
             break
         x = b.x
         u = as_point(feedback(s_prev, x))
+        if u.shape != (C.control_dim,):
+            raise DimensionMismatchError(f"feedback at t={s_prev} has shape {u.shape}, "
+                                         f"not control_dim ({C.control_dim},)")
         frozen = lambda y: np.asarray(C.dynamics(y, u), dtype=float)
         start = len(b.times)
         h = span / n_sub

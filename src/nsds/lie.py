@@ -88,12 +88,12 @@ def _lie_extreme(V: np.ndarray, G: np.ndarray, sense: float) -> float:
     _require_pair(V, G)
     zeta0 = G[0]
     if G.shape[0] == 1:
-        values = V @ zeta0
+        values = V.dot(zeta0)
         return 0.0 + float(values.min() if sense > 0 else values.max())
-    A = np.vstack([np.ones(V.shape[0]), (G[1:] - zeta0) @ V.T])
+    A = np.vstack([np.ones(V.shape[0]), (G[1:] - zeta0).dot(V.T)])
     b = np.zeros(A.shape[0])
     b[0] = 1.0
-    res = solve_lp(sense * (V @ zeta0), A, b)
+    res = solve_lp(sense * V.dot(zeta0), A, b)
     if res.status == INFEASIBLE:
         return sense * math.inf
     if res.status != OPTIMAL:  # pragma: no cover
@@ -134,7 +134,7 @@ def lower_upper_lie(Fset: Polytope, prox) -> tuple[LieInterval, LieInterval]:
         raise DimensionMismatchError("dimension mismatch")
 
     P, V = prox.vertices, Fset.vertices
-    M = P @ V.T
+    M = P.dot(V.T)
     lower = LieInterval.closed(float(M.min()), _maximin_rows(P, V))
     upper = LieInterval.closed(-_maximin_rows(P, -V), float(M.max()))
     return lower, upper
@@ -305,7 +305,7 @@ def _lie_sup(lie_set: str, f: NsFunction, F: FieldSource, x: np.ndarray) -> floa
     _require_pair(V, prox)
     if lie_set == "lower":
         return _maximin_rows(prox, V)
-    return max(float(np.max(V @ zeta)) for zeta in prox)
+    return max(float(np.max(V.dot(zeta))) for zeta in prox)
 
 
 def _sweep(theorem: str, f: NsFunction, F: FieldSource, region: GridSpec, *,

@@ -201,7 +201,7 @@ def affine_atom(a, b: float = 0.0, name: str = "") -> SmoothAtom:
     a = np.asarray(a, dtype=float)
     return SmoothAtom(
         a.shape[0],
-        lambda x: float(a @ x) + b,
+        lambda x: float(a.dot(x)) + b,
         lambda x: a.copy(),
         c2=True,
         affine=True,
@@ -571,7 +571,7 @@ def descent_inequality_check(f: NsFunction, x, steps) -> DescentCheck:
     if float(np.linalg.norm(ln)) <= MEMBERSHIP_TOL:
         raise ValueError("descent inequality is only defined at noncritical points")
     fx = f._val(x)
-    nn = float(ln @ ln)
+    nn = float(ln.dot(ln))
     for t in steps:
         if f._val(x - t * ln) > fx - 0.5 * t * nn + 1e-12:
             return DescentCheck(False, witness_t=float(t))
@@ -690,8 +690,8 @@ def disagreement_function(G: Graph) -> SmoothAtom:
     L = G.laplacian()
     return SmoothAtom(
         G.n,
-        lambda p: 0.5 * float(p @ L @ p),
-        lambda p: L @ p,
+        lambda p: 0.5 * float(p.dot(L).dot(p)),
+        lambda p: L.dot(p),
         c2=True,
         convex=True,
         nonneg=True,

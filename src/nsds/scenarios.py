@@ -165,7 +165,7 @@ class MoveAwayLaw:
         off = np.concatenate([pts[:, None] - pts, self.polygon.edge_offsets(pts)], axis=1)
         # Outside is beyond an edge's line, decided on the positions, which
         # stay finite where the edge offsets overflow to NaN.
-        outside = (pts @ self.polygon.inward_normals.T < self.polygon.line_offsets).any()
+        outside = (pts.dot(self.polygon.inward_normals.T) < self.polygon.line_offsets).any()
         # The norm of the length-2 axis as np.linalg.norm computes it.
         if outside:  # far outside, the squares may overflow before the messages
             with np.errstate(over="ignore"):
@@ -243,7 +243,8 @@ def move_away_flow(law: MoveAwayLaw, x0, t_end: float, cfg: IntegratorConfig) ->
 
 
 def cart_input_field(x: np.ndarray) -> np.ndarray:
-    return np.array([x[0] ** 2 - x[1] ** 2, 2.0 * x[0] * x[1]])
+    x1, x2 = x.tolist()  # Python floats: ** is the same libm pow as numpy's scalar power
+    return np.array([x1 ** 2 - x2 ** 2, 2.0 * x1 * x2])
 
 
 def _cart_control(c: dict) -> ControlField:

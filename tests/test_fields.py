@@ -425,6 +425,13 @@ class TestControlInclusion:
         with pytest.raises(UnsupportedError):
             control_inclusion(C, [0.0])
 
+    @pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [1.0]])
+    def test_point_of_the_wrong_length_rejected(self, x):
+        # Three coordinates used to be read as two; one raised a bare IndexError.
+        cart = get_scenario("cart").build()
+        with pytest.raises(DimensionMismatchError, match=rf"^point has shape \({len(x)},\), not \(2,\)$"):
+            control_inclusion(cart, x)
+
 
 class TestUniquenessChecks:
     def test_neg_sign_not_falsified(self):
@@ -674,3 +681,14 @@ def test_affine_cell_default_evaluation_is_a_fresh_array():
     v[0] = 5.0
     assert fn(np.zeros(2)).tolist() == [1.0, 2.0]
     assert affine_cell([[2.0]], [1.0])(np.array([3.0])).tolist() == [7.0]
+
+
+def test_affine_products_reject_a_scalar_operand():
+    # ndarray.dot scales by a scalar where the matmul operator raised, so a
+    # scalar point or normal would have returned a value.
+    with pytest.raises(DimensionMismatchError, match=r"got a scalar"):
+        affine_cell([[2.0]], [1.0])(3.0)
+    with pytest.raises(DimensionMismatchError, match=r"got shape \(\)"):
+        SwitchingSurface.affine(2.0)
+    with pytest.raises(TypeError):
+        SwitchingSurface.affine([2.0]).value(3.0)

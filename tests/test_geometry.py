@@ -1,12 +1,15 @@
+import ast
 import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nsds
 from nsds.errors import DimensionMismatchError, EmptySetError, ModelError, SolverError
 from nsds.fields import transversality_test
 from nsds.geometry import (
@@ -370,3 +373,53 @@ def test_maximin_grid_search_is_lower_bound():
         B = Polytope(2 * rng.random((int(rng.integers(2, 7)), d)) - 1)
         grid_val = maximin_grid_search(A, B, per_dim=40)
         assert grid_val <= maximin_value(A, B) + 1e-9
+
+
+class TestProducts:
+    """Every product in the package calls ndarray.dot: the BLAS call of the
+    matmul operator without its gufunc dispatch.  A numpy or BLAS build
+    where the two differ fails here, not in scattered fingerprints."""
+
+    def test_no_matmul_operator_in_the_package(self):
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(Path(nsds.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.MatMult)]
+        assert found == []
+
+    def test_dot_is_matmul_bit_for_bit_on_the_package_layouts(self):
+        def same(a, b):
+            want = a @ b
+            got = a.dot(b)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+        rng = np.random.default_rng(29)
+        for d in range(1, 13):
+            for _ in range(20):
+                M, Z = rng.standard_normal((2, d, d))
+                v, w = rng.standard_normal((2, d))
+                same(M, v)  # the affine step map, A x, the switch matrix
+                same(M, Z)  # step_map's powers
+                same(v, w)  # a . x, |d|^2
+                same(v, M)  # p L
+                n, m = (int(k) for k in rng.integers(1, 66, 2))
+                X = rng.standard_normal((n, d))  # a block's rows, vertex rows
+                G = rng.standard_normal((m, d))
+                same(X, G.T)  # _clear_rows, maximin payoffs
+                same(X, X.T)  # the Gram matrix of Wolfe's corral
+                same(X, v)  # vertex values
+                same(rng.standard_normal(n), X)  # coefficients . rows
+                for row in X[:3]:  # row views of one C buffer
+                    same(M, row)
+                    same(row, v)
+                    y = np.empty((2, d))
+                    np.matmul(M, row, out=y[0])
+                    M.dot(row, out=y[1])  # the block loop writes its rows in place
+                    assert y[0].tobytes() == y[1].tobytes()
+                F = np.transpose([rng.standard_normal(n) for _ in range(d)])
+                assert F.flags.f_contiguous  # as _tangent_combination's weights
+                same(rng.standard_normal((m, n)), F)
+                for j in range(min(d, 3)):  # Fortran column views, strided C columns
+                    same(F[:, j], X)
+                    same(X[:, j], F[:, j])

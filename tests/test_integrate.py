@@ -627,6 +627,24 @@ class TestSampleAndHold:
             assert np.array_equal(tr.states, full.states[:n])
             assert tr.final_time in sched.breakpoints
 
+    def test_feedback_of_the_wrong_length_rejected(self):
+        # Two inputs for the one-input cart used to run to the end, the
+        # second dropped.
+        cart = get_scenario("cart").build()
+        calls = []
+
+        def dynamics(x, u):
+            calls.append(u)
+            return cart.dynamics(x, u)
+
+        C = ControlField(2, 1, dynamics, cart.control_set)
+        sched = PartitionSchedule.uniform(0.0, 1.0, 4)  # n_sub = ceil(0.25 / 0.1) = 3
+        feedback = lambda t, x: [1.0] if t == 0.0 else [1.0, 2.0]
+        message = "feedback at t=0.25 has shape (2,), not control_dim (1,)"
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            sample_and_hold(C, feedback, sched, [0.3, 0.4], IntegratorConfig(dt_max=0.1))
+        assert len(calls) == 3 * 4  # the first interval's RK4 stages; none of the second's
+
     @staticmethod
     def _substeps(sched, cfg=None):
         C = ControlField(1, 1, lambda x, u: u.copy(), Polytope.interval(-1, 1))
