@@ -300,7 +300,7 @@ def _normal_kind(n: np.ndarray, sides: np.ndarray) -> tuple[str, float, float]:
     """Kind of a point on one surface and the normal parts alpha, beta of its
     two side fields.  These are velocities, so the band they are compared
     with is the fixed _BAND_AT_ORIGIN: the state's size does not enter."""
-    alpha, beta = float(sides[0].dot(n)), float(sides[1].dot(n))
+    alpha, beta = float(sides[0].dot(n)), float(sides[1].dot(n))  # grad may return a list
     if abs(alpha) <= _BAND_AT_ORIGIN or abs(beta) <= _BAND_AT_ORIGIN:
         return TANGENT, alpha, beta
     if alpha * beta > 0:
@@ -348,7 +348,7 @@ def _tangent_pair(x_minus, x_plus, n: np.ndarray) -> tuple[np.ndarray, tuple[flo
     """(vector, (lam,)): :func:`_tangent_combination` on one surface with
     normal n, in the closed form lam = alpha / (alpha - beta) on the two side
     values themselves, clamped to [0, 1]."""
-    alpha, beta = float(x_minus.dot(n)), float(x_plus.dot(n))
+    alpha, beta = float(x_minus.dot(n)), float(x_plus.dot(n))  # grad may return a list
     scale = _BAND_AT_ORIGIN * (1.0 + abs(alpha) + abs(beta))
     if abs(alpha) <= scale and abs(beta) <= scale:
         # Both one-sided fields are already tangent; any weight works.

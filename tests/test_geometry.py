@@ -402,6 +402,7 @@ class TestProducts:
                 same(M, v)  # the affine step map, A x, the switch matrix
                 same(M, Z)  # step_map's powers
                 same(v, w)  # a . x, |d|^2
+                assert w.dot(v).tobytes() == (v @ w).tobytes()  # a cell value . a normal
                 same(v, M)  # p L
                 n, m = (int(k) for k in rng.integers(1, 66, 2))
                 X = rng.standard_normal((n, d))  # a block's rows, vertex rows
