@@ -25,7 +25,7 @@ from .errors import (
     NotSlidingError,
     UnsupportedError,
 )
-from .geometry import Polytope, vector_norm
+from .geometry import Polytope, _point, vector_norm
 
 SignVector = tuple[int, ...]
 CellField = Callable[[np.ndarray], np.ndarray]
@@ -160,7 +160,8 @@ class PiecewiseField:
         return np.array(self._switch_list(x))
 
     def sign_vector(self, x: np.ndarray) -> SignVector:
-        """Signs of the switch values at x, 0 on the surfaces x lies on."""
+        """Signs of the switch values at x, 0 on the surfaces x lies on.  The
+        package calls it only on points it has already checked."""
         tol = default_active_tol(x)
         return tuple(0 if _active(v, tol) else (1 if v > 0 else -1)
                      for v in self._switch_list(x))
@@ -173,6 +174,8 @@ class PiecewiseField:
         return fn
 
     def cell_value(self, sigma: SignVector, x: np.ndarray) -> np.ndarray:
+        """The value at x of declared cell sigma.  The package calls it only
+        on points it has already checked."""
         return np.asarray(self._cell_fn(sigma)(np.asarray(x, dtype=float)), dtype=float)
 
     def adjacent_cells(self, sigma: SignVector) -> list[SignVector]:
@@ -189,6 +192,7 @@ class PiecewiseField:
 
         Raises ModelError on a switching surface (no unique cell there).
         """
+        x = _point(x, self.dim)
         sigma = self.sign_vector(x)
         if any(s == 0 for s in sigma):
             raise ModelError("field value queried on a switching surface")
@@ -256,17 +260,8 @@ def filippov_set(F: PiecewiseField, x) -> Polytope:
     cells, so redefining the field on the surfaces themselves cannot change
     it.
     """
-    x = _point(F, x)
+    x = _point(x, F.dim)
     return Polytope(_hull_at(F, x, F.sign_vector(x)))
-
-
-def _point(F: PiecewiseField, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != F.dim:
-        raise DimensionMismatchError("point dimension mismatch")
-    if not all(map(math.isfinite, x.ravel().tolist())):  # cheaper than np.isfinite on short x
-        raise ModelError(f"point must be finite, got {x.tolist()}")
-    return x
 
 
 def _hull_at(F: PiecewiseField, x: np.ndarray, face: SignVector) -> np.ndarray:
@@ -317,7 +312,7 @@ def classify_point(F: PiecewiseField, x) -> SurfaceClassification:
     two or more active surfaces the kind is ``tangent`` and the Filippov
     polytope is returned as witness.
     """
-    x = _point(F, x)
+    x = _point(x, F.dim)
     tol = default_active_tol(x)
     g = F._switch_list(x)
     active = tuple(j for j, v in enumerate(g) if _active(v, tol))
@@ -401,7 +396,7 @@ def sliding_field(F: PiecewiseField, x, i: int) -> SlidingResult:
     Returns v = lam * X_plus + (1 - lam) * X_minus with lam in [0, 1] chosen
     so the result is tangent to the surface.  lam weights the plus-side cell.
     """
-    x = _point(F, x)
+    x = _point(x, F.dim)
     n, sides = _sides(F, x, i, F._switch_list(x))
     vector, lam = _tangent_pair(sides[0], sides[1], n)
     return SlidingResult(vector=vector, lam=float(lam[0]))
@@ -430,7 +425,7 @@ class ControlField:
             raise DimensionMismatchError("control set dimension mismatch")
 
     def value(self, x, u) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _point(x, self.dim)
         u = geometry.as_point(u)
         return np.asarray(self.dynamics(x, u), dtype=float)
 
@@ -443,10 +438,8 @@ def control_inclusion(C: ControlField, x) -> Polytope:
     """
     if not C.affine_in_control:
         raise UnsupportedError("control inclusion needs input-affine dynamics")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (C.dim,):
-        raise DimensionMismatchError(f"point has shape {x.shape}, not ({C.dim},)")
-    verts = np.array([C.value(x, u) for u in C.control_set.vertices])
+    x = _point(x, C.dim)
+    verts = np.array([C.dynamics(x, u) for u in C.control_set.vertices], dtype=float)
     return Polytope(verts)
 
 
@@ -484,7 +477,7 @@ def one_sided_lipschitz_test(
         raise ValueError("samples must be at least 2")
     if not (0 < eps < math.inf and math.isfinite(L) and 0 <= tol < math.inf):  # NaN fails
         raise ValueError("eps must be finite and positive, L finite, tol finite and nonnegative")
-    x = np.asarray(x, dtype=float)
+    x = _point(x, F.dim)
     rng = np.random.default_rng(seed)
 
     def draw() -> tuple[np.ndarray, np.ndarray]:

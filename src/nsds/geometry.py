@@ -482,6 +482,18 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _point(x, dim: int, what: str = "point") -> np.ndarray:
+    """The one check of a point: x as a float vector of shape (dim,).  Any
+    other shape, a scalar or a (1, dim) row included, raises
+    DimensionMismatchError, and a coordinate that is not finite ModelError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise DimensionMismatchError(f"{what} has shape {x.shape}, not ({dim},)")
+    if not all(map(math.isfinite, x.tolist())):  # cheaper than np.isfinite on short x
+        raise ModelError(f"{what} must be finite, got {x.tolist()}")
+    return x
+
+
 def as_point(value: Sequence[float] | float) -> np.ndarray:
     """Coerce scalars / sequences into a 1-D float vector."""
     arr = np.asarray(value, dtype=float)

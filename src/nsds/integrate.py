@@ -56,7 +56,7 @@ from .fields import (
     affine_cell,
     default_active_tol,
 )
-from .geometry import _least_norm_point, as_point, vector_norm
+from .geometry import _least_norm_point, _point, as_point, vector_norm
 from .nonsmooth import Graph, NsFunction, disagreement_function
 
 SURFACE_HIT = "SurfaceHit"
@@ -314,14 +314,10 @@ def rk4_step(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float,
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_start(x0, t_end: float, dim: int | None = None) -> np.ndarray:
-    """x0 as a float array; reject a run that could only fail, produce NaN
-    states or take no step."""
-    x = np.asarray(x0, dtype=float)
-    if dim is not None and x.shape != (dim,):
-        raise DimensionMismatchError(f"initial state of shape {x.shape}, model dimension {dim}")
-    if not np.all(np.isfinite(x)):
-        raise ModelError("initial state must be finite")
+def _check_start(x0, t_end: float, dim: int) -> np.ndarray:
+    """x0 as a float vector of shape (dim,); reject a run that could only
+    fail, produce NaN states or take no step."""
+    x = _point(x0, dim, "initial state")
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ModelError(f"t_end must be finite and positive, got {t_end}")
     return x
@@ -826,7 +822,7 @@ def integrate_pointwise(v_fn: Callable[[np.ndarray], np.ndarray], x0, t_end: flo
     """
     if method not in ("euler", "rk4"):
         raise ValueError("method must be euler or rk4")
-    x = _check_start(x0, t_end)
+    x = _check_start(x0, t_end, np.size(x0))
     b = _Builder(0.0, x, "R:")
     radius = 5.0 * cfg.dt_max
     ends = 2.0 * radius * (1.0 + 1e-6)

@@ -42,6 +42,7 @@ from .geometry import (
     Polytope,
     _least_norm_point,
     _minkowski_rows,
+    _point,
 )
 
 
@@ -127,13 +128,7 @@ class NsFunction:
         return self.value(x)
 
     def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
-        if x.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"{self.name or type(self).__name__}: point has dimension "
-                f"{x.shape[0]}, expected {self.dim}"
-            )
-        return x
+        return _point(x, self.dim, f"{self.name or type(self).__name__}: point")
 
     def _val(self, x: np.ndarray) -> float:
         if type(self).value is NsFunction.value:
@@ -589,11 +584,12 @@ def smq(Q: ConvexPolygon, p) -> float:
     Inside the polygon this is the radius of the largest inscribed disk
     centred at p.
     """
-    return Q.boundary_distance(np.asarray(p, dtype=float))
+    return Q.boundary_distance(_point(p, 2))
 
 
 def smq_gradient(Q: ConvexPolygon, p) -> Polytope:
     """Hull of the inward unit normals of the edges nearest to p."""
+    p = _point(p, 2)
     dists = np.linalg.norm(Q.edge_offsets(p)[0], axis=1)
     low = float(dists.min())
     return Polytope(Q.inward_normals[dists <= low + tie_tolerance(low)])

@@ -995,8 +995,8 @@ class TestFixedStepLoops:
         assert not calls
 
     @pytest.mark.parametrize("x0, message", [
-        (1.0, "initial state of shape (), model dimension 1"),
-        (np.ones((2, 2)), "initial state of shape (2, 2), model dimension 4"),
+        (1.0, "initial state has shape (), not (1,)"),
+        (np.ones((2, 2)), "initial state has shape (2, 2), not (4,)"),
     ])
     def test_consensus_scenario_start_names_its_size(self, x0, message):
         with pytest.raises(DimensionMismatchError, match=re.escape(message)):

@@ -394,8 +394,12 @@ class TestGraphsAndPacking:
     (MinOf([affine_atom([1.0], 0.0), affine_atom([-1.0], 0.0)]), [math.nan]),
 ], ids=["abs_sum", "abs", "min"])
 def test_nan_point_leaves_no_active_child(f, x):
-    with pytest.raises(ModelError, match="no active child"):
+    with pytest.raises(ModelError, match=": point must be finite"):
         f.gradient(np.array(x))
+    # A child whose value is NaN at a finite point still reaches the guard.
+    g = MaxOf([SmoothAtom(1, lambda x: math.nan, lambda x: np.zeros(1)), affine_atom([1.0])])
+    with pytest.raises(ModelError, match="no active child"):
+        g.gradient(np.array([0.0]))
 
 
 class TestFlags:
