@@ -264,13 +264,24 @@ def filippov_set(F: PiecewiseField, x) -> Polytope:
     return Polytope(_hull_at(F, x, F.sign_vector(x)))
 
 
+def _finite_rows(rows: np.ndarray, x: np.ndarray, label: Callable[[int], str]) -> np.ndarray:
+    """rows, the values at x of cells or inputs; a row that is not finite
+    raises ModelError naming ``label(k)`` of the first such row k, since no
+    hull or normal part can be read from it."""
+    if not all(map(math.isfinite, rows.ravel().tolist())):  # cheaper than np.isfinite on a few rows
+        k = next(k for k, row in enumerate(rows) if not all(map(math.isfinite, row.tolist())))
+        raise ModelError(f"{label(k)} is {rows[k].tolist()} at x={x.tolist()}")
+    return rows
+
+
 def _hull_at(F: PiecewiseField, x: np.ndarray, face: SignVector) -> np.ndarray:
     """Vertex rows of the hull: the values at x of the declared cells
     adjacent to ``face``."""
     cells = F.adjacent_cells(face)
     if not cells:
         raise ModelError(f"no declared cell adjacent to x={x.tolist()}")
-    return np.array([F.cell_value(sigma, x) for sigma in cells])
+    return _finite_rows(np.array([F.cell_value(c, x) for c in cells]), x,
+                        lambda k: f"cell {cells[k]}")
 
 
 def _face(g, surfaces) -> tuple[int, ...]:
@@ -288,7 +299,8 @@ def _sides(F: PiecewiseField, x: np.ndarray, i: int, g):
     cells = F.adjacent_cells(_face(g, (i,)))
     if len(cells) != 2:
         raise ModelError(f"surface {i} does not separate two declared cells at {x.tolist()}")
-    return n, np.array([F.cell_value(c, x) for c in cells])
+    return n, _finite_rows(np.array([F.cell_value(c, x) for c in cells]), x,
+                           lambda k: f"cell {cells[k]}")
 
 
 def _normal_kind(n: np.ndarray, sides: np.ndarray) -> tuple[str, float, float]:
@@ -439,8 +451,9 @@ def control_inclusion(C: ControlField, x) -> Polytope:
     if not C.affine_in_control:
         raise UnsupportedError("control inclusion needs input-affine dynamics")
     x = _point(x, C.dim)
-    verts = np.array([C.dynamics(x, u) for u in C.control_set.vertices], dtype=float)
-    return Polytope(verts)
+    U = C.control_set.vertices
+    verts = np.array([C.dynamics(x, u) for u in U], dtype=float)
+    return Polytope(_finite_rows(verts, x, lambda k: f"dynamics at input {U[k].tolist()}"))
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,8 @@ class Trajectory:
             raise ValueError("times and states disagree")
         if len(self.modes) != self.times.shape[0]:
             raise ValueError("one mode label per sample required")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if not (np.isfinite(self.times).all() and (np.diff(self.times) > 0).all()):
+            raise ValueError("times must be finite and strictly increasing")
 
     @property
     def dim(self) -> int:

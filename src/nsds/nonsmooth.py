@@ -25,6 +25,7 @@ that rule, a min running it on negated values.  The public ``value``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -699,9 +700,13 @@ def hsp(Q: ConvexPolygon, points) -> float:
     """Largest common radius of non-overlapping disks centred at the points
     and contained in the polygon: min over half pairwise distances and
     point-to-edge distances."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] < 1:
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
         raise ValueError("hsp needs at least one point")
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DimensionMismatchError(f"hsp points have shape {pts.shape}, not (n, 2)")
+    if not all(map(math.isfinite, pts.ravel().tolist())):  # cheaper than np.isfinite on a few points
+        raise ModelError(f"hsp points must be finite, got {pts.tolist()}")
     i, j = np.triu_indices(pts.shape[0], 1)
     half = 0.5 * np.linalg.norm(pts[i] - pts[j], axis=1)
     edge = np.linalg.norm(Q.edge_offsets(pts), axis=2)
@@ -755,9 +760,12 @@ def make_function(name: str, dim: int | None = None) -> NsFunction:
     """Build a catalog function by name.
 
     ``dim`` is needed for size-generic entries (abs_sum, disagreement on the
-    path graph, hsp); the polygon entries use the unit square.
+    path graph, hsp) and must be at least 1 when given; the polygon entries
+    use the unit square.
     """
     poly = ConvexPolygon.square(1.0)
+    if dim is not None and dim < 1:
+        raise ValueError(f"{name} needs a dimension of at least 1, got {dim}")
     if name == "abs":
         return abs_of(coordinate_atom(0, 1), name="|x|")
     if name == "neg_abs":
@@ -765,7 +773,7 @@ def make_function(name: str, dim: int | None = None) -> NsFunction:
     if name == "sqrt_abs":
         return SqrtAbs()
     if name == "abs_sum":
-        d = dim or 2
+        d = 2 if dim is None else dim
         return Sum([(1.0, abs_of(coordinate_atom(i, d))) for i in range(d)], name="abs_sum")
     if name == "energy_oscillator":
         return Sum(

@@ -28,7 +28,8 @@ from nsds.fields import (
 )
 from nsds.geometry import Polytope
 from nsds.integrate import sign_consensus_field
-from nsds.nonsmooth import Graph
+from nsds.lie import GridSpec, lyapunov_certify
+from nsds.nonsmooth import Graph, make_function
 from nsds.scenarios import get_scenario, move_away_square_field
 
 from helpers import affine_image, filippov_ball_oracle, hausdorff_distance, minkowski_sum
@@ -432,6 +433,13 @@ class TestControlInclusion:
         with pytest.raises(DimensionMismatchError, match=rf"^point has shape \({len(x)},\), not \(2,\)$"):
             control_inclusion(cart, x)
 
+    def test_nan_vertex_value_is_a_model_error(self):
+        # The NaN used to come out as a vertex of the inclusion.
+        C = ControlField(1, 1, lambda x, u: np.array([math.nan if u[0] < 0 else u[0]]),
+                         Polytope.interval(-1.0, 1.0))
+        with pytest.raises(ModelError, match=r"^dynamics at input \[-1\.0\] is \[nan\] at x=\[0\.5\]$"):
+            control_inclusion(C, [0.5])
+
 
 class TestUniquenessChecks:
     def test_neg_sign_not_falsified(self):
@@ -639,6 +647,22 @@ def test_run_that_reaches_a_nan_switch_value_raises():
     F = log_switch_field({(-1,): lambda x: np.array([-1.0]), (1,): lambda x: np.array([-1.0])})
     with pytest.raises(ModelError, match="switching function log is nan"):
         integrate_filippov(F, [2.0], 2.5, IntegratorConfig(dt_max=0.1))
+
+
+@pytest.mark.parametrize("query, x", [
+    (filippov_set, [-0.5]),
+    (classify_point, [0.0]),
+    (lambda F, x: sliding_field(F, x, 0), [0.0]),
+    (lambda F, x: lyapunov_certify("thm1", make_function("abs_sum", 1), F, x,
+                                   GridSpec.parse("-1:1:5")), [0.0]),
+], ids=["filippov_set", "classify_point", "sliding_field", "lyapunov_certify"])
+def test_nan_cell_value_at_a_finite_point_is_a_model_error(query, x):
+    # The NaN used to come out as a hull [[nan]], a repulsive point with
+    # alpha nan, a nan slide and a falsified certificate with value nan.
+    F = PiecewiseField(1, [SwitchingSurface.coordinate(0, 1)],
+                       {(-1,): lambda x: np.array([math.nan]), (1,): lambda x: np.array([-1.0])})
+    with pytest.raises(ModelError, match=r"^cell \(-1,\) is \[nan\] at x="):
+        query(F, x)
 
 
 def _declared_cells(F):

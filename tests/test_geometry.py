@@ -424,3 +424,87 @@ class TestProducts:
                 for j in range(min(d, 3)):  # Fortran column views, strided C columns
                     same(F[:, j], X)
                     same(X[:, j], F[:, j])
+
+
+def _point_calls():
+    """Every public call that reads a point through the one point check:
+    (its dimension, or None where that is the input's size; the name it
+    gives the point; the call)."""
+    from nsds.fields import (classify_point, control_inclusion, filippov_set,
+                             one_sided_lipschitz_test, sliding_field)
+    from nsds.integrate import (IntegratorConfig, PartitionSchedule, gradient_flow,
+                                integrate_caratheodory, integrate_filippov,
+                                integrate_pointwise, sample_and_hold)
+    from nsds.nonsmooth import descent_direction, descent_inequality_check, smq, smq_gradient
+    from nsds.scenarios import MoveAwayLaw, cart_feedback, get_scenario, move_away_flow
+
+    osc, cart = get_scenario("oscillator").build(), get_scenario("cart").build()
+    f, Q, cfg = make_function("energy_oscillator"), ConvexPolygon.square(1.0), IntegratorConfig()
+    fp = "energy_oscillator: point"
+    return {
+        "filippov_set": (2, "point", lambda x: filippov_set(osc, x)),
+        "classify_point": (2, "point", lambda x: classify_point(osc, x)),
+        "sliding_field": (2, "point", lambda x: sliding_field(osc, x, 0)),
+        "PiecewiseField.value": (2, "point", osc.value),
+        "control_inclusion": (2, "point", lambda x: control_inclusion(cart, x)),
+        "ControlField.value": (2, "point", lambda x: cart.value(x, [0.0])),
+        "one_sided_lipschitz_test": (2, "point",
+                                     lambda x: one_sided_lipschitz_test(osc, x, 0.1, 1.0, 5)),
+        "smq": (2, "point", lambda x: smq(Q, x)),
+        "smq_gradient": (2, "point", lambda x: smq_gradient(Q, x)),
+        "NsFunction.value": (2, fp, f.value),
+        "NsFunction.gradient": (2, fp, f.gradient),
+        "NsFunction.proximal": (2, fp, f.proximal),
+        "NsFunction.__call__": (2, fp, f),
+        "descent_direction": (2, fp, lambda x: descent_direction(f, x)),
+        "descent_inequality_check": (2, fp, lambda x: descent_inequality_check(f, x, [0.1])),
+        "integrate_filippov": (2, "initial state", lambda x: integrate_filippov(osc, x, 0.1)),
+        "integrate_caratheodory": (2, "initial state",
+                                   lambda x: integrate_caratheodory(osc, x, 0.1)),
+        "integrate_pointwise": (None, "initial state",
+                                lambda x: integrate_pointwise(lambda y: -y, x, 0.1, cfg)),
+        "gradient_flow": (2, "initial state", lambda x: gradient_flow(f, "natural", x, 0.1)),
+        "sample_and_hold": (2, "initial state", lambda x: sample_and_hold(
+            cart, cart_feedback(), PartitionSchedule.uniform(0.0, 0.1, 2), x)),
+        "move_away_flow": (2, "initial state",
+                           lambda x: move_away_flow(MoveAwayLaw(Q, 1), x, 0.1, cfg)),
+    }
+
+
+_BAD_POINTS = {
+    "scalar": 0.5,
+    "wrong-length": [0.1, 0.2, 0.3],
+    "row": [[0.1, 0.2]],
+    "nan": [math.nan, 0.1],
+    "inf": [0.1, math.inf],
+}
+
+
+class TestPointCheck:
+    """One rule for a point of dimension d: a float vector of shape (d,)
+    with finite coordinates, or DimensionMismatchError / ModelError with
+    the shared message."""
+
+    # A pointwise flow takes its dimension from its start, so no length is wrong.
+    @pytest.mark.parametrize("call, bad", [
+        pytest.param(call, bad, id=f"{call}-{bad}") for call in _point_calls()
+        for bad in _BAD_POINTS if (call, bad) != ("integrate_pointwise", "wrong-length")])
+    def test_every_point_call_shares_the_rule(self, call, bad):
+        dim, what, run = _point_calls()[call]
+        x = np.asarray(_BAD_POINTS[bad], dtype=float)
+        dim = dim or x.size
+        if x.shape == (dim,):
+            error, message = ModelError, f"{what} must be finite, got {x.tolist()}"
+        else:
+            error, message = DimensionMismatchError, f"{what} has shape {x.shape}, not ({dim},)"
+        with pytest.raises(error) as info:
+            run(_BAD_POINTS[bad])
+        assert str(info.value) == message
+
+    def test_cli_point_of_the_wrong_length_exits_1(self, capsys):
+        from nsds.cli import main
+
+        assert main(["filippov-set", "--scenario", "oscillator", "--point", "1,2,3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "DimensionMismatch: point has shape (3,), not (2,)\n"

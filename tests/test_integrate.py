@@ -65,6 +65,16 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             Trajectory([0.0, 1.0], [[1.0], [1.0]], ["R:"])
 
+    @pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [math.nan], [0.0, math.inf]])
+    def test_times_must_be_finite(self, times):
+        # A NaN made every diff comparison false, so the increasing check passed.
+        csv = "t,x1,mode,event\n" + "".join(f"{t!r},1.0,R:,\n" for t in times)
+        d = {"times": times, "states": [[1.0]] * len(times), "modes": ["R:"] * len(times),
+             "events": []}
+        for read, data in ((Trajectory.from_csv, csv), (Trajectory.from_json_dict, d)):
+            with pytest.raises(ValueError, match="^times must be finite and strictly increasing$"):
+                read(data)
+
     def test_csv_roundtrip_is_byte_identical(self):
         # The corner start writes the mode S:0,1, whose comma the reader must
         # keep inside the mode, and a Converged event on that row.

@@ -361,6 +361,16 @@ class TestGraphsAndPacking:
         with pytest.raises(ValueError):
             hsp(SQUARE, np.zeros((0, 2)))
 
+    def test_hsp_points_must_be_finite_planar_rows(self):
+        # Three-coordinate rows were read as pair distances in 3-D and as
+        # three planar points for the edges (0.26); a NaN point gave inf.
+        with pytest.raises(DimensionMismatchError, match=r"^hsp points have shape \(2, 3\), not \(n, 2\)$"):
+            hsp(SQUARE, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        with pytest.raises(DimensionMismatchError, match=r"shape \(2,\)"):
+            hsp(SQUARE, [0.1, 0.2])
+        with pytest.raises(ModelError, match=r"^hsp points must be finite, got \[\[nan, 0\.0\]\]$"):
+            hsp(SQUARE, [[math.nan, 0.0]])
+
     def test_hsp_matches_per_pair_loop(self):
         hexagon = ConvexPolygon([[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)]
                                  for k in range(6)])
@@ -411,6 +421,16 @@ class TestFlags:
         assert make_function("abs_sum", 3).convex
         assert not Dilation(-1.0, make_function("abs")).convex
         assert Dilation(-1.0, coordinate_atom(0, 1)).convex  # affine stays convex
+
+    @pytest.mark.parametrize("name", ["abs_sum", "disagreement", "hsp"])
+    def test_catalog_dimension_below_one_rejected(self, name):
+        # abs_sum read 0 as "not given" and built a 2-D function, disagreement
+        # built a 0-D one, and hsp failed inside MinOf.
+        with pytest.raises(ValueError, match=f"^{name} needs a dimension of at least 1, got 0$"):
+            make_function(name, 0)
+        assert make_function("abs_sum").dim == 2 and make_function("abs_sum", 1).dim == 1
+        with pytest.raises(ValueError, match=r"^hsp needs an even dimension"):
+            make_function("hsp", 3)
 
     def test_catalog_names_build(self):
         for name in ("abs", "neg_abs", "sqrt_abs", "abs_sum", "energy_oscillator",

@@ -446,16 +446,25 @@ class TestCli:
          "--t-end", "inf"],
         ["plot-data", "--traj", "EMPTY", "--kind", "time", "--out", "OUT"],
         ["plot-data", "--traj", "SHORT", "--kind", "time", "--out", "OUT"],
+        ["plot-data", "--traj", "NAN_TIME", "--kind", "time", "--out", "OUT"],
+        ["plot-data", "--traj", "NAN_TIME_JSON", "--kind", "time", "--out", "OUT"],
         ["simulate", "--scenario", "brick", "--const", "theta", "--x0", "1", "--t-end", "1",
          "--out", "OUT"],
     ], ids=["zero-diam", "negative-diam", "infinite-t-end", "empty-csv", "short-row",
-            "const-without-value"])
+            "nan-time-csv", "nan-time-json", "const-without-value"])
     def test_bad_schedule_or_trajectory_file_exits_1(self, argv, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
         short = tmp_path / "short.csv"
         short.write_text("t,x1,mode,event\n0.0,1.0\n")
-        files = {"EMPTY": str(empty), "SHORT": str(short), "OUT": str(tmp_path / "o.dat")}
+        # A NaN time passed the strictly-increasing check and was written out.
+        nan_time = tmp_path / "nan_time.csv"
+        nan_time.write_text("t,x1,mode,event\n0.0,1.0,R:,\nnan,1.0,R:,\n1.0,1.0,R:,\n")
+        nan_time_json = tmp_path / "nan_time.json"
+        nan_time_json.write_text('{"times": [0.0, NaN], "states": [[1.0], [1.0]], '
+                                 '"modes": ["R:", "R:"], "events": []}')
+        files = {"EMPTY": str(empty), "SHORT": str(short), "NAN_TIME": str(nan_time),
+                 "NAN_TIME_JSON": str(nan_time_json), "OUT": str(tmp_path / "o.dat")}
         argv = [files.get(a, a) for a in argv]
         assert main(argv) == 1
         err = capsys.readouterr().err
