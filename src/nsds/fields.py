@@ -280,7 +280,7 @@ def _hull_at(F: PiecewiseField, x: np.ndarray, face: SignVector) -> np.ndarray:
     cells = F.adjacent_cells(face)
     if not cells:
         raise ModelError(f"no declared cell adjacent to x={x.tolist()}")
-    return _finite_rows(np.array([F.cell_value(c, x) for c in cells]), x,
+    return _finite_rows(np.array([F._cell_fn(c)(x) for c in cells], dtype=float), x,
                         lambda k: f"cell {cells[k]}")
 
 
@@ -299,7 +299,7 @@ def _sides(F: PiecewiseField, x: np.ndarray, i: int, g):
     cells = F.adjacent_cells(_face(g, (i,)))
     if len(cells) != 2:
         raise ModelError(f"surface {i} does not separate two declared cells at {x.tolist()}")
-    return n, _finite_rows(np.array([F.cell_value(c, x) for c in cells]), x,
+    return n, _finite_rows(np.array([F._cell_fn(c)(x) for c in cells], dtype=float), x,
                            lambda k: f"cell {cells[k]}")
 
 
