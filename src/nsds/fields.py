@@ -163,8 +163,8 @@ class PiecewiseField:
         """Signs of the switch values at x, 0 on the surfaces x lies on.  The
         package calls it only on points it has already checked."""
         tol = default_active_tol(x)
-        return tuple(0 if _active(v, tol) else (1 if v > 0 else -1)
-                     for v in self._switch_list(x))
+        return tuple([0 if _active(v, tol) else (1 if v > 0 else -1)
+                      for v in self._switch_list(x)])
 
     def _cell_fn(self, sigma: SignVector) -> CellField:
         """The callable of declared cell sigma; ModelError if it is not declared."""

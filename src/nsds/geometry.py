@@ -41,7 +41,9 @@ class Polytope:
     dim: int
 
     def __init__(self, vertices, dim: int | None = None):
-        verts = np.atleast_2d(np.asarray(vertices, dtype=float))
+        # One C-ordered copy, at least 2-D: np.atleast_2d and a copy at a
+        # fraction of their call overhead.
+        verts = np.array(vertices, dtype=float, ndmin=2, order="C")
         if verts.size == 0:
             if dim is None:
                 raise ValueError("empty polytope needs an explicit dimension")
@@ -52,7 +54,6 @@ class Polytope:
             raise DimensionMismatchError(
                 f"vertices have dimension {verts.shape[1]}, expected {dim}"
             )
-        verts = verts.copy()
         verts.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "dim", dim)
