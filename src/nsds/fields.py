@@ -17,7 +17,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import geometry
 from .errors import (
     DegenerateSurfaceError,
     DimensionMismatchError,
@@ -421,7 +420,14 @@ def sliding_field(F: PiecewiseField, x, i: int) -> SlidingResult:
 
 @dataclass(frozen=True)
 class ControlField:
-    """Control system x' = X(x, u) with a polytopic input set."""
+    """Control system x' = X(x, u) with a polytopic input set.
+
+    ``held_flow(x, u, offsets)``, when declared, returns the exact states of
+    x' = X(x, u) with u held, from x, at the given increasing offsets > 0:
+    one row per offset.  It must compute the flow of ``dynamics``, which
+    sample-and-hold runs then step by instead of RK4 substeps, and raise
+    ModelError where that solution escapes to infinity within the offsets.
+    """
 
     dim: int
     control_dim: int
@@ -429,6 +435,7 @@ class ControlField:
     control_set: Polytope
     affine_in_control: bool = True
     name: str = ""
+    held_flow: Callable[[np.ndarray, np.ndarray, list[float]], np.ndarray | Sequence] | None = None
 
     def __post_init__(self):
         if self.control_set.is_empty:
@@ -438,7 +445,7 @@ class ControlField:
 
     def value(self, x, u) -> np.ndarray:
         x = _point(x, self.dim)
-        u = geometry.as_point(u)
+        u = _point(u, self.control_dim, "input")
         return np.asarray(self.dynamics(x, u), dtype=float)
 
 

@@ -276,11 +276,9 @@ class _Builder:
 
     def check_finite(self, start: int):
         """Raise ModelError naming the first state from row ``start`` on that
-        is not finite.  A step x + h k keeps such a state non-finite, so the
-        last row decides."""
-        n = len(self.times)
-        if not all(map(math.isfinite, self._buf[n - 1].tolist())):  # cheaper than np.isfinite
-            rows = self._buf[start:n]
+        is not finite."""
+        rows = self._buf[start:len(self.times)]
+        if not all(map(math.isfinite, rows.ravel().tolist())):  # cheaper than np.isfinite
             k = start + int(np.argmin(np.isfinite(rows).all(axis=1)))
             raise ModelError(f"state is not finite at t={self.times[k]}: {self._buf[k].tolist()}")
 
@@ -1028,12 +1026,16 @@ class PartitionSchedule:
 def sample_and_hold(C: ControlField, feedback: Callable[[float, np.ndarray], np.ndarray],
                     schedule: PartitionSchedule, x0,
                     cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Hold the feedback fixed over each partition interval and integrate the
-    resulting smooth dynamics with RK4 substeps: an interval of span s takes
-    the :func:`_step_count` of s, the fewest substeps of at most dt_max that
+    """Hold the feedback fixed over each partition interval and follow the
+    resulting smooth dynamics in substeps: an interval of span s takes the
+    :func:`_step_count` of s, the fewest substeps of at most dt_max that
     cover it, where a span only TIME_SLACK above n dt_max (time rounding)
     takes n.  Each substep appends a sample, so a run of n substeps has
-    n + 1.  A state that is not finite at the end of an interval raises
+    n + 1.  The states are those of the field's declared ``held_flow`` at
+    offsets k s / n into the interval (s itself at its end), one call per
+    interval, or else of RK4 substeps; the times, counts and events are the
+    same either way.  A ModelError of the held flow (an escape to infinity)
+    is raised again naming its interval.  A state that is not finite raises
     ModelError naming the first such time.  A ``StepLimit`` event ends the
     run before an interval whose substeps would exceed ``max_steps``.  A
     feedback value of a shape other than (control_dim,) raises
@@ -1043,6 +1045,7 @@ def sample_and_hold(C: ControlField, feedback: Callable[[float, np.ndarray], np.
     x = _check_start(x0, float(np.ptp(schedule.breakpoints)), C.dim)
     bp = schedule.breakpoints.tolist()
     b = _Builder(bp[0], x, "R:")
+    held = C.held_flow
     steps = 0
     for s_prev, s_next in zip(bp[:-1], bp[1:]):
         span = s_next - s_prev
@@ -1056,16 +1059,26 @@ def sample_and_hold(C: ControlField, feedback: Callable[[float, np.ndarray], np.
         if u.shape != (C.control_dim,):
             raise DimensionMismatchError(f"feedback at t={s_prev} has shape {u.shape}, "
                                          f"not control_dim ({C.control_dim},)")
-        frozen = lambda y: np.asarray(C.dynamics(y, u), dtype=float)
-        start = len(b.times)
         h = span / n_sub
-        t = s_prev
-        for k in range(n_sub):
-            x = rk4_step(frozen, x, h)
-            t += h
-            if k == n_sub - 1:
-                t = s_next
-            b.append(t, x, "R:")
+        times, t, last = [], s_prev, b.t
+        for k in range(1, n_sub + 1):
+            t = s_next if k == n_sub else t + h
+            # As _Builder.append: a time that rounding leaves behind moves one float up.
+            last = t if t > last else math.nextafter(last, math.inf)
+            times.append(last)
+        if held is None:
+            frozen = lambda y: np.asarray(C.dynamics(y, u), dtype=float)
+            rows = []
+            for _ in times:
+                x = rk4_step(frozen, x, h)
+                rows.append(x)
+        else:
+            try:
+                rows = held(x, u, [k * h for k in range(1, n_sub)] + [span])
+            except ModelError as e:
+                raise ModelError(f"held flow on [{s_prev}, {s_next}]: {e}") from None
+        start = len(b.times)
+        b.extend(times, rows, "R:")
         b.check_finite(start)
     return b.finish()
 

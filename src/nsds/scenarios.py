@@ -244,7 +244,28 @@ def move_away_flow(law: MoveAwayLaw, x0, t_end: float, cfg: IntegratorConfig) ->
 
 def cart_input_field(x: np.ndarray) -> np.ndarray:
     x1, x2 = x.tolist()  # Python floats: ** is the same libm pow as numpy's scalar power
-    return np.array([x1 ** 2 - x2 ** 2, 2.0 * x1 * x2])
+    try:
+        return np.array([x1 ** 2 - x2 ** 2, 2.0 * x1 * x2])
+    except OverflowError:  # float ** raises where numpy's power would return inf
+        raise ModelError(f"cart input field overflows at x={[x1, x2]}") from None
+
+
+def _cart_held_flow(x: np.ndarray, u: np.ndarray, offsets: list[float]) -> list[tuple]:
+    """With z = x1 + i x2 the cart is z' = u z^2, whose held flow is
+    z / (1 - u s z), here in Python complex arithmetic (cheaper than numpy on
+    one state).  On the real axis u s z reaches 1 at a pole, where the
+    solution escapes to infinity: ModelError there, and no state past it."""
+    z = complex(*x.tolist())
+    u = float(u[0])
+    rows = []
+    for s in offsets:
+        d = 1.0 - u * s * z
+        if d.imag == 0.0 and d.real <= 0.0:
+            raise ModelError(f"the held solution from {x.tolist()} escapes to infinity "
+                             f"by offset {s!r}")
+        w = z / d
+        rows.append((w.real, w.imag))
+    return rows
 
 
 def _cart_control(c: dict) -> ControlField:
@@ -256,6 +277,7 @@ def _cart_control(c: dict) -> ControlField:
         control_set=Polytope.interval(-sigma, sigma),
         affine_in_control=True,
         name="cart",
+        held_flow=_cart_held_flow,
     )
 
 
@@ -269,6 +291,14 @@ def cart_feedback(sigma: float = 1.0) -> Callable[[float, np.ndarray], np.ndarra
     return u
 
 
+def _nonholonomic_held_flow(x: np.ndarray, u: np.ndarray, offsets: list[float]) -> np.ndarray:
+    """x and y move at the held input, and z at x u2 - y u1, which the held
+    flow keeps constant."""
+    u1, u2 = u.tolist()
+    x1, x2, _ = x.tolist()
+    return x + np.multiply.outer(offsets, [u1, u2, x1 * u2 - x2 * u1])
+
+
 def _nonholonomic_control(c: dict) -> ControlField:
     return ControlField(
         dim=3,
@@ -277,6 +307,7 @@ def _nonholonomic_control(c: dict) -> ControlField:
         control_set=Polytope([[-1, -1], [1, -1], [1, 1], [-1, 1]]),
         affine_in_control=True,
         name="nonholonomic_integrator",
+        held_flow=_nonholonomic_held_flow,
     )
 
 

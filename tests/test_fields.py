@@ -441,6 +441,30 @@ class TestControlInclusion:
             control_inclusion(C, [0.5])
 
 
+class TestControlField:
+    @pytest.mark.parametrize("u, error, message", [
+        # The input used to be read by as_point alone: 9.0 was dropped,
+        # [[0.5]] read as [0.5], and NaN returned [nan, nan].
+        ([0.5, 9.0], DimensionMismatchError, "input has shape (2,), not (1,)"),
+        ([[0.5]], DimensionMismatchError, "input has shape (1, 1), not (1,)"),
+        ([math.nan], ModelError, "input must be finite, got [nan]"),
+    ])
+    def test_value_checks_its_input(self, u, error, message):
+        cart = get_scenario("cart").build()
+        with pytest.raises(error) as info:
+            cart.value([0.1, 0.2], u)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("call", [
+        lambda cart: cart.value([1e200, 0.0], [1.0]),
+        lambda cart: control_inclusion(cart, [1e200, 0.0]),
+    ], ids=["value", "control_inclusion"])
+    def test_cart_overflow_is_a_model_error(self, call):
+        # float ** raised a bare OverflowError at x1 = 1e200.
+        with pytest.raises(ModelError, match=r"^cart input field overflows at x=\[1e\+200, 0\.0\]$"):
+            call(get_scenario("cart").build())
+
+
 class TestUniquenessChecks:
     def test_neg_sign_not_falsified(self):
         v = one_sided_lipschitz_test(neg_sign_field(), [0.0], 0.5, 0.0, 300, seed=1)

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -689,6 +690,88 @@ class TestSampleAndHold:
         f = make_function("cart_lyapunov")
         vals = [f(x) for x in tr.states[:: len(tr.states) // 200]]
         assert all(b <= a + 1e-6 for a, b in zip(vals, vals[1:]))
+
+
+    @staticmethod
+    def _drawn_runs(name, rng):
+        """Seeded starts and held inputs for a catalog control field: a
+        quarter of the inputs are 0, and half of the cart's starts lie on
+        the real axis, where 1 / (u x1) stays beyond the horizon."""
+        C = get_scenario(name).build()
+        for k in range(4):
+            if name == "cart":
+                r, a = rng.uniform(0.2, 1.0), rng.uniform(0.0, 2.0 * math.pi)
+                x0 = [r * math.cos(a), 0.0 if k % 2 else r * math.sin(a)]
+            else:
+                x0 = rng.uniform(-1.0, 1.0, 3).tolist()
+            inputs = rng.uniform(-1.0, 1.0, (4, C.control_dim))
+            inputs[k % 4] = 0.0
+            yield C, x0, lambda t, x, inputs=inputs: inputs[round(t / 0.1)]
+
+    @pytest.mark.parametrize("name", ["cart", "nonholonomic_integrator"])
+    def test_held_flow_is_the_rk4_limit(self, name):
+        # Three intervals of 100 substeps each.  The held flow's states are
+        # those of RK4 at dt_max / 64 within 1e-12 relative, and its times,
+        # modes and events those of RK4 at dt_max, bit for bit.
+        sched = PartitionSchedule.with_diameter(0.0, 0.3, 0.1)
+        cfg, fine = IntegratorConfig(dt_max=1e-3), IntegratorConfig(dt_max=1e-3 / 64)
+        for C, x0, feedback in self._drawn_runs(name, np.random.default_rng(31)):
+            assert C.held_flow is not None
+            rk4 = replace(C, held_flow=None)
+            held = sample_and_hold(C, feedback, sched, x0, cfg)
+            ref = sample_and_hold(rk4, feedback, sched, x0, fine).states[::64]
+            assert held.states.shape == ref.shape == (301, C.dim)
+            assert np.max(np.abs(held.states - ref)) <= 1e-12 * np.max(np.abs(ref))
+            same = sample_and_hold(rk4, feedback, sched, x0, cfg)
+            assert held.times.tobytes() == same.times.tobytes()
+            assert (held.modes, held.events) == (same.modes, same.events)
+
+    def test_held_run_at_a_large_time_keeps_the_rk4_times(self):
+        # Near t = 1e13 a substep of 0.99 ms rounds to one ulp (1.95 ms),
+        # so the summed times pass the breakpoint and each sample takes the
+        # next float up, as _Builder.append does.  The states are still
+        # those at k substeps into the interval, and its span at its end.
+        C = get_scenario("cart").build()
+        sched = PartitionSchedule([1e13, 1e13 + 0.0625, 1e13 + 0.125])
+        held = sample_and_hold(C, cart_feedback(1.0), sched, [0.6, 0.3])
+        rk4 = sample_and_hold(replace(C, held_flow=None), cart_feedback(1.0), sched, [0.6, 0.3])
+        assert held.times.tobytes() == rk4.times.tobytes()
+        assert np.all(np.diff(held.times) > 0) and held.times[-1] > sched.breakpoints[-1]
+        assert np.max(np.abs(held.states - rk4.states)) <= 1e-12
+
+    def test_cart_escape_is_a_model_error(self):
+        # u = +1 from x1 = 3 drives z' = z^2 to infinity at t = 1/3, inside the
+        # second interval, from 12 at t = 0.25.  RK4 substeps used to square
+        # ever larger floats until a bare OverflowError.
+        C = get_scenario("cart").build()
+        sched = PartitionSchedule.uniform(0.0, 1.0, 4)
+        message = (r"^held flow on \[0\.25, 0\.5\]: the held solution from \[12\.0, -?0\.0\] "
+                   r"escapes to infinity by offset ")
+        with pytest.raises(ModelError, match=message) as err:
+            sample_and_hold(C, lambda t, x: np.array([1.0]), sched, [3.0, 0.0])
+        offset = float(str(err.value).rsplit(" ", 1)[1])
+        assert 1 / 12 <= offset < 1 / 12 + 1e-3
+
+    def test_held_state_beyond_the_float_range_inside_an_interval(self):
+        # From x2 = 1e-310 the held solution passes the pole u s z = 1 within
+        # 3e-311 at t = 1/3, where |z| exceeds the float range, and is back
+        # at -3 by the interval's end: the sample at 1/3 is not finite.
+        C = get_scenario("cart").build()
+        with pytest.raises(ModelError, match=r"^state is not finite at t=0\.3333333333333333: "):
+            sample_and_hold(C, lambda t, x: np.array([1.0]), PartitionSchedule([0.0, 2 / 3]),
+                            [3.0, 1e-310], IntegratorConfig(dt_max=0.34))
+
+    def test_cart_from_a_large_start(self):
+        # Squaring x1 = 1e200 with float ** let a bare OverflowError out of
+        # the run.  The held flow follows the exact z0 / (1 + t z0), 1 / t to
+        # rounding; RK4 substeps now raise ModelError.
+        C = get_scenario("cart").build()
+        sched = PartitionSchedule.with_diameter(0.0, 0.3, 1e-3)
+        tr = sample_and_hold(C, cart_feedback(1.0), sched, [1e200, 0.0])
+        assert np.allclose(tr.states[1:, 0], 1.0 / tr.times[1:], rtol=1e-12, atol=0.0)
+        assert not tr.states[:, 1].any()
+        with pytest.raises(ModelError, match=r"^cart input field overflows at x=\[1e\+200, 0\.0\]$"):
+            sample_and_hold(replace(C, held_flow=None), cart_feedback(1.0), sched, [1e200, 0.0])
 
 
 class TestLimitSets:
