@@ -694,9 +694,10 @@ class TestSampleAndHold:
 
     @staticmethod
     def _drawn_runs(name, rng):
-        """Seeded starts and held inputs for a catalog control field: a
-        quarter of the inputs are 0, and half of the cart's starts lie on
-        the real axis, where 1 / (u x1) stays beyond the horizon."""
+        """Seeded starts and held inputs, one per interval of [0, 0.3] at
+        diameter 0.1, for a catalog control field: one input of each run is
+        0, and half of the cart's starts lie on the real axis, where the
+        escape time 1 / (u x1) stays beyond the horizon."""
         C = get_scenario(name).build()
         for k in range(4):
             if name == "cart":
@@ -704,8 +705,8 @@ class TestSampleAndHold:
                 x0 = [r * math.cos(a), 0.0 if k % 2 else r * math.sin(a)]
             else:
                 x0 = rng.uniform(-1.0, 1.0, 3).tolist()
-            inputs = rng.uniform(-1.0, 1.0, (4, C.control_dim))
-            inputs[k % 4] = 0.0
+            inputs = rng.uniform(-1.0, 1.0, (3, C.control_dim))
+            inputs[k % 3] = 0.0
             yield C, x0, lambda t, x, inputs=inputs: inputs[round(t / 0.1)]
 
     @pytest.mark.parametrize("name", ["cart", "nonholonomic_integrator"])
